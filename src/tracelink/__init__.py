@@ -27,7 +27,6 @@ from .gat import (
     GatParams,
     TrainArtifacts,
     bce_loss,
-    classify_links,
     compute_gradients,
     init_params,
     link_probability,
@@ -36,10 +35,9 @@ from .gat import (
     train,
 )
 from .graph import WindowedGraph, build_graph, degree_counts, unique_edge_set
-from .ingest import CleanEvent, RawEvent, TraceFormat, clean_trace, parse_trace
+from .ingest import EventTable, TraceFormat, clean_trace, parse_trace
 from .metrics import (
     EvalReport,
-    ScoredPair,
     auc,
     confusion,
     evaluate_windows,
@@ -49,7 +47,6 @@ from .metrics import (
     scalar_metrics,
 )
 from .preprocess import (
-    MappedEvent,
     NodeMapping,
     TimeWindow,
     apply_mapping,

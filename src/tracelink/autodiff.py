@@ -300,27 +300,6 @@ def exp(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    def backward(g: Array) -> None:
-        a._accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def backward(g: Array) -> None:
-        a._accumulate(g * out * (1.0 - out))
-
-    return _make(out, (a,), backward)
-
-
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
     x = a.data
     out = np.where(x > 0, x, slope * x)
@@ -337,16 +316,6 @@ def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
 
     def backward(g: Array) -> None:
         a._accumulate(g * np.where(x > 0, 1.0, out + alpha))
-
-    return _make(out, (a,), backward)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient passes only through the interior."""
-    out = np.clip(a.data, lo, hi)
-
-    def backward(g: Array) -> None:
-        a._accumulate(g * ((a.data > lo) & (a.data < hi)))
 
     return _make(out, (a,), backward)
 

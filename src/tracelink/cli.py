@@ -155,8 +155,8 @@ def _load_mapped_windows(cfg: RunConfig, mapping: NodeMapping | None):
     """Ingest + clean + map + window a trace per the run settings.
 
     Returns (mapping, train_windows, test_windows, n_events, skipped_lines,
-    skipped_unknown).  With a preexisting `mapping`, unknown services either
-    fail (strict) or are dropped from the mapped events (lenient), since the
+    skipped_unknown).  With a preexisting `mapping`, events naming a service
+    it does not know either fail (strict) or are dropped (lenient), since the
     model has no parameters for ids it never trained on.
     """
     if not cfg.trace:
@@ -166,18 +166,10 @@ def _load_mapped_windows(cfg: RunConfig, mapping: NodeMapping | None):
         # Windows tile [0, t_max), so the horizon's integer timestamps end
         # at t_max - 1.
         clean = clean_trace(raw, cfg.t_max - 1)
-    skipped_unknown = 0
     with _stage("mapping"):
         if mapping is None:
             mapping = build_node_mapping(clean)
-            mapped = apply_mapping(clean, mapping, strict=True)
-        else:
-            known = mapping.n_nodes
-            mapped = apply_mapping(clean, mapping, strict=cfg.strict_mapping)
-            if mapping.n_nodes > known:
-                before = len(mapped)
-                mapped = [e for e in mapped if e.src < known and e.dst < known]
-                skipped_unknown = before - len(mapped)
+        mapped = apply_mapping(clean, mapping, strict=cfg.strict_mapping)
     with _stage("windows"):
         if cfg.temporal:
             windows = segment_windows(mapped, cfg.window_size, cfg.t_max)
@@ -185,7 +177,7 @@ def _load_mapped_windows(cfg: RunConfig, mapping: NodeMapping | None):
         else:
             train_w = [span_window(mapped, 0, cfg.t_train, index=0)]
             test_w = [span_window(mapped, cfg.t_train, cfg.t_max, index=1)]
-    return mapping, train_w, test_w, len(clean), skipped_lines, skipped_unknown
+    return mapping, train_w, test_w, len(clean), skipped_lines, len(clean) - len(mapped)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -212,9 +204,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if n_nodes < 2:
         raise DataError(f"trace has {n_nodes} distinct services; need at least 2")
 
-    nonempty = [w for w in train_w if w.events]
+    nonempty = [w for w in train_w if w.n_events]
     with _stage("sampling"):
-        mean_pos = max(1, round(sum(len(w.events) for w in nonempty) / max(1, len(nonempty))))
+        mean_pos = max(1, round(sum(w.n_events for w in nonempty) / max(1, len(nonempty))))
         strategy = _resolve_strategy(cfg, mean_pos, n_nodes)
     with _stage("model-init"):
         params = gat.init_params(n_nodes, cfg.model.hidden, cfg.model.heads, derive_rng(cfg.seed, "init"))
@@ -376,7 +368,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             _write_text(out / f"pr_window_{tag}.csv", _curve_csv_pr(r.pr))
             _write_text(out / f"roc_window_{tag}.csv", _curve_csv_roc(r.roc))
             pair_rows = [
-                f"{p.src},{p.dst},{_fmt_float(p.score)},{p.label}\n" for p in r.pairs
+                f"{s},{d},{_fmt_float(score)},{label}\n"
+                for s, d, score, label in zip(r.src.tolist(), r.dst.tolist(), r.scores.tolist(), r.labels.tolist())
             ]
             _write_text(out / f"scored_window_{tag}.csv", "src,dst,score,label\n" + "".join(pair_rows))
         if report.last_attention is not None:

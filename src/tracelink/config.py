@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import ConfigError
+from .gat import DEFAULT_SNAPSHOT_EPOCHS
 from .ingest import TraceFormat
 from .synth import SynthConfig
 
@@ -23,7 +24,7 @@ class ModelSettings:
     epochs: int = 200
     lr: float = 0.01
     tau: float = 0.5
-    snapshot_epochs: tuple[int, ...] = (0, 49, 99, 149, 199)
+    snapshot_epochs: tuple[int, ...] = DEFAULT_SNAPSHOT_EPOCHS
 
 
 @dataclass

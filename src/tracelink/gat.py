@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -78,12 +78,11 @@ class AttentionRecord:
 
 @dataclass
 class GatParams:
-    """All learnable parameters plus the most recent attention record."""
+    """All learnable parameters."""
 
     layer1: LayerParams
     layer2: LayerParams
     dims: GatDims
-    last_attention: AttentionRecord | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,14 +150,12 @@ def _layer_forward(
     src: np.ndarray,
     dst: np.ndarray,
     n: int,
-    concat_heads: bool,
 ) -> tuple[Tensor, list[Tensor]]:
+    """Multi-head attention layer; several heads are concatenated."""
     alphas = [_head_attention(wh, a, src, dst, n) for wh, a in zip(whs, atts)]
     heads = [_head_aggregate(wh, al, src, dst, n) for wh, al in zip(whs, alphas)]
     if len(heads) == 1:
         return heads[0], alphas
-    if not concat_heads:
-        raise ModelError("multi-head layers must either concat or be single-head")
     return ad.concat(heads, axis=1), alphas
 
 
@@ -185,10 +182,10 @@ def _forward(pt: _TensorParams, graph: WindowedGraph) -> tuple[Tensor, Attention
     src, dst = _loop_edges(graph)
     # With identity input features, layer 1's transformed features are the
     # weight matrices themselves: row j of W is W @ x_j for one-hot x_j.
-    h1, alphas = _layer_forward(pt.w1, pt.a1, src, dst, n, concat_heads=True)
+    h1, alphas = _layer_forward(pt.w1, pt.a1, src, dst, n)
     x2 = ad.elu(h1, ELU_ALPHA)
     wh2 = x2 @ pt.w2
-    h2, _ = _layer_forward([wh2], [pt.a2], src, dst, n, concat_heads=False)
+    h2, _ = _layer_forward([wh2], [pt.a2], src, dst, n)
     record = AttentionRecord(src, dst, np.stack([a.data for a in alphas], axis=1), n)
     return h2, record
 
@@ -201,13 +198,9 @@ def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
 
 
 def model_forward(params: GatParams, graph: WindowedGraph) -> tuple[np.ndarray, AttentionRecord]:
-    """Embeddings for every node, plus the layer-1 attention record.
-
-    The record is also stored on `params.last_attention`.
-    """
+    """Embeddings for every node, plus the layer-1 attention record."""
     _check_graph(params, graph)
     emb, record = _forward(_wrap(params, requires_grad=False), graph)
-    params.last_attention = record
     return emb.data, record
 
 
@@ -229,26 +222,6 @@ def attention_coefficients(
         wh = Tensor(features @ w)
         alphas.append(_head_attention(wh, Tensor(a), src, dst, n).data)
     return AttentionRecord(src, dst, np.stack(alphas, axis=1), n)
-
-
-def gat_layer_forward(
-    layer: LayerParams, features: np.ndarray, graph: WindowedGraph, concat_heads: bool = True
-) -> np.ndarray:
-    """One attention layer over explicit features; no output activation."""
-    n = graph.n_nodes
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != n:
-        raise ModelError(f"features must be ({n}, fan_in), got {features.shape}")
-    for w in layer.weights:
-        if features.shape[1] != w.shape[0]:
-            raise ModelError(
-                f"feature dim {features.shape[1]} does not match weight fan-in {w.shape[0]}"
-            )
-    src, dst = _loop_edges(graph)
-    whs = [Tensor(features @ w) for w in layer.weights]
-    atts = [Tensor(a) for a in layer.att]
-    out, _ = _layer_forward(whs, atts, src, dst, n, concat_heads)
-    return out.data
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +252,8 @@ def bce_loss(pos_probs: np.ndarray, neg_probs: np.ndarray) -> float:
     return float(-(np.log(pos).sum() + np.log1p(-neg).sum()) / total)
 
 
-def classify_links(probs: np.ndarray, tau: float = 0.5) -> np.ndarray:
-    """Predicted labels: 1 where probability strictly exceeds tau."""
-    return (np.asarray(probs) > tau).astype(np.int64)
-
-
 def _pair_scores(emb: Tensor, pairs: np.ndarray) -> Tensor:
     return ad.tsum(ad.gather(emb, pairs[:, 0]) * ad.gather(emb, pairs[:, 1]), axis=1)
-
-
-def _pair_probs(emb: Tensor, pairs: np.ndarray) -> Tensor:
-    return ad.sigmoid(_pair_scores(emb, pairs))
 
 
 def compute_gradients(
@@ -297,10 +261,11 @@ def compute_gradients(
     graph: WindowedGraph,
     pos_edges: np.ndarray,
     neg_edges: np.ndarray,
-) -> tuple[GatParams, float]:
+) -> tuple[GatParams, float, AttentionRecord]:
     """Exact loss gradients for one training step.
 
-    Returns (grads, loss) where grads mirrors the GatParams array structure.
+    Returns (grads, loss, record) where grads mirrors the GatParams array
+    structure and record is the forward pass's layer-1 attention.
     Parameters that cannot influence any scored pair get exact zeros.
     """
     _check_graph(params, graph)
@@ -332,8 +297,7 @@ def compute_gradients(
         LayerParams([grad_of(pt.w2)], [grad_of(pt.a2)]),
         params.dims,
     )
-    params.last_attention = record
-    return grads, float(loss.data)
+    return grads, float(loss.data), record
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +366,7 @@ def train(
         raise TrainingError(f"epochs must be positive, got {epochs}")
     prepared = []
     for window in train_windows:
-        if not window.events:
+        if not window.n_events:
             continue
         g = build_graph(window, params.dims.n_nodes)
         pos = np.stack([g.edge_src, g.edge_dst], axis=1)
@@ -418,11 +382,11 @@ def train(
         for window_index, g, existing, pos in prepared:
             rng = derive_rng(seed, "train-sampling", epoch, window_index)
             neg = draw_negatives(sampling, g, existing, rng, retry_factor)
-            grads, loss = compute_gradients(params, g, pos, neg)
+            grads, loss, record = compute_gradients(params, g, pos, neg)
             optimizer_step(params, grads, state, lr)
             history.append(LossEntry(epoch, window_index, loss))
-        if epoch in snapshots_at and params.last_attention is not None:
-            snapshots[epoch] = params.last_attention
+        if epoch in snapshots_at:
+            snapshots[epoch] = record
     return TrainArtifacts(history, snapshots, params)
 
 
@@ -459,6 +423,20 @@ def save_checkpoint(params: GatParams, path: str | Path, mapping_sha256: str = "
             handle.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_array_entry(entry) -> bool:
+    """A header `arrays` item: {"name": <str>, "shape": [<int >= 0>, ...]}."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(_is_count(size) for size in entry["shape"])
+    )
+
+
 def load_checkpoint(path: str | Path) -> tuple[GatParams, str]:
     """Inverse of save_checkpoint; returns (params, mapping_sha256)."""
     path = Path(path)
@@ -470,19 +448,27 @@ def load_checkpoint(path: str | Path) -> tuple[GatParams, str]:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
+        entries = header.get("arrays")
+        sizes = [header.get(key) for key in ("n_nodes", "hidden", "heads")]
+        if not (
+            isinstance(entries, list)
+            and all(_is_array_entry(entry) for entry in entries)
+            and all(_is_count(size) and size > 0 for size in sizes)
+        ):
+            raise CheckpointError(f"checkpoint {path} has a malformed header")
         arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(int(s) for s in entry["shape"])
+        for entry in entries:
+            shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             buf = handle.read(count * 8)
             if len(buf) != count * 8:
                 raise CheckpointError(f"checkpoint {path} is truncated")
             arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    dims = GatDims(int(header["n_nodes"]), int(header["hidden"]), int(header["heads"]))
+    dims = GatDims(*sizes)
     try:
         w1 = [arrays[f"layer1.w.{k}"] for k in range(dims.heads)]
         a1 = [arrays[f"layer1.a.{k}"] for k in range(dims.heads)]

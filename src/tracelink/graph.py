@@ -9,7 +9,6 @@ n_nodes x n_nodes array is ever materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,12 +32,12 @@ class WindowedGraph:
 
 
 def build_graph(window: TimeWindow, n_nodes: int) -> WindowedGraph:
-    """Stack the window's events into edge arrays; ids must be in range."""
+    """Wrap the window's event columns as edge arrays; ids must be in range."""
     if n_nodes <= 0:
         raise GraphError(f"graph needs a positive node count, got {n_nodes}")
-    src = np.fromiter((e.src for e in window.events), dtype=np.int64, count=len(window.events))
-    dst = np.fromiter((e.dst for e in window.events), dtype=np.int64, count=len(window.events))
-    ts = np.fromiter((e.timestamp for e in window.events), dtype=np.int64, count=len(window.events))
+    src = np.asarray(window.src, dtype=np.int64)
+    dst = np.asarray(window.dst, dtype=np.int64)
+    ts = np.asarray(window.ts, dtype=np.int64)
     if src.size:
         low = min(src.min(), dst.min())
         high = max(src.max(), dst.max())
@@ -63,13 +62,3 @@ def degree_counts(graph: WindowedGraph) -> np.ndarray:
     out_deg = np.bincount(graph.edge_src, minlength=graph.n_nodes)
     in_deg = np.bincount(graph.edge_dst, minlength=graph.n_nodes)
     return (out_deg + in_deg).astype(np.int64)
-
-
-def write_edge_list(graph: WindowedGraph, path: str | Path) -> None:
-    """Debug dump: one `src,dst,timestamp` line per edge instance."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("src,dst,timestamp\n")
-        for s, d, t in zip(graph.edge_src, graph.edge_dst, graph.edge_ts):
-            handle.write(f"{s},{d},{t}\n")

@@ -1,4 +1,4 @@
-"""Trace ingestion: delimited text in, clean ordered call events out.
+"""Trace ingestion: delimited text in, one clean time-ordered event table out.
 
 A trace file carries one call event per line.  The physical column layout is
 configurable (delimiter, optional header row, column names); logically every
@@ -9,9 +9,12 @@ cleaning is strict (only events satisfying the invariants survive).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -28,23 +31,24 @@ class TraceFormat:
     comment: str = "#"
 
 
-@dataclass(frozen=True, slots=True)
-class RawEvent:
-    """One parsed line; may still violate the cleaning rules."""
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Call events as parallel columns, one row per call instance.
 
-    caller: str
-    callee: str
-    timestamp: int
-    attrs: dict[str, str] = field(default_factory=dict)
+    `caller` and `callee` are object arrays of service names.  `ts` holds the
+    millisecond timestamps: float64, truncated toward zero, as parsed; int64
+    once `clean_trace` has range-checked them.  `src` and `dst` are the int64
+    node ids of caller and callee, set by `preprocess.apply_mapping`.
+    """
 
+    caller: np.ndarray
+    callee: np.ndarray
+    ts: np.ndarray
+    src: np.ndarray | None = None
+    dst: np.ndarray | None = None
 
-@dataclass(frozen=True, slots=True)
-class CleanEvent:
-    """A validated call event: non-empty endpoints, timestamp in [0, t_max]."""
-
-    caller: str
-    callee: str
-    timestamp: int
+    def __len__(self) -> int:
+        return int(self.ts.shape[0])
 
 
 def _data_lines(lines: Iterable[str], comment: str) -> Iterator[str]:
@@ -57,21 +61,32 @@ def _data_lines(lines: Iterable[str], comment: str) -> Iterator[str]:
         yield stripped
 
 
-def parse_trace(lines: Iterable[str], fmt: TraceFormat = TraceFormat()) -> tuple[list[RawEvent], int]:
+def _parsed(callers: list[str], callees: list[str], stamps: list[float]) -> EventTable:
+    return EventTable(
+        np.array(callers, dtype=object),
+        np.array(callees, dtype=object),
+        np.trunc(np.array(stamps, dtype=np.float64)),
+    )
+
+
+def parse_trace(lines: Iterable[str], fmt: TraceFormat = TraceFormat()) -> tuple[EventTable, int]:
     """Parse a line-oriented trace stream.
 
     Returns (events, skipped) where `skipped` counts malformed lines: wrong
-    field count or an unparseable timestamp.  Fractional timestamps are
-    truncated toward zero.  With ``fmt.header`` the first data line names the
-    columns and overrides ``fmt.columns``.
+    field count or a timestamp that is unparseable or not finite.  Fractional
+    timestamps are truncated toward zero.  With ``fmt.header`` the first data
+    line names the columns and overrides ``fmt.columns``.
     """
     stream = _data_lines(lines, fmt.comment)
     columns = fmt.columns
+    callers: list[str] = []
+    callees: list[str] = []
+    stamps: list[float] = []
     if fmt.header:
         try:
             header_line = next(stream)
         except StopIteration:
-            return [], 0
+            return _parsed(callers, callees, stamps), 0
         columns = tuple(name.strip() for name in next(csv.reader([header_line], delimiter=fmt.delimiter)))
     if not columns:
         raise ConfigError("trace format needs column names (no header row, no configured columns)")
@@ -81,55 +96,54 @@ def parse_trace(lines: Iterable[str], fmt: TraceFormat = TraceFormat()) -> tuple
     caller_i = columns.index(fmt.caller)
     callee_i = columns.index(fmt.callee)
     ts_i = columns.index(fmt.timestamp)
-    extra = [(i, name) for i, name in enumerate(columns) if i not in (caller_i, callee_i, ts_i)]
 
-    events: list[RawEvent] = []
     skipped = 0
     for row in csv.reader(stream, delimiter=fmt.delimiter):
         if len(row) != len(columns):
             skipped += 1
             continue
         try:
-            # int(float(...)) truncates fractional milliseconds toward zero.
-            ts = int(float(row[ts_i]))
+            ts = float(row[ts_i])
         except ValueError:
+            ts = math.nan
+        if not math.isfinite(ts):
             skipped += 1
             continue
-        attrs = {name: row[i] for i, name in extra}
-        events.append(RawEvent(row[caller_i].strip(), row[callee_i].strip(), ts, attrs))
-    return events, skipped
+        callers.append(row[caller_i].strip())
+        callees.append(row[callee_i].strip())
+        stamps.append(ts)
+    return _parsed(callers, callees, stamps), skipped
 
 
-def parse_trace_file(path: str | Path, fmt: TraceFormat = TraceFormat()) -> tuple[list[RawEvent], int]:
+def parse_trace_file(path: str | Path, fmt: TraceFormat = TraceFormat()) -> tuple[EventTable, int]:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_trace(handle, fmt)
 
 
-def clean_trace(events: Iterable[RawEvent], t_max: int) -> list[CleanEvent]:
+def clean_trace(events: EventTable, t_max: int) -> EventTable:
     """Keep events with non-empty endpoints and timestamp in [0, t_max].
 
-    The result is sorted by timestamp with a stable sort, so same-timestamp
-    events keep their input order.  Duplicate events are retained: each call
-    instance matters for the multigraph downstream.
+    The range test runs on the parsed timestamps before the int64 cast, so
+    a stamp too large for int64 is dropped rather than wrapped.  The result
+    is sorted by timestamp with a stable sort, so same-timestamp events keep
+    their input order.  Duplicate events are retained: each call instance
+    matters for the multigraph downstream.
     """
     if t_max <= 0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
-    kept = [
-        CleanEvent(e.caller, e.callee, e.timestamp)
-        for e in events
-        if e.caller and e.callee and 0 <= e.timestamp <= t_max
-    ]
-    kept.sort(key=lambda e: e.timestamp)
-    return kept
+    ts = events.ts
+    keep = np.flatnonzero((events.caller != "") & (events.callee != "") & (ts >= 0) & (ts <= t_max))
+    rows = keep[np.argsort(ts[keep], kind="stable")]
+    return EventTable(events.caller[rows], events.callee[rows], ts[rows].astype(np.int64))
 
 
-def write_trace(events: Iterable[CleanEvent], path: str | Path, header_comment: str | None = None) -> None:
-    """Write events in the default format this module reads (round-trip)."""
+def write_trace(events: EventTable, path: str | Path, header_comment: str | None = None) -> None:
+    """Write a clean table in the default format this module reads (round-trip)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if header_comment:
             handle.write(f"# {header_comment}\n")
         handle.write("timestamp,um,dm\n")
-        for event in events:
-            handle.write(f"{event.timestamp},{event.caller},{event.callee}\n")
+        for ts, caller, callee in zip(events.ts.tolist(), events.caller.tolist(), events.callee.tolist()):
+            handle.write(f"{ts},{caller},{callee}\n")

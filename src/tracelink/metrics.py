@@ -9,8 +9,8 @@ Curves are swept over the distinct observed scores, predicting positive at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,16 +20,6 @@ from .graph import build_graph, unique_edge_set
 from .preprocess import TimeWindow
 from .sampling import DEFAULT_RETRY_FACTOR, SamplingStrategy, draw_negatives
 from .seeding import derive_rng
-
-
-@dataclass(frozen=True, slots=True)
-class ScoredPair:
-    """One scored candidate link with its true label (1=linked)."""
-
-    src: int
-    dst: int
-    score: float
-    label: int
 
 
 @dataclass(frozen=True)
@@ -69,15 +59,14 @@ class RocPoint:
     tpr: float
 
 
-def _split_scores(pairs: Sequence[ScoredPair]) -> tuple[np.ndarray, np.ndarray]:
-    scores = np.array([p.score for p in pairs], dtype=np.float64)
-    labels = np.array([p.label for p in pairs], dtype=np.int64)
-    return scores, labels
+def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
-def auc(pairs: Sequence[ScoredPair]) -> float:
-    """Rank-based AUC; ties between classes count half a win."""
-    scores, labels = _split_scores(pairs)
+def auc(scores, labels) -> float:
+    """Rank-based AUC over parallel score and label (1=linked) arrays; ties
+    between classes count half a win."""
+    scores, labels = _as_arrays(scores, labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -87,20 +76,18 @@ def auc(pairs: Sequence[ScoredPair]) -> float:
     order = np.argsort(scores, kind="mergesort")
     ranks = np.empty(len(scores), dtype=np.float64)
     # Average (mid) ranks across tie groups, 1-based.
-    sorted_scores = scores[order]
-    boundaries = np.flatnonzero(np.diff(sorted_scores)) + 1
+    boundaries = np.flatnonzero(np.diff(scores[order])) + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [len(scores)]])
-    for lo, hi in zip(starts, ends):
-        ranks[order[lo:hi]] = (lo + hi + 1) / 2.0
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     rank_sum = ranks[labels == 1].sum()
     u_stat = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u_stat / (n_pos * n_neg))
 
 
-def confusion(pairs: Sequence[ScoredPair], tau: float = 0.5) -> Confusion:
+def confusion(scores, labels, tau: float = 0.5) -> Confusion:
     """Counts under the strict rule: predicted positive iff score > tau."""
-    scores, labels = _split_scores(pairs)
+    scores, labels = _as_arrays(scores, labels)
     predicted = scores > tau
     actual = labels == 1
     return Confusion(
@@ -133,14 +120,14 @@ def scalar_metrics(conf: Confusion) -> ScalarMetrics:
     return ScalarMetrics(accuracy, precision, recall, f1, tuple(flagged))
 
 
-def _threshold_sweep(pairs: Sequence[ScoredPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+def _threshold_sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Cumulative tp/fp at each distinct score threshold, descending.
 
     Predictions are inclusive (score >= threshold).
     """
-    if len(pairs) == 0:
+    scores, labels = _as_arrays(scores, labels)
+    if len(scores) == 0:
         raise UndefinedMetricError("cannot sweep thresholds over zero pairs")
-    scores, labels = _split_scores(pairs)
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
     sorted_pos = (labels[order] == 1).astype(np.int64)
@@ -153,10 +140,10 @@ def _threshold_sweep(pairs: Sequence[ScoredPair]) -> tuple[np.ndarray, np.ndarra
     return thresholds, cum_tp[last_idx], cum_fp[last_idx], int(sorted_pos.sum()), int(len(scores) - sorted_pos.sum())
 
 
-def pr_points(pairs: Sequence[ScoredPair]) -> list[PrPoint]:
+def pr_points(scores, labels) -> list[PrPoint]:
     """Precision/recall at each distinct score threshold, highest first,
     truncated at (and including) the first point reaching full recall."""
-    thresholds, tp, fp, n_pos, _ = _threshold_sweep(pairs)
+    thresholds, tp, fp, n_pos, _ = _threshold_sweep(scores, labels)
     if n_pos == 0:
         raise UndefinedMetricError("PR curve needs at least one positive pair")
     points: list[PrPoint] = []
@@ -167,10 +154,10 @@ def pr_points(pairs: Sequence[ScoredPair]) -> list[PrPoint]:
     return points
 
 
-def roc_points(pairs: Sequence[ScoredPair]) -> list[RocPoint]:
+def roc_points(scores, labels) -> list[RocPoint]:
     """ROC curve over the same sweep, anchored at (0,0); the lowest threshold
     predicts everything positive so the series ends at (1,1)."""
-    thresholds, tp, fp, n_pos, n_neg = _threshold_sweep(pairs)
+    thresholds, tp, fp, n_pos, n_neg = _threshold_sweep(scores, labels)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"ROC needs both classes, got {n_pos} positives and {n_neg} negatives"
@@ -194,13 +181,19 @@ def roc_area(points: Sequence[RocPoint]) -> float:
 
 @dataclass
 class WindowReport:
+    """One test window's metrics plus every scored pair as parallel arrays:
+    its edge instances (label 1) followed by the sampled negatives (label 0)."""
+
     window_index: int
     auc: float
     confusion: Confusion
     metrics: ScalarMetrics
     pr: list[PrPoint]
     roc: list[RocPoint]
-    pairs: list[ScoredPair]
+    src: np.ndarray
+    dst: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray
 
 
 @dataclass
@@ -235,41 +228,39 @@ def evaluate_windows(
     pooled for the aggregate numbers and also averaged per window (macro).
     """
     reports: list[WindowReport] = []
-    pooled: list[ScoredPair] = []
     last_attention: AttentionRecord | None = None
     for window in test_windows:
-        if not window.events:
+        if not window.n_events:
             continue
         g = build_graph(window, params.dims.n_nodes)
         emb, attention = model_forward(params, g)
         last_attention = attention
         rng = derive_rng(seed, "eval-sampling", window.index)
         neg = draw_negatives(sampling, g, unique_edge_set(g), rng, retry_factor)
-        scored = [
-            ScoredPair(int(s), int(d), float(p), 1)
-            for s, d, p in zip(g.edge_src, g.edge_dst, _probs(emb, g.edge_src, g.edge_dst))
-        ]
-        if len(neg):
-            scored += [
-                ScoredPair(int(s), int(d), float(p), 0)
-                for (s, d), p in zip(neg, _probs(emb, neg[:, 0], neg[:, 1]))
-            ]
-        conf = confusion(scored, tau)
+        src = np.concatenate([g.edge_src, neg[:, 0]])
+        dst = np.concatenate([g.edge_dst, neg[:, 1]])
+        scores = link_probability(emb, src, dst)
+        labels = np.repeat([1, 0], [g.n_edges, len(neg)])
+        conf = confusion(scores, labels, tau)
         reports.append(
             WindowReport(
                 window.index,
-                auc(scored),
+                auc(scores, labels),
                 conf,
                 scalar_metrics(conf),
-                pr_points(scored),
-                roc_points(scored),
-                scored,
+                pr_points(scores, labels),
+                roc_points(scores, labels),
+                src,
+                dst,
+                scores,
+                labels,
             )
         )
-        pooled.extend(scored)
     if not reports:
         raise EvalError("every test window is empty; nothing to evaluate")
-    pooled_conf = confusion(pooled, tau)
+    scores = np.concatenate([r.scores for r in reports])
+    labels = np.concatenate([r.labels for r in reports])
+    pooled_conf = confusion(scores, labels, tau)
     macro_keys = ("auc", "accuracy", "precision", "recall", "f1")
     macro = {
         key: float(
@@ -284,21 +275,15 @@ def evaluate_windows(
     }
     return EvalReport(
         windows=reports,
-        pooled_auc=auc(pooled),
+        pooled_auc=auc(scores, labels),
         pooled_confusion=pooled_conf,
         pooled_metrics=scalar_metrics(pooled_conf),
-        pooled_pr=pr_points(pooled),
-        pooled_roc=roc_points(pooled),
+        pooled_pr=pr_points(scores, labels),
+        pooled_roc=roc_points(scores, labels),
         macro=macro,
         tau=tau,
         last_attention=last_attention,
     )
-
-
-def _probs(emb: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    if len(src) == 0:
-        return np.empty(0, dtype=np.float64)
-    return np.atleast_1d(link_probability(emb, np.asarray(src), np.asarray(dst)))
 
 
 # ---------------------------------------------------------------------------

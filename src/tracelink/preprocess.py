@@ -1,18 +1,22 @@
 """Node mapping and time windowing.
 
-Service names become dense integer ids; events become (src, dst, timestamp)
-triples; the trace horizon [0, t_max) is cut into fixed-width half-open
-windows which are then split into a training prefix and a test suffix.
+Service names become dense integer ids, attached to the event table as its
+`src`/`dst` columns; the trace horizon [0, t_max) is cut into fixed-width
+half-open windows, each a contiguous run of the time-sorted table, which are
+then split into a training prefix and a test suffix.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError, MappingError
-from .ingest import CleanEvent
+from .ingest import EventTable
 
 
 @dataclass
@@ -36,90 +40,100 @@ class NodeMapping:
         return node_id
 
 
-@dataclass(frozen=True, slots=True)
-class MappedEvent:
-    src: int
-    dst: int
-    timestamp: int
-
-
 @dataclass
 class TimeWindow:
-    """Half-open interval [start, end) and the events that fall inside it."""
+    """Half-open interval [start, end) and the mapped events inside it.
+
+    `src`, `dst` and `ts` are views of the event table's columns over the
+    window's rows.
+    """
 
     index: int
     start: int
     end: int
-    events: list[MappedEvent] = field(default_factory=list)
+    src: np.ndarray
+    dst: np.ndarray
+    ts: np.ndarray
 
     @property
     def width(self) -> int:
         return self.end - self.start
 
+    @property
+    def n_events(self) -> int:
+        return int(self.ts.shape[0])
 
-def build_node_mapping(events: Sequence[CleanEvent]) -> NodeMapping:
+
+def build_node_mapping(events: EventTable) -> NodeMapping:
     """Ids in first-occurrence order over the caller column, then the callee
     column (the concatenation of the two name columns, deduplicated)."""
     mapping = NodeMapping()
-    for event in events:
-        mapping.add(event.caller)
-    for event in events:
-        mapping.add(event.callee)
+    for name in dict.fromkeys(chain(events.caller.tolist(), events.callee.tolist())):
+        mapping.add(name)
     return mapping
 
 
-def apply_mapping(
-    events: Iterable[CleanEvent], mapping: NodeMapping, strict: bool = True
-) -> list[MappedEvent]:
-    """Translate names to ids.
+def _ids(names: np.ndarray, forward: dict[str, int]) -> np.ndarray:
+    """Node id per name, -1 where the mapping does not know the name."""
+    return np.fromiter(map(forward.get, names.tolist(), repeat(-1)), dtype=np.int64, count=len(names))
+
+
+def apply_mapping(events: EventTable, mapping: NodeMapping, strict: bool = True) -> EventTable:
+    """Attach the `src`/`dst` node id columns.
 
     Strict mode raises on a name the mapping does not know; lenient mode
-    grows the mapping in place by appending fresh ids.
+    drops the rows that name one.  The mapping itself never changes.
     """
-    mapped: list[MappedEvent] = []
-    forward = mapping.forward
-    for event in events:
-        for name in (event.caller, event.callee):
-            if name not in forward:
-                if strict:
-                    raise MappingError(f"unknown service {name!r} has no node id")
-                mapping.add(name)
-        mapped.append(MappedEvent(forward[event.caller], forward[event.callee], event.timestamp))
-    return mapped
+    src = _ids(events.caller, mapping.forward)
+    dst = _ids(events.callee, mapping.forward)
+    known = (src >= 0) & (dst >= 0)
+    if strict and not known.all():
+        row = int(np.argmin(known))
+        name = events.caller[row] if src[row] < 0 else events.callee[row]
+        raise MappingError(f"unknown service {name!r} has no node id")
+    return EventTable(events.caller[known], events.callee[known], events.ts[known], src[known], dst[known])
 
 
-def segment_windows(events: Sequence[MappedEvent], w_size: int, t_max: int) -> list[TimeWindow]:
+def _check_sorted(events: EventTable) -> None:
+    if np.any(events.ts[1:] < events.ts[:-1]):
+        raise DataError("events must be sorted by timestamp (clean_trace sorts them)")
+
+
+def _cut(events: EventTable, index: int, start: int, end: int) -> TimeWindow:
+    """The window over the rows with start <= ts < end of a sorted table."""
+    lo, hi = np.searchsorted(events.ts, (start, end)).tolist()
+    return TimeWindow(index, start, end, events.src[lo:hi], events.dst[lo:hi], events.ts[lo:hi])
+
+
+def segment_windows(events: EventTable, w_size: int, t_max: int) -> list[TimeWindow]:
     """Partition [0, t_max) into windows [k*w_size, (k+1)*w_size).
 
     The final window is clipped to t_max when the horizon is not a multiple
-    of the width, so the windows tile [0, t_max) exactly.  Every event is
-    assigned to exactly one window by integer division of its timestamp; an
-    event outside [0, t_max) is a contract violation.
+    of the width, so the windows tile [0, t_max) exactly.  The events must be
+    mapped and sorted by timestamp; each window is a contiguous run of rows.
+    An event outside [0, t_max) is a contract violation.
     """
     if w_size <= 0:
         raise ConfigError(f"window size must be positive, got {w_size}")
     if t_max <= 0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
-    n_windows = -(-t_max // w_size)
-    windows = [
-        TimeWindow(i, i * w_size, min((i + 1) * w_size, t_max)) for i in range(n_windows)
+    _check_sorted(events)
+    ts = events.ts
+    if ts.size and (ts[0] < 0 or ts[-1] >= t_max):
+        bad = ts[0] if ts[0] < 0 else ts[-1]
+        raise DataError(f"event at t={bad} lies outside the horizon [0, {t_max})")
+    return [
+        _cut(events, i, start, min(start + w_size, t_max))
+        for i, start in enumerate(range(0, t_max, w_size))
     ]
-    for event in events:
-        if not 0 <= event.timestamp < t_max:
-            raise DataError(
-                f"event at t={event.timestamp} lies outside the horizon [0, {t_max})"
-            )
-        windows[event.timestamp // w_size].events.append(event)
-    return windows
 
 
-def span_window(events: Iterable[MappedEvent], start: int, end: int, index: int = 0) -> TimeWindow:
+def span_window(events: EventTable, start: int, end: int, index: int = 0) -> TimeWindow:
     """One window covering [start, end) (the non-temporal degenerate case)."""
     if end <= start:
         raise ConfigError(f"empty span [{start}, {end})")
-    window = TimeWindow(index, start, end)
-    window.events = [e for e in events if start <= e.timestamp < end]
-    return window
+    _check_sorted(events)
+    return _cut(events, index, start, end)
 
 
 def split_train_test(

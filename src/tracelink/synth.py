@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import CleanEvent
+from .ingest import EventTable
 
 #: Relative amplitude of the sinusoidal load modulation.
 LOAD_AMPLITUDE = 0.4
@@ -188,7 +188,7 @@ def _tail_schedule(
     return schedule
 
 
-def generate_trace(cfg: SynthConfig) -> list[CleanEvent]:
+def generate_trace(cfg: SynthConfig) -> EventTable:
     """Deterministic trace for `cfg.seed`; already clean and sorted."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -204,7 +204,9 @@ def generate_trace(cfg: SynthConfig) -> list[CleanEvent]:
         )
     total_core_edges = sum(len(t) for t in structure.trees)
 
-    events: list[CleanEvent] = []
+    callers: list[int] = []
+    callees: list[int] = []
+    stamps: list[np.ndarray] = []
     window_index = 0
     for start in range(0, cfg.duration, cfg.window_hint):
         end = min(start + cfg.window_hint, cfg.duration)
@@ -216,13 +218,12 @@ def generate_trace(cfg: SynthConfig) -> list[CleanEvent]:
             for _ in range(int(rng.poisson(rate))):
                 pairs.extend(tree)
         pairs.extend(schedule[window_index])
-        timestamps = np.sort(rng.integers(start, end, size=len(pairs)))
-        events.extend(
-            CleanEvent(_service_name(s), _service_name(d), int(t))
-            for (s, d), t in zip(pairs, timestamps)
-        )
+        stamps.append(np.sort(rng.integers(start, end, size=len(pairs))))
+        callers.extend(s for s, _ in pairs)
+        callees.extend(d for _, d in pairs)
         window_index += 1
-    return events
+    names = np.array([_service_name(i) for i in range(cfg.n_services)], dtype=object)
+    return EventTable(names[callers], names[callees], np.concatenate(stamps).astype(np.int64))
 
 
 def gateway_services(cfg: SynthConfig) -> set[str]:
@@ -256,11 +257,10 @@ def backbone_pairs(cfg: SynthConfig) -> set[tuple[str, str]]:
 
 
 def ground_truth_future_links(
-    trace: list[CleanEvent], t_train: int, t_max: int
+    trace: EventTable, t_train: int, t_max: int
 ) -> set[tuple[str, str]]:
     """Distinct (caller, callee) pairs observed in [t_train, t_max)."""
     if not 0 <= t_train < t_max:
         raise ConfigError(f"need 0 <= t_train < t_max, got {t_train}, {t_max}")
-    return {
-        (e.caller, e.callee) for e in trace if t_train <= e.timestamp < t_max
-    }
+    inside = (trace.ts >= t_train) & (trace.ts < t_max)
+    return set(zip(trace.caller[inside].tolist(), trace.callee[inside].tolist()))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -24,8 +24,9 @@ from tracelink.gat import (
     model_forward,
 )
 from tracelink.graph import WindowedGraph, degree_counts, unique_edge_set
-from tracelink.metrics import ScoredPair, auc, roc_area, roc_points
-from tracelink.preprocess import MappedEvent, segment_windows
+from tracelink.ingest import EventTable
+from tracelink.metrics import auc, roc_area, roc_points
+from tracelink.preprocess import segment_windows
 from tracelink.sampling import (
     SamplingKind,
     SamplingStrategy,
@@ -66,7 +67,7 @@ def test_01_reverse_mode_gradients_match_finite_differences():
                 link_probability(emb, neg[:, 0], neg[:, 1]),
             )
 
-        grads, _ = compute_gradients(params, g, pos, neg)
+        grads, _, _ = compute_gradients(params, g, pos, neg)
         pairs = list(zip(params.layer1.weights + params.layer1.att
                          + params.layer2.weights + params.layer2.att,
                          grads.layer1.weights + grads.layer1.att
@@ -176,19 +177,31 @@ def test_05_metric_implementations_match_oracles():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]  # need both classes
         scores = np.round(rng.random(k), 2)  # coarse grid -> frequent ties
-        pairs = [ScoredPair(0, 1, float(s), int(l)) for s, l in zip(scores, labels)]
+        pairs = (scores, labels)
         pos = scores[labels == 1]
         neg = scores[labels == 0]
         wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
         brute = wins / (len(pos) * len(neg))
-        got = auc(pairs)
+        got = auc(*pairs)
         assert got == pytest.approx(brute, abs=1e-12)
-        assert roc_area(roc_points(pairs)) == pytest.approx(got, abs=1e-9)
+        assert roc_area(roc_points(*pairs)) == pytest.approx(got, abs=1e-9)
     flat = np.full(37, 0.5)
     assert bce_loss(flat, flat) == pytest.approx(np.log(2.0), abs=1e-9)
 
 
 # -- 06 ---------------------------------------------------------------------
+
+Event = namedtuple("Event", "src dst timestamp")
+
+
+def _mapped_table(events) -> EventTable:
+    src, dst, ts = np.array(events, dtype=np.int64).reshape(-1, 3).T
+    return EventTable(src.astype(str).astype(object), dst.astype(str).astype(object), ts, src, dst)
+
+
+def _events(window) -> list[Event]:
+    return [Event(*row) for row in zip(window.src.tolist(), window.dst.tolist(), window.ts.tolist())]
+
 
 def test_06_windows_partition_the_trace_exactly():
     """Random traces: window contents reassemble the exact event multiset;
@@ -200,22 +213,22 @@ def test_06_windows_partition_the_trace_exactly():
         w = int(rng.integers(1, 301))
         k = int(rng.integers(0, 400))
         ts = np.sort(rng.integers(0, t_max, size=k))
-        events = [MappedEvent(int(rng.integers(0, 20)), int(rng.integers(0, 20)), int(t))
+        events = [Event(int(rng.integers(0, 20)), int(rng.integers(0, 20)), int(t))
                   for t in ts]
-        windows = segment_windows(events, w, t_max)
+        windows = segment_windows(_mapped_table(events), w, t_max)
         assert windows[0].start == 0 and windows[-1].end == t_max
         for a, b in zip(windows, windows[1:]):
             assert a.end == b.start  # disjoint and gap-free
-        reunion = Counter((e.src, e.dst, e.timestamp) for win in windows for e in win.events)
+        reunion = Counter((e.src, e.dst, e.timestamp) for win in windows for e in _events(win))
         assert reunion == Counter((e.src, e.dst, e.timestamp) for e in events)
         for win in windows:
-            for e in win.events:
+            for e in _events(win):
                 assert win.start <= e.timestamp < win.end
     # pinned boundary case: timestamps at exact multiples of the width
-    events = [MappedEvent(0, 1, t) for t in (0, 10, 20, 39)]
-    windows = segment_windows(events, 10, 40)
-    assert [len(w.events) for w in windows] == [1, 1, 1, 1]
-    assert windows[1].events[0].timestamp == 10  # boundary -> right-hand window
+    events = [Event(0, 1, t) for t in (0, 10, 20, 39)]
+    windows = segment_windows(_mapped_table(events), 10, 40)
+    assert [len(_events(w)) for w in windows] == [1, 1, 1, 1]
+    assert _events(windows[1])[0].timestamp == 10  # boundary -> right-hand window
 
 
 # -- 07..09: desk-scale end-to-end runs --------------------------------------

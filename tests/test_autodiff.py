@@ -101,22 +101,8 @@ def test_sum_axis():
     fd_check(lambda a: ad.tsum(ad.tsum(a, axis=1) * rand((3,), 19)), [rand((3, 4), 20)])
 
 
-def test_exp_log():
-    fd_check(lambda a: ad.tsum(ad.log(ad.exp(a) + 1.0)), [rand((4,), 21)])
-
-
-def test_sigmoid_matches_closed_form():
-    x = rand((7,), 22)
-    out = ad.sigmoid(Tensor(x)).data
-    np.testing.assert_allclose(out, 1 / (1 + np.exp(-x)), rtol=1e-12)
-    fd_check(lambda a: ad.tsum(ad.sigmoid(a)), [x])
-
-
-def test_sigmoid_extreme_inputs_stay_finite():
-    out = ad.sigmoid(Tensor(np.array([-1000.0, 1000.0]))).data
-    assert np.all(np.isfinite(out))
-    assert out[0] == pytest.approx(0.0, abs=1e-300)
-    assert out[1] == pytest.approx(1.0)
+def test_exp():
+    fd_check(lambda a: ad.tsum(ad.softplus(ad.exp(a))), [rand((4,), 21)])
 
 
 def test_softplus_matches_closed_form():
@@ -150,13 +136,6 @@ def test_elu_continuous_at_zero():
     out = ad.elu(Tensor(x), 1.0).data
     np.testing.assert_allclose(out, np.where(x > 0, x, np.expm1(x)))
     fd_check(lambda a: ad.tsum(ad.elu(a, 1.0)), [np.array([-2.0, -0.3, 0.4, 1.5])])
-
-
-def test_clamp_blocks_gradient_outside():
-    x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
-    out = ad.tsum(ad.clamp(x, 0.0, 1.0))
-    out.backward()
-    np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_segment_max():

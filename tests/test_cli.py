@@ -81,6 +81,16 @@ def test_train_meta_contents(workdir):
     assert len(meta["mapping_sha256"]) == 64
 
 
+def test_non_finite_timestamp_is_a_skipped_line(workdir, tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text((workdir / "trace.csv").read_text() + "inf,svc001,svc002\n")
+    run = tmp_path / "run"
+    assert main(["train", "--trace", str(trace), "--out", str(run), *SPAN,
+                 "--hidden", "8", "--epochs", "1", "--seed", "5"]) == 0
+    meta = json.loads((run / "train_meta.json").read_text())
+    assert meta["skipped_lines"] == 1
+
+
 def test_train_is_deterministic(workdir, tmp_path):
     rerun = tmp_path / "rerun"
     code = main([

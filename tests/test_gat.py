@@ -13,9 +13,7 @@ from tracelink.gat import (
     LayerParams,
     attention_coefficients,
     bce_loss,
-    classify_links,
     compute_gradients,
-    gat_layer_forward,
     init_adam_state,
     init_params,
     link_probability,
@@ -26,17 +24,17 @@ from tracelink.gat import (
     train,
 )
 from tracelink.graph import build_graph
-from tracelink.preprocess import MappedEvent, TimeWindow
+from tracelink.preprocess import TimeWindow
 from tracelink.sampling import SamplingKind, SamplingStrategy
 
 
 def graph_of(pairs, n_nodes):
-    events = [MappedEvent(s, d, i) for i, (s, d) in enumerate(pairs)]
-    return build_graph(TimeWindow(0, 0, 100, events), n_nodes)
+    return build_graph(window_of(pairs), n_nodes)
 
 
 def window_of(pairs, n_nodes=None, index=0):
-    return TimeWindow(index, 0, 100, [MappedEvent(s, d, i) for i, (s, d) in enumerate(pairs)])
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return TimeWindow(index, 0, 100, src, dst, np.arange(len(src), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +63,7 @@ def dense_attention(weights, atts, features, graph):
     return coeffs
 
 
-def dense_layer(weights, atts, features, graph, concat=True):
+def dense_layer(weights, atts, features, graph):
     n = graph.n_nodes
     src, dst = with_self_loops(graph.edge_src, graph.edge_dst, n)
     coeffs = dense_attention(weights, atts, features, graph)
@@ -76,7 +74,7 @@ def dense_layer(weights, atts, features, graph, concat=True):
         for e, (s, d) in enumerate(zip(src, dst)):
             out[d] += coeffs[e, k] * wh[s]
         outs.append(out)
-    return np.concatenate(outs, axis=1) if concat else outs[0]
+    return np.concatenate(outs, axis=1)
 
 
 def random_layer(rng, n, fan_in, hidden, heads):
@@ -189,40 +187,6 @@ def test_attention_rejects_mismatched_features():
 
 
 # ---------------------------------------------------------------------------
-# layer forward
-
-def test_layer_identity_on_isolated_nodes():
-    features = np.array([[1.0, -2.0], [0.5, 0.25], [3.0, 0.0]])
-    layer = LayerParams([np.eye(2)], [np.zeros(4)])
-    out = gat_layer_forward(layer, features, graph_of([], 3), concat_heads=False)
-    assert np.allclose(out, features)
-
-
-def test_layer_concat_dimension():
-    rng = np.random.default_rng(5)
-    layer = random_layer(rng, 6, 6, 4, 2)
-    out = gat_layer_forward(layer, np.eye(6), graph_of([(0, 1)], 6))
-    assert out.shape == (6, 8)
-
-
-def test_layer_matches_dense_oracle():
-    rng = np.random.default_rng(6)
-    g = graph_of([(0, 1), (1, 2), (2, 0), (3, 1), (0, 1)], 5)
-    layer = random_layer(rng, 5, 4, 3, 2)
-    features = rng.normal(size=(5, 4))
-    out = gat_layer_forward(layer, features, g)
-    oracle = dense_layer(layer.weights, layer.att, features, g)
-    assert np.allclose(out, oracle, atol=1e-10)
-
-
-def test_layer_multihead_requires_concat():
-    rng = np.random.default_rng(7)
-    layer = random_layer(rng, 4, 4, 2, 2)
-    with pytest.raises(ModelError):
-        gat_layer_forward(layer, np.eye(4), graph_of([], 4), concat_heads=False)
-
-
-# ---------------------------------------------------------------------------
 # full model forward
 
 def test_forward_zero_weights_give_zero_embeddings():
@@ -241,8 +205,20 @@ def test_forward_shape_and_record():
     emb, record = model_forward(params, g)
     assert emb.shape == (5, 8)
     assert record.coeffs.shape == (3 + 5, 2)
-    assert params.last_attention is record
     assert np.isfinite(emb).all()
+
+
+def test_forward_matches_dense_oracle():
+    rng = np.random.default_rng(6)
+    g = graph_of([(0, 1), (1, 2), (2, 0), (3, 1), (0, 1)], 5)
+    params = init_params(5, 3, 2, rng)
+    for arr in params.layer1.weights + params.layer1.att + params.layer2.weights + params.layer2.att:
+        arr[:] = rng.normal(size=arr.shape)
+    emb, _ = model_forward(params, g)
+    h1 = dense_layer(params.layer1.weights, params.layer1.att, np.eye(5), g)
+    x2 = np.where(h1 > 0, h1, np.expm1(h1))  # ELU between the layers
+    oracle = dense_layer(params.layer2.weights, params.layer2.att, x2, g)
+    assert np.allclose(emb, oracle, atol=1e-10)
 
 
 def test_forward_rejects_wrong_node_count():
@@ -303,7 +279,7 @@ def test_link_probability_stable_at_extremes():
 
 
 # ---------------------------------------------------------------------------
-# loss and classification
+# loss
 
 def test_bce_perfect_prediction_near_zero():
     loss = bce_loss(np.array([1.0 - 1e-7]), np.array([1e-7]))
@@ -333,12 +309,6 @@ def test_bce_requires_some_pairs():
     assert bce_loss(np.array([0.5]), np.array([])) == pytest.approx(math.log(2))
 
 
-def test_classify_links_strict_threshold():
-    probs = np.array([0.5, 0.51, 0.8])
-    assert classify_links(probs, tau=0.5).tolist() == [0, 1, 1]
-    assert classify_links(probs, tau=0.9).tolist() == [0, 0, 0]
-
-
 # ---------------------------------------------------------------------------
 # gradients
 
@@ -349,7 +319,7 @@ def test_gradients_dead_parameter_rows_are_zero():
     g = graph_of([(0, 1), (1, 2)], 4)
     pos = np.array([[0, 1], [1, 2]])
     neg = np.array([[2, 0]])
-    grads, loss = compute_gradients(params, g, pos, neg)
+    grads, loss, _ = compute_gradients(params, g, pos, neg)
     assert loss > 0
     for gw in grads.layer1.weights:
         assert np.array_equal(gw[3], np.zeros(3))
@@ -361,8 +331,8 @@ def test_gradients_invariant_under_duplication():
     g = graph_of([(0, 1), (1, 2), (2, 3)], 5)
     pos = np.array([[0, 1], [1, 2]])
     neg = np.array([[3, 0]])
-    g1, l1 = compute_gradients(params, g, pos, neg)
-    g2, l2 = compute_gradients(params, g, np.tile(pos, (2, 1)), np.tile(neg, (2, 1)))
+    g1, l1, _ = compute_gradients(params, g, pos, neg)
+    g2, l2, _ = compute_gradients(params, g, np.tile(pos, (2, 1)), np.tile(neg, (2, 1)))
     assert l1 == pytest.approx(l2, abs=1e-12)
     for a, b in zip(
         g1.layer1.weights + g1.layer1.att + g1.layer2.weights + g1.layer2.att,
@@ -376,7 +346,7 @@ def test_gradients_loss_agrees_with_plain_forward():
     g = graph_of([(0, 1), (1, 2), (3, 4), (4, 5)], 6)
     pos = np.stack([g.edge_src, g.edge_dst], axis=1)
     neg = np.array([[5, 0], [2, 4]])
-    _, loss = compute_gradients(params, g, pos, neg)
+    _, loss, _ = compute_gradients(params, g, pos, neg)
     emb, _ = model_forward(params, g)
     expected = bce_loss(
         link_probability(emb, pos[:, 0], pos[:, 1]),
@@ -390,7 +360,7 @@ def test_gradients_match_finite_differences_spot_check():
     g = graph_of([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
     pos = np.stack([g.edge_src, g.edge_dst], axis=1)
     neg = np.array([[4, 1], [0, 3]])
-    grads, _ = compute_gradients(params, g, pos, neg)
+    grads, _, _ = compute_gradients(params, g, pos, neg)
 
     def loss_at():
         emb, _ = model_forward(params, g)
@@ -437,7 +407,7 @@ def test_saturated_pairs_keep_a_corrective_gradient():
     assert np.all((probs == 0.0) | (probs == 1.0))  # genuinely saturated
     assert probs[len(pos)] == 1.0  # and at least one negative is dead wrong
 
-    grads, loss = compute_gradients(params, g, pos, neg)
+    grads, loss, _ = compute_gradients(params, g, pos, neg)
     assert np.isfinite(loss) and loss > 1.0
     total = sum(
         float(np.abs(a).sum())
@@ -445,6 +415,17 @@ def test_saturated_pairs_keep_a_corrective_gradient():
         + grads.layer2.weights + grads.layer2.att
     )
     assert np.isfinite(total) and total > 1.0
+
+
+def test_gradients_return_the_forward_attention():
+    params = init_params(5, 3, 2, np.random.default_rng(13))
+    g = graph_of([(0, 1), (1, 2), (1, 2), (3, 4)], 5)
+    pos = np.stack([g.edge_src, g.edge_dst], axis=1)
+    _, _, record = compute_gradients(params, g, pos, np.array([[4, 0]]))
+    _, expected = model_forward(params, g)
+    assert np.array_equal(record.edge_src, expected.edge_src)
+    assert np.array_equal(record.edge_dst, expected.edge_dst)
+    assert np.array_equal(record.coeffs, expected.coeffs)
 
 
 def test_gradients_need_at_least_one_pair():
@@ -489,7 +470,7 @@ def test_adam_ten_steps_bit_identical():
         g = graph_of([(0, 1), (1, 2), (2, 3)], 4)
         pos = np.stack([g.edge_src, g.edge_dst], axis=1)
         for _ in range(10):
-            grads, _ = compute_gradients(params, g, pos, np.array([[3, 0]]))
+            grads, _, _ = compute_gradients(params, g, pos, np.array([[3, 0]]))
             optimizer_step(params, grads, state, lr=0.01)
         runs.append(params)
     for a, b in zip(
@@ -525,6 +506,17 @@ def test_train_single_edge_single_epoch():
     assert (entry.epoch, entry.window_index) == (0, 0)
     assert entry.loss >= 0 and np.isfinite(entry.loss)
     assert set(artifacts.attention_snapshots) == {0}
+
+
+def test_train_snapshot_is_the_epochs_last_step():
+    params = init_params(4, 2, 2, np.random.default_rng(19))
+    windows = [window_of([(0, 1)], index=0), window_of([(2, 3), (3, 2)], index=1)]
+    artifacts = train(params, windows, SamplingStrategy(SamplingKind.NONE),
+                      epochs=2, seed=0, snapshot_epochs=(0, 1))
+    assert set(artifacts.attention_snapshots) == {0, 1}
+    for record in artifacts.attention_snapshots.values():
+        # window 1's two edges, then one self-loop per node
+        assert record.edge_src.tolist() == [2, 3, 0, 1, 2, 3]
 
 
 def test_train_skips_empty_windows():
@@ -585,9 +577,19 @@ def test_checkpoint_bytes_are_reproducible(tmp_path):
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
-    path.write_bytes(b"\x00\x01\x02 not a header\n")
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    sizes = '"n_nodes": 4, "hidden": 3, "heads": 2'
+    for header in (
+        "\x00\x01\x02 not a header",
+        "[1]",
+        '{"format": "tracelink-checkpoint", "version": 1}',
+        '{"format": "tracelink-checkpoint", "version": 1, "arrays": [], '
+        '"n_nodes": "4", "hidden": 3, "heads": 2}',
+        '{"format": "tracelink-checkpoint", "version": 1, '
+        '"arrays": [{"name": "layer2.a", "shape": [-6]}], ' + sizes + "}",
+    ):
+        path.write_bytes(header.encode("utf-8") + b"\n")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncation(tmp_path):

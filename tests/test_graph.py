@@ -10,13 +10,13 @@ from tracelink.graph import (
     build_graph,
     degree_counts,
     unique_edge_set,
-    write_edge_list,
 )
-from tracelink.preprocess import MappedEvent, TimeWindow
+from tracelink.preprocess import TimeWindow
 
 
 def make_window(triples, start=0, end=100, index=0):
-    return TimeWindow(index, start, end, [MappedEvent(*t) for t in triples])
+    src, dst, ts = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return TimeWindow(index, start, end, src, dst, ts)
 
 
 def test_build_graph_keeps_parallel_edges():
@@ -58,13 +58,6 @@ def test_degree_counts_sum_to_twice_edges():
 def test_self_loop_counts_twice_in_degree():
     g = build_graph(make_window([(1, 1, 0)]), n_nodes=2)
     assert degree_counts(g).tolist() == [0, 2]
-
-
-def test_write_edge_list(tmp_path):
-    g = build_graph(make_window([(0, 1, 5), (2, 0, 7)]), n_nodes=3)
-    path = tmp_path / "edges.csv"
-    write_edge_list(g, path)
-    assert path.read_text() == "src,dst,timestamp\n0,1,5\n2,0,7\n"
 
 
 def test_graph_is_plain_dataclass():

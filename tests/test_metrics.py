@@ -12,7 +12,6 @@ from tracelink.errors import EvalError, ExportError, UndefinedMetricError
 from tracelink.gat import AttentionRecord, init_params
 from tracelink.metrics import (
     Confusion,
-    ScoredPair,
     auc,
     confusion,
     evaluate_windows,
@@ -22,20 +21,22 @@ from tracelink.metrics import (
     roc_points,
     scalar_metrics,
 )
-from tracelink.preprocess import MappedEvent, TimeWindow
+from tracelink.preprocess import TimeWindow
 from tracelink.sampling import SamplingKind, SamplingStrategy
 
 
 def pairs_of(pos_scores, neg_scores):
-    out = [ScoredPair(0, 1, s, 1) for s in pos_scores]
-    out += [ScoredPair(1, 0, s, 0) for s in neg_scores]
-    return out
+    """(scores, labels) arrays: the positives first, then the negatives."""
+    scores = np.concatenate([np.asarray(pos_scores, dtype=np.float64),
+                             np.asarray(neg_scores, dtype=np.float64)])
+    labels = np.repeat([1, 0], [len(pos_scores), len(neg_scores)])
+    return scores, labels
 
 
-def brute_force_auc(pairs):
+def brute_force_auc(scores, labels):
     """All positive x negative comparisons; ties are half wins."""
-    pos = [p.score for p in pairs if p.label == 1]
-    neg = [p.score for p in pairs if p.label == 0]
+    pos = scores[labels == 1].tolist()
+    neg = scores[labels == 0].tolist()
     wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
                for a, b in itertools.product(pos, neg))
     return wins / (len(pos) * len(neg))
@@ -45,22 +46,22 @@ def brute_force_auc(pairs):
 # auc
 
 def test_auc_perfect_separation():
-    assert auc(pairs_of([0.9, 0.8], [0.2, 0.1])) == 1.0
+    assert auc(*pairs_of([0.9, 0.8], [0.2, 0.1])) == 1.0
 
 
 def test_auc_all_ties():
-    assert auc(pairs_of([0.5, 0.5], [0.5, 0.5, 0.5])) == 0.5
+    assert auc(*pairs_of([0.5, 0.5], [0.5, 0.5, 0.5])) == 0.5
 
 
 def test_auc_one_win_one_loss():
-    assert auc(pairs_of([0.7, 0.3], [0.5])) == 0.5
+    assert auc(*pairs_of([0.7, 0.3], [0.5])) == 0.5
 
 
 def test_auc_requires_both_classes():
     with pytest.raises(UndefinedMetricError):
-        auc(pairs_of([0.9], []))
+        auc(*pairs_of([0.9], []))
     with pytest.raises(UndefinedMetricError):
-        auc(pairs_of([], [0.1]))
+        auc(*pairs_of([], [0.1]))
 
 
 def test_auc_equals_brute_force_exactly():
@@ -72,25 +73,25 @@ def test_auc_equals_brute_force_exactly():
         pos = rng.integers(0, 8, size=n_pos) / 8.0
         neg = rng.integers(0, 8, size=n_neg) / 8.0
         pairs = pairs_of(pos, neg)
-        assert auc(pairs) == brute_force_auc(pairs)
+        assert auc(*pairs) == brute_force_auc(*pairs)
 
 
 # ---------------------------------------------------------------------------
 # confusion and scalar metrics
 
 def test_confusion_basic():
-    conf = confusion(pairs_of([0.9], [0.1]), tau=0.5)
+    conf = confusion(*pairs_of([0.9], [0.1]), tau=0.5)
     assert (conf.tp, conf.fp, conf.fn, conf.tn) == (1, 0, 0, 1)
     assert conf.total == 2
 
 
 def test_confusion_low_scoring_positive_is_fn():
-    conf = confusion(pairs_of([0.4], []), tau=0.5)
+    conf = confusion(*pairs_of([0.4], []), tau=0.5)
     assert (conf.tp, conf.fn) == (0, 1)
 
 
 def test_confusion_threshold_is_strict():
-    conf = confusion(pairs_of([0.5], [0.5]), tau=0.5)
+    conf = confusion(*pairs_of([0.5], [0.5]), tau=0.5)
     assert (conf.tp, conf.fn) == (0, 1)
     assert (conf.fp, conf.tn) == (0, 1)
 
@@ -133,7 +134,7 @@ def test_scalar_metrics_formulas(counts):
 # curves
 
 def test_pr_perfect_classifier_has_unit_precision():
-    points = pr_points(pairs_of([0.9, 0.8], [0.2, 0.1]))
+    points = pr_points(*pairs_of([0.9, 0.8], [0.2, 0.1]))
     assert all(p.precision == 1.0 for p in points)
     assert points[-1].recall == 1.0
     # sweep stops once every positive is recovered
@@ -141,26 +142,27 @@ def test_pr_perfect_classifier_has_unit_precision():
 
 
 def test_pr_single_positive():
-    points = pr_points(pairs_of([0.7], []))
+    points = pr_points(*pairs_of([0.7], []))
     assert len(points) == 1
     assert (points[0].threshold, points[0].precision, points[0].recall) == (0.7, 1.0, 1.0)
 
 
 def test_pr_needs_a_positive():
     with pytest.raises(UndefinedMetricError):
-        pr_points(pairs_of([], [0.4]))
+        pr_points(*pairs_of([], [0.4]))
     with pytest.raises(UndefinedMetricError):
-        pr_points([])
+        pr_points(np.array([]), np.array([]))
 
 
 def test_pr_matches_exhaustive_enumeration():
-    pairs = pairs_of([0.8, 0.4], [0.6, 0.4])
-    points = pr_points(pairs)
+    scores, labels = pairs_of([0.8, 0.4], [0.6, 0.4])
+    points = pr_points(scores, labels)
+    pairs = list(zip(scores.tolist(), labels.tolist()))
     # oracle: predict positive at score >= t for each distinct score desc
     expected = []
-    for t in sorted({p.score for p in pairs}, reverse=True):
-        tp = sum(1 for p in pairs if p.label == 1 and p.score >= t)
-        fp = sum(1 for p in pairs if p.label == 0 and p.score >= t)
+    for t in sorted(set(scores.tolist()), reverse=True):
+        tp = sum(1 for score, label in pairs if label == 1 and score >= t)
+        fp = sum(1 for score, label in pairs if label == 0 and score >= t)
         expected.append((t, tp / (tp + fp), tp / 2))
         if tp == 2:
             break
@@ -172,7 +174,7 @@ def test_pr_matches_exhaustive_enumeration():
     st.lists(st.integers(0, 6), max_size=15),
 )
 def test_pr_recall_monotone_in_threshold(pos, neg):
-    points = pr_points(pairs_of([s / 6 for s in pos], [s / 6 for s in neg]))
+    points = pr_points(*pairs_of([s / 6 for s in pos], [s / 6 for s in neg]))
     recalls = [p.recall for p in points]
     assert recalls == sorted(recalls)
     assert recalls[-1] == 1.0
@@ -181,7 +183,7 @@ def test_pr_recall_monotone_in_threshold(pos, neg):
 
 
 def test_roc_perfect_traces_the_corner():
-    points = roc_points(pairs_of([0.9, 0.8], [0.2, 0.1]))
+    points = roc_points(*pairs_of([0.9, 0.8], [0.2, 0.1]))
     xy = [(p.fpr, p.tpr) for p in points]
     assert xy[0] == (0.0, 0.0)
     assert (0.0, 1.0) in xy
@@ -190,14 +192,14 @@ def test_roc_perfect_traces_the_corner():
 
 
 def test_roc_all_ties_is_diagonal():
-    points = roc_points(pairs_of([0.5], [0.5]))
+    points = roc_points(*pairs_of([0.5], [0.5]))
     assert [(p.fpr, p.tpr) for p in points] == [(0.0, 0.0), (1.0, 1.0)]
     assert roc_area(points) == 0.5
 
 
 def test_roc_needs_both_classes():
     with pytest.raises(UndefinedMetricError):
-        roc_points(pairs_of([0.9], []))
+        roc_points(*pairs_of([0.9], []))
 
 
 @given(
@@ -206,15 +208,16 @@ def test_roc_needs_both_classes():
 )
 def test_roc_area_equals_auc(pos, neg):
     pairs = pairs_of([s / 10 for s in pos], [s / 10 for s in neg])
-    assert abs(roc_area(roc_points(pairs)) - auc(pairs)) < 1e-9
+    assert abs(roc_area(roc_points(*pairs)) - auc(*pairs)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
 # windowed evaluation
 
 def window_of(pairs, index):
-    return TimeWindow(index, index * 100, (index + 1) * 100,
-                      [MappedEvent(s, d, index * 100 + i) for i, (s, d) in enumerate(pairs)])
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return TimeWindow(index, index * 100, (index + 1) * 100, src, dst,
+                      index * 100 + np.arange(len(src), dtype=np.int64))
 
 
 @pytest.fixture
@@ -226,10 +229,12 @@ def test_evaluate_pairs_are_one_to_one(small_model):
     windows = [window_of([(0, 1), (1, 2), (2, 3)], 0)]
     report = evaluate_windows(small_model, windows,
                               SamplingStrategy(SamplingKind.ADVANCED), seed=5)
-    pairs = report.windows[0].pairs
-    assert len(pairs) == 6
-    assert sum(p.label for p in pairs) == 3
-    assert {p.label for p in pairs} == {0, 1}
+    w = report.windows[0]
+    assert len(w.src) == len(w.dst) == len(w.scores) == len(w.labels) == 6
+    assert w.labels.sum() == 3
+    assert set(w.labels.tolist()) == {0, 1}
+    # positives are the window's edge instances, in order
+    assert (w.src[:3].tolist(), w.dst[:3].tolist()) == ([0, 1, 2], [1, 2, 3])
 
 
 def test_evaluate_is_deterministic(small_model):
@@ -239,9 +244,7 @@ def test_evaluate_is_deterministic(small_model):
     b = evaluate_windows(small_model, windows, strategy, seed=9)
     assert a.pooled_auc == b.pooled_auc
     assert a.pooled_confusion == b.pooled_confusion
-    assert [p.score for w in a.windows for p in w.pairs] == [
-        p.score for w in b.windows for p in w.pairs
-    ]
+    assert [w.scores.tolist() for w in a.windows] == [w.scores.tolist() for w in b.windows]
 
 
 def test_evaluate_skips_empty_and_errors_when_all_empty(small_model):

@@ -1,11 +1,12 @@
 """Node ids, window segmentation, and the train/test split."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tracelink.errors import ConfigError, DataError, MappingError
-from tracelink.ingest import CleanEvent
+from tracelink.ingest import EventTable
 from tracelink.preprocess import (
     apply_mapping,
     build_node_mapping,
@@ -19,8 +20,14 @@ from tracelink.preprocess import (
 )
 
 
-def ev(caller, callee, ts):
-    return CleanEvent(caller, callee, ts)
+def ev(*rows):
+    """A clean event table from (caller, callee, timestamp) rows."""
+    callers, callees, stamps = zip(*rows) if rows else ((), (), ())
+    return EventTable(np.array(callers, dtype=object), np.array(callees, dtype=object),
+                      np.array(stamps, dtype=np.int64))
+
+
+EMPTY = apply_mapping(ev(), build_node_mapping(ev()))
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +37,7 @@ def test_mapping_ids_follow_caller_column_then_callee_column():
     # ids are assigned over the caller column in full before any callee is
     # seen, so "C" (only ever a callee) comes after both callers even though
     # it appears on the first line.
-    events = [ev("B", "C", 0), ev("A", "B", 1)]
+    events = ev(("B", "C", 0), ("A", "B", 1))
     mapping = build_node_mapping(events)
     assert mapping.forward == {"B": 0, "A": 1, "C": 2}
     assert mapping.reverse == ["B", "A", "C"]
@@ -38,7 +45,7 @@ def test_mapping_ids_follow_caller_column_then_callee_column():
 
 
 def test_mapping_round_trips_through_disk(tmp_path):
-    mapping = build_node_mapping([ev("x", "y", 0), ev("y", "z", 1)])
+    mapping = build_node_mapping(ev(("x", "y", 0), ("y", "z", 1)))
     path = tmp_path / "mapping.tsv"
     save_mapping(mapping, path)
     loaded = load_mapping(path)
@@ -55,55 +62,74 @@ def test_load_mapping_rejects_gaps(tmp_path):
 
 
 def test_serialize_is_sorted_by_id():
-    mapping = build_node_mapping([ev("b", "a", 0)])
+    mapping = build_node_mapping(ev(("b", "a", 0)))
     assert serialize_mapping(mapping) == b"0\tb\n1\ta\n"
 
 
 def test_apply_mapping_strict_raises_on_unknown_service():
-    mapping = build_node_mapping([ev("a", "b", 0)])
+    mapping = build_node_mapping(ev(("a", "b", 0)))
     with pytest.raises(MappingError, match="intruder"):
-        apply_mapping([ev("a", "intruder", 1)], mapping, strict=True)
+        apply_mapping(ev(("a", "b", 0), ("a", "intruder", 1)), mapping, strict=True)
 
 
-def test_apply_mapping_lenient_extends_in_place():
-    mapping = build_node_mapping([ev("a", "b", 0)])
-    mapped = apply_mapping([ev("a", "newcomer", 1)], mapping, strict=False)
-    assert mapping.forward["newcomer"] == 2
-    assert (mapped[0].src, mapped[0].dst) == (0, 2)
+def test_apply_mapping_lenient_drops_unknown_rows():
+    mapping = build_node_mapping(ev(("a", "b", 0)))
+    mapped = apply_mapping(ev(("a", "newcomer", 1), ("b", "a", 2), ("stranger", "b", 3)),
+                           mapping, strict=False)
+    assert mapping.n_nodes == 2  # the mapping never grows
+    assert (mapped.src.tolist(), mapped.dst.tolist(), mapped.ts.tolist()) == ([1], [0], [2])
 
 
 # ---------------------------------------------------------------------------
 # windows
 
 def test_segment_windows_hundred_ms_buckets():
-    events = [ev("a", "b", 0), ev("a", "b", 99), ev("a", "b", 100), ev("a", "b", 299)]
+    events = ev(("a", "b", 0), ("a", "b", 99), ("a", "b", 100), ("a", "b", 299))
     mapping = build_node_mapping(events)
     mapped = apply_mapping(events, mapping)
     windows = segment_windows(mapped, w_size=100, t_max=300)
     assert len(windows) == 3
-    assert [len(w.events) for w in windows] == [2, 1, 1]
+    assert [w.n_events for w in windows] == [2, 1, 1]
     assert (windows[0].start, windows[0].end) == (0, 100)
-    assert windows[1].events[0].timestamp == 100  # boundary goes right
+    assert windows[1].ts[0] == 100  # boundary goes right
     assert all(w.index == i for i, w in enumerate(windows))
 
 
+def test_windows_are_views_of_the_table():
+    events = ev(("a", "b", 5), ("b", "c", 150), ("c", "a", 160))
+    mapped = apply_mapping(events, build_node_mapping(events))
+    windows = segment_windows(mapped, w_size=100, t_max=200)
+    assert (windows[1].src.tolist(), windows[1].dst.tolist()) == ([1, 2], [2, 0])
+    for w in windows:
+        assert np.shares_memory(w.src, mapped.src) and np.shares_memory(w.ts, mapped.ts)
+
+
 def test_segment_windows_ragged_tail():
-    windows = segment_windows([], w_size=100, t_max=250)
+    windows = segment_windows(EMPTY, w_size=100, t_max=250)
     assert len(windows) == 3
     assert (windows[-1].start, windows[-1].end) == (200, 250)
 
 
 def test_segment_windows_rejects_event_at_horizon():
-    events = apply_mapping([ev("a", "b", 300)], build_node_mapping([ev("a", "b", 300)]))
+    events = apply_mapping(ev(("a", "b", 300)), build_node_mapping(ev(("a", "b", 300))))
     with pytest.raises(DataError):
         segment_windows(events, w_size=100, t_max=300)
 
 
+def test_windows_reject_unsorted_events():
+    events = ev(("a", "b", 50), ("a", "b", 10))
+    mapped = apply_mapping(events, build_node_mapping(events))
+    with pytest.raises(DataError, match="sorted"):
+        segment_windows(mapped, w_size=100, t_max=300)
+    with pytest.raises(DataError, match="sorted"):
+        span_window(mapped, 0, 300)
+
+
 def test_segment_windows_rejects_bad_sizes():
     with pytest.raises(ConfigError):
-        segment_windows([], w_size=0, t_max=100)
+        segment_windows(EMPTY, w_size=0, t_max=100)
     with pytest.raises(ConfigError):
-        segment_windows([], w_size=100, t_max=0)
+        segment_windows(EMPTY, w_size=100, t_max=0)
 
 
 mapped_batches = st.lists(
@@ -115,14 +141,14 @@ mapped_batches = st.lists(
 @given(mapped_batches, st.integers(1, 400))
 def test_windows_partition_events_exactly(triples, w_size):
     events = apply_mapping(
-        [ev(f"s{a}", f"s{b}", t) for a, b, t in triples],
-        build_node_mapping([ev(f"s{i}", f"s{i}", 0) for i in range(6)]),
+        ev(*sorted(((f"s{a}", f"s{b}", t) for a, b, t in triples), key=lambda row: row[2])),
+        build_node_mapping(ev(*((f"s{i}", f"s{i}", 0) for i in range(6)))),
     )
     windows = segment_windows(events, w_size=w_size, t_max=1000)
     # every event lands in exactly one window, and in the right one
-    assert sum(len(w.events) for w in windows) == len(events)
+    assert sum(w.n_events for w in windows) == len(events)
     for w in windows:
-        assert all(w.start <= e.timestamp < w.end for e in w.events)
+        assert all(w.start <= t < w.end for t in w.ts)
     # contiguous tiling of [0, t_max)
     assert windows[0].start == 0
     assert windows[-1].end == 1000
@@ -131,17 +157,17 @@ def test_windows_partition_events_exactly(triples, w_size):
 
 def test_span_window_covers_everything():
     events = apply_mapping(
-        [ev("a", "b", 0), ev("a", "b", 999)], build_node_mapping([ev("a", "b", 0)])
+        ev(("a", "b", 0), ("a", "b", 999)), build_node_mapping(ev(("a", "b", 0)))
     )
     w = span_window(events, start=0, end=1000, index=0)
-    assert len(w.events) == 2 and w.width == 1000
+    assert w.n_events == 2 and w.width == 1000
 
 
 # ---------------------------------------------------------------------------
 # split
 
 def test_split_respects_boundary():
-    windows = segment_windows([], w_size=100, t_max=1000)
+    windows = segment_windows(EMPTY, w_size=100, t_max=1000)
     train, test = split_train_test(windows, t_train=700, t_max=1000)
     assert [w.index for w in train] == list(range(7))
     assert [w.index for w in test] == list(range(7, 10))
@@ -149,13 +175,13 @@ def test_split_respects_boundary():
 
 
 def test_split_rejects_misaligned_boundary():
-    windows = segment_windows([], w_size=100, t_max=1000)
+    windows = segment_windows(EMPTY, w_size=100, t_max=1000)
     with pytest.raises(ConfigError):
         split_train_test(windows, t_train=750, t_max=1000)
 
 
 def test_split_rejects_degenerate_ranges():
-    windows = segment_windows([], w_size=100, t_max=1000)
+    windows = segment_windows(EMPTY, w_size=100, t_max=1000)
     for t_train in (0, 1000, 1100):
         with pytest.raises(ConfigError):
             split_train_test(windows, t_train=t_train, t_max=1000)

@@ -6,7 +6,7 @@ import pytest
 
 from tracelink.errors import ConfigError, SamplingError
 from tracelink.graph import build_graph, unique_edge_set
-from tracelink.preprocess import MappedEvent, TimeWindow
+from tracelink.preprocess import TimeWindow
 from tracelink.sampling import (
     SamplingKind,
     SamplingStrategy,
@@ -19,8 +19,8 @@ from tracelink.sampling import (
 
 
 def graph_of(pairs, n_nodes):
-    events = [MappedEvent(s, d, i) for i, (s, d) in enumerate(pairs)]
-    return build_graph(TimeWindow(0, 0, 100, events), n_nodes)
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return build_graph(TimeWindow(0, 0, 100, src, dst, np.arange(len(src), dtype=np.int64)), n_nodes)
 
 
 # ---------------------------------------------------------------------------

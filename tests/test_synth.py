@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -22,24 +22,37 @@ SMALL = SynthConfig(n_services=40, duration=2_000, window_hint=100,
                     events_per_window_mean=30.0, seed=7)
 
 
+Event = namedtuple("Event", "caller callee timestamp")
+
+
+def events(table):
+    """The rows of an event table, in order."""
+    return [Event(*row) for row in zip(table.caller.tolist(), table.callee.tolist(), table.ts.tolist())]
+
+
 @pytest.fixture(scope="module")
-def small_trace():
+def small_table():
     return generate_trace(SMALL)
 
 
 @pytest.fixture(scope="module")
+def small_trace(small_table):
+    return events(small_table)
+
+
+@pytest.fixture(scope="module")
 def default_trace():
-    return generate_trace(SynthConfig())
+    return events(generate_trace(SynthConfig()))
 
 
 def test_generate_is_deterministic(small_trace):
     again = generate_trace(SMALL)
-    assert again == small_trace
+    assert events(again) == small_trace
 
 
 def test_different_seed_differs(small_trace):
     other = generate_trace(SynthConfig(**{**SMALL.__dict__, "seed": 8}))
-    assert other != small_trace
+    assert events(other) != small_trace
 
 
 def test_events_are_clean_sorted_and_in_range(small_trace):
@@ -53,16 +66,16 @@ def test_events_are_clean_sorted_and_in_range(small_trace):
     assert stamps == sorted(stamps)
 
 
-def test_cleaning_is_identity_on_generated_events(small_trace):
-    assert clean_trace(small_trace, SMALL.duration) == small_trace
+def test_cleaning_is_identity_on_generated_events(small_table, small_trace):
+    assert events(clean_trace(small_table, SMALL.duration)) == small_trace
 
 
-def test_round_trips_through_the_ingest_format(tmp_path, small_trace):
+def test_round_trips_through_the_ingest_format(tmp_path, small_table, small_trace):
     path = tmp_path / "trace.tsv"
-    write_trace(small_trace, path)
+    write_trace(small_table, path)
     raw, skipped = parse_trace_file(path)
     assert skipped == 0
-    assert clean_trace(raw, SMALL.duration) == small_trace
+    assert events(clean_trace(raw, SMALL.duration)) == small_trace
 
 
 def test_event_volume_tracks_the_configured_mean(small_trace):
@@ -134,16 +147,16 @@ def test_popularity_is_skewed(default_trace):
     assert {name for name, _ in counts.most_common(len(hubs))} == hubs
 
 
-def test_future_links_window(small_trace):
-    future = ground_truth_future_links(small_trace, 1_400, 2_000)
+def test_future_links_window(small_table, small_trace):
+    future = ground_truth_future_links(small_table, 1_400, 2_000)
     observed = {(e.caller, e.callee) for e in small_trace if e.timestamp >= 1_400}
     assert future == observed
     assert future  # recurring backbone guarantees future traffic
 
 
-def test_future_links_rejects_bad_range():
+def test_future_links_rejects_bad_range(small_table):
     with pytest.raises(ConfigError):
-        ground_truth_future_links([], 10, 10)
+        ground_truth_future_links(small_table, 10, 10)
 
 
 def test_config_validation():
@@ -171,7 +184,7 @@ def test_generation_rejects_starved_event_budget():
 def test_tiny_fleet_still_generates():
     cfg = SynthConfig(n_services=2, duration=500, window_hint=100,
                       events_per_window_mean=5.0, seed=1)
-    trace = generate_trace(cfg)
+    trace = events(generate_trace(cfg))
     assert trace
     (gw,) = gateway_services(cfg)
     assert {(e.caller, e.callee) for e in trace} == {(gw, "svc000")}
@@ -181,9 +194,9 @@ def test_train_span_predicts_test_span():
     # the property the learning pipeline depends on: most links seen late
     # in the trace already appeared early
     cfg = SynthConfig(n_services=60, duration=5_000, events_per_window_mean=40.0, seed=1)
-    trace = generate_trace(cfg)
-    early = {(e.caller, e.callee) for e in trace if e.timestamp < 3_500}
-    late = ground_truth_future_links(trace, 3_500, 5_000)
+    table = generate_trace(cfg)
+    early = {(e.caller, e.callee) for e in events(table) if e.timestamp < 3_500}
+    late = ground_truth_future_links(table, 3_500, 5_000)
     overlap = len(late & early) / len(late)
     assert overlap > 0.8
 
@@ -192,7 +205,7 @@ def test_rare_services_show_up_in_both_halves():
     # every service outside the recurring core is scheduled into at least
     # one window on each side of the midpoint, so a train/test split can
     # both learn and score it
-    trace = generate_trace(SynthConfig(seed=11))
+    trace = events(generate_trace(SynthConfig(seed=11)))
     half = SynthConfig().duration // 2
     early = {e.callee for e in trace if e.timestamp < half}
     late = {e.callee for e in trace if e.timestamp >= half}
