@@ -14,7 +14,10 @@ always includes i itself via an added self-loop:
 
 The softmax subtracts the per-destination max before exponentiating, which
 changes nothing mathematically and keeps large scores finite.  Gradients
-come from the reverse-mode tape in `autodiff`, so they are exact.
+come from the reverse-mode tape in `autodiff`, so they are exact.  Each
+attention head and the loss are one tape node apiece (`autodiff.fused`),
+with the chain rule written out by hand: a training step then records a
+handful of nodes instead of dozens of small ones.
 """
 from __future__ import annotations
 
@@ -127,67 +130,63 @@ def _loop_edges(graph: WindowedGraph) -> tuple[np.ndarray, np.ndarray]:
     dst = np.concatenate([graph.edge_dst, loops])
     return src, dst
 
-def _head_attention(wh: Tensor, att: Tensor, src: np.ndarray, dst: np.ndarray, n: int) -> Tensor:
-    """Per-edge softmax coefficients for one head (edges include self-loops)."""
-    out_dim = wh.shape[1]
-    s_dst = wh @ ad.narrow(att, 0, out_dim)
-    s_src = wh @ ad.narrow(att, out_dim, 2 * out_dim)
-    scores = ad.leaky_relu(ad.gather(s_dst, dst) + ad.gather(s_src, src), LEAKY_SLOPE)
-    shift = ad.segment_max(scores.data, dst, n)
-    weights = ad.exp(scores - Tensor(shift[dst]))
-    denom = ad.scatter_add(weights, dst, n)
-    return weights / ad.gather(denom, dst)
+
+def _attention_head(
+    wh: Tensor, att: Tensor, src: np.ndarray, dst: np.ndarray, n: int
+) -> tuple[Tensor, np.ndarray]:
+    """One attention head as a single tape node; returns (output, alpha).
+
+    Output row i is the alpha-weighted sum of wh[j] over the edges j -> i
+    (self-loops included).  The backward is the chain rule written out by
+    hand: scatters go through `segment_sum`, and wh's gradient adds its
+    message, destination-score and source-score terms in that order.
+    """
+    w, a = wh.data, att.data
+    d = w.shape[1]
+    a_dst, a_src = a[:d], a[d:]
+    z = (w @ a_dst)[dst] + (w @ a_src)[src]
+    leak = np.where(z > 0, 1.0, LEAKY_SLOPE)
+    scores = z * leak
+    weights = np.exp(scores - ad.segment_max(scores, dst, n)[dst])
+    denom = ad.segment_sum(weights, dst, n)[dst]
+    alpha = weights / denom
+    w_src = w[src]
+    out = ad.segment_sum(w_src * alpha[:, None], dst, n)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g_msg = g[dst]
+        g_alpha = (g_msg * w_src).sum(axis=1)
+        g_w = ad.segment_sum(g_msg * alpha[:, None], src, n)
+        g_weights = g_alpha / denom + ad.segment_sum(-g_alpha * alpha / denom, dst, n)[dst]
+        g_z = g_weights * weights * leak
+        g_dst = ad.segment_sum(g_z, dst, n)
+        g_src = ad.segment_sum(g_z, src, n)
+        g_w += g_dst[:, None] * a_dst
+        g_w += g_src[:, None] * a_src
+        return g_w, np.concatenate([w.T @ g_dst, w.T @ g_src])
+
+    return ad.fused(out, (wh, att), backward), alpha
 
 
-def _head_aggregate(wh: Tensor, alpha: Tensor, src: np.ndarray, dst: np.ndarray, n: int) -> Tensor:
-    messages = ad.gather(wh, src) * ad.reshape(alpha, (-1, 1))
-    return ad.scatter_add(messages, dst, n)
+def _param_arrays(params: GatParams) -> list[np.ndarray]:
+    """Canonical flat view: layer1 weights, layer1 att, layer2 weight, att."""
+    return [*params.layer1.weights, *params.layer1.att, *params.layer2.weights, *params.layer2.att]
 
 
-def _layer_forward(
-    whs: Sequence[Tensor],
-    atts: Sequence[Tensor],
-    src: np.ndarray,
-    dst: np.ndarray,
-    n: int,
-) -> tuple[Tensor, list[Tensor]]:
-    """Multi-head attention layer; several heads are concatenated."""
-    alphas = [_head_attention(wh, a, src, dst, n) for wh, a in zip(whs, atts)]
-    heads = [_head_aggregate(wh, al, src, dst, n) for wh, al in zip(whs, alphas)]
-    if len(heads) == 1:
-        return heads[0], alphas
-    return ad.concat(heads, axis=1), alphas
-
-
-@dataclass
-class _TensorParams:
-    w1: list[Tensor]
-    a1: list[Tensor]
-    w2: Tensor
-    a2: Tensor
-
-
-def _wrap(params: GatParams, requires_grad: bool) -> _TensorParams:
-    return _TensorParams(
-        [Tensor(w, requires_grad) for w in params.layer1.weights],
-        [Tensor(a, requires_grad) for a in params.layer1.att],
-        Tensor(params.layer2.weights[0], requires_grad),
-        Tensor(params.layer2.att[0], requires_grad),
-    )
-
-
-def _forward(pt: _TensorParams, graph: WindowedGraph) -> tuple[Tensor, AttentionRecord]:
-    """Identity features -> layer 1 (concat heads) -> ELU -> layer 2."""
+def _forward(leaves: list[Tensor], graph: WindowedGraph) -> tuple[Tensor, AttentionRecord]:
+    """Identity features -> layer 1 (concat heads) -> ELU -> layer 2, over
+    the parameters wrapped as tensors in `_param_arrays` order."""
     n = graph.n_nodes
     src, dst = _loop_edges(graph)
+    *layer1, w2, a2 = leaves
+    heads = len(layer1) // 2
     # With identity input features, layer 1's transformed features are the
     # weight matrices themselves: row j of W is W @ x_j for one-hot x_j.
-    h1, alphas = _layer_forward(pt.w1, pt.a1, src, dst, n)
-    x2 = ad.elu(h1, ELU_ALPHA)
-    wh2 = x2 @ pt.w2
-    h2, _ = _layer_forward([wh2], [pt.a2], src, dst, n)
-    record = AttentionRecord(src, dst, np.stack([a.data for a in alphas], axis=1), n)
-    return h2, record
+    pairs = zip(layer1[:heads], layer1[heads:])
+    outs, alphas = zip(*[_attention_head(w, a, src, dst, n) for w, a in pairs])
+    h1 = outs[0] if heads == 1 else ad.concat(outs, axis=1)
+    h2, _ = _attention_head(ad.elu(h1, ELU_ALPHA) @ w2, a2, src, dst, n)
+    return h2, AttentionRecord(src, dst, np.stack(alphas, axis=1), n)
 
 
 def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
@@ -200,7 +199,7 @@ def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
 def model_forward(params: GatParams, graph: WindowedGraph) -> tuple[np.ndarray, AttentionRecord]:
     """Embeddings for every node, plus the layer-1 attention record."""
     _check_graph(params, graph)
-    emb, record = _forward(_wrap(params, requires_grad=False), graph)
+    emb, record = _forward([Tensor(a) for a in _param_arrays(params)], graph)
     return emb.data, record
 
 
@@ -219,8 +218,7 @@ def attention_coefficients(
             raise ModelError(
                 f"feature dim {features.shape[1]} does not match weight fan-in {w.shape[0]}"
             )
-        wh = Tensor(features @ w)
-        alphas.append(_head_attention(wh, Tensor(a), src, dst, n).data)
+        alphas.append(_attention_head(Tensor(features @ w), Tensor(a), src, dst, n)[1])
     return AttentionRecord(src, dst, np.stack(alphas, axis=1), n)
 
 
@@ -231,11 +229,7 @@ def link_probability(embeddings: np.ndarray, src, dst):
     """sigmoid(h_src . h_dst); src/dst may be ints or index arrays."""
     scalar = np.ndim(src) == 0 and np.ndim(dst) == 0
     scores = np.atleast_1d(np.sum(embeddings[src] * embeddings[dst], axis=-1)).astype(np.float64)
-    out = np.empty_like(scores)
-    pos = scores >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
-    ex = np.exp(scores[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = ad.sigmoid(scores)
     return float(out[0]) if scalar else out
 
 
@@ -252,8 +246,36 @@ def bce_loss(pos_probs: np.ndarray, neg_probs: np.ndarray) -> float:
     return float(-(np.log(pos).sum() + np.log1p(-neg).sum()) / total)
 
 
-def _pair_scores(emb: Tensor, pairs: np.ndarray) -> Tensor:
-    return ad.tsum(ad.gather(emb, pairs[:, 0]) * ad.gather(emb, pairs[:, 1]), axis=1)
+def _link_loss(emb: Tensor, pos_edges: np.ndarray, neg_edges: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of the scored pairs, as one tape node.
+
+    BCE in logit form: -log sigmoid(z) = softplus(-z) and
+    -log(1 - sigmoid(z)) = softplus(z) for a pair score z = h_u . h_v.
+    Working on the raw pair scores keeps the per-pair gradient at exactly
+    sigmoid(z) - label, which stays finite and corrective even for pairs
+    scored with extreme confidence.
+    """
+    h = emb.data
+    groups = [(pairs, sign) for pairs, sign in ((pos_edges, -1.0), (neg_edges, 1.0)) if len(pairs)]
+    count = float(sum(len(pairs) for pairs, _ in groups))
+    saved, nll = [], []
+    for pairs, sign in groups:
+        left, right = h[pairs[:, 0]], h[pairs[:, 1]]
+        x = sign * (left * right).sum(axis=1)
+        nll.append((np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))).sum())
+        saved.append((left, right, x))
+    loss = (nll[0] if len(nll) == 1 else nll[0] + nll[1]) / count
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
+        scale = g / count
+        index, values = [], []
+        for (pairs, sign), (left, right, x) in zip(groups, saved):
+            g_z = (sign * (scale * ad.sigmoid(x)))[:, None]
+            index += [pairs[:, 0], pairs[:, 1]]
+            values += [g_z * right, g_z * left]
+        return (ad.segment_sum(np.concatenate(values), np.concatenate(index), h.shape[0]),)
+
+    return ad.fused(loss, (emb,), backward)
 
 
 def compute_gradients(
@@ -274,39 +296,20 @@ def compute_gradients(
     total = len(pos_edges) + len(neg_edges)
     if total == 0:
         raise LossError("cannot take a step with no positive and no negative pairs")
-    pt = _wrap(params, requires_grad=True)
-    emb, record = _forward(pt, graph)
-    # BCE in logit form: -log sigmoid(z) = softplus(-z) and
-    # -log(1 - sigmoid(z)) = softplus(z). Working on the raw pair scores keeps
-    # the per-pair gradient at exactly sigmoid(z) - label, which stays finite
-    # and corrective even for pairs scored with extreme confidence.
-    terms = []
-    if len(pos_edges):
-        terms.append(ad.tsum(ad.softplus(ad.neg(_pair_scores(emb, pos_edges)))))
-    if len(neg_edges):
-        terms.append(ad.tsum(ad.softplus(_pair_scores(emb, neg_edges))))
-    total_nll = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-    loss = total_nll / float(total)
+    leaves = [Tensor(a, requires_grad=True) for a in _param_arrays(params)]
+    emb, record = _forward(leaves, graph)
+    loss = _link_loss(emb, pos_edges, neg_edges)
     loss.backward()
-
-    def grad_of(t: Tensor) -> np.ndarray:
-        return t.grad if t.grad is not None else np.zeros_like(t.data)
-
+    flat = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in leaves]
+    heads = params.dims.heads
     grads = GatParams(
-        LayerParams([grad_of(t) for t in pt.w1], [grad_of(t) for t in pt.a1]),
-        LayerParams([grad_of(pt.w2)], [grad_of(pt.a2)]),
-        params.dims,
+        LayerParams(flat[:heads], flat[heads:-2]), LayerParams(flat[-2:-1], flat[-1:]), params.dims
     )
     return grads, float(loss.data), record
 
 
 # ---------------------------------------------------------------------------
 # optimizer
-
-def _param_arrays(params: GatParams) -> list[np.ndarray]:
-    """Canonical flat view: layer1 weights, layer1 att, layer2 weight, att."""
-    return [*params.layer1.weights, *params.layer1.att, *params.layer2.weights, *params.layer2.att]
-
 
 @dataclass
 class AdamState:

@@ -101,8 +101,21 @@ def test_sum_axis():
     fd_check(lambda a: ad.tsum(ad.tsum(a, axis=1) * rand((3,), 19)), [rand((3, 4), 20)])
 
 
-def test_exp():
+def test_exp_log():
+    # softplus(y) = log(1 + e^y), so this also checks the log form.
     fd_check(lambda a: ad.tsum(ad.softplus(ad.exp(a))), [rand((4,), 21)])
+
+
+def test_sigmoid_matches_closed_form():
+    x = rand((7,), 22)
+    np.testing.assert_allclose(ad.sigmoid(x), 1 / (1 + np.exp(-x)), rtol=1e-12)
+
+
+def test_sigmoid_extreme_inputs_stay_finite():
+    out = ad.sigmoid(np.array([-1000.0, 1000.0]))
+    assert np.all(np.isfinite(out))
+    assert out[0] == pytest.approx(0.0, abs=1e-300)
+    assert out[1] == pytest.approx(1.0)
 
 
 def test_softplus_matches_closed_form():
@@ -136,6 +149,48 @@ def test_elu_continuous_at_zero():
     out = ad.elu(Tensor(x), 1.0).data
     np.testing.assert_allclose(out, np.where(x > 0, x, np.expm1(x)))
     fd_check(lambda a: ad.tsum(ad.elu(a, 1.0)), [np.array([-2.0, -0.3, 0.4, 1.5])])
+
+
+def test_elu_matches_select_form_exactly():
+    x = np.concatenate([rand((50,), 30), [0.0, np.inf, -np.inf, 1e-300, -1e-300, 40.0]])
+    for alpha in (1.0, 0.5, 2.0):
+        t = Tensor(x, requires_grad=True)
+        out = ad.elu(t, alpha)
+        assert np.array_equal(out.data, np.where(x > 0, x, alpha * np.expm1(x)))
+        ad.tsum(out).backward()
+        assert np.array_equal(t.grad, np.where(x > 0, 1.0, out.data + alpha))
+
+
+def test_segment_sum_equals_add_at_bitwise():
+    rng = np.random.default_rng(31)
+    idx = rng.integers(0, 7, size=200)
+    for values in (rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, size=200),
+                   rng.normal(size=(200, 5)), np.empty((200, 0))):
+        expect = np.zeros((9,) + values.shape[1:])
+        np.add.at(expect, idx, values)
+        got = ad.segment_sum(values, idx, 9)
+        assert got.shape == expect.shape and np.array_equal(got, expect)
+    for values in (np.empty(0), np.empty((0, 4))):
+        got = ad.segment_sum(values, np.empty(0, dtype=np.intp), 3)
+        assert got.dtype == np.float64 and np.array_equal(got, np.zeros((3,) + values.shape[1:]))
+
+
+def test_segment_sum_rejects_out_of_range_rows():
+    with pytest.raises(IndexError):
+        ad.segment_sum(np.ones((3, 2)), np.array([0, 4, 1]), 4)
+    with pytest.raises(IndexError):
+        ad.segment_sum(np.ones(3), np.array([0, 4, 1]), 4)
+
+
+def test_fused_node_routes_gradients_to_parents():
+    # out = a * c with a hand-written backward; the constant c gets nothing.
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    c = Tensor(np.array([3.0, 5.0]))
+    out = ad.fused(a.data * c.data, (a, c), lambda g: (g * c.data, g * a.data))
+    ad.tsum(out * 2.0).backward()
+    np.testing.assert_array_equal(a.grad, [6.0, 10.0])
+    assert c.grad is None
+    assert not ad.fused(c.data, (c,), lambda g: (g,)).requires_grad
 
 
 def test_segment_max():

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from tracelink import autodiff as ad
+from tracelink.autodiff import Tensor
 from tracelink.errors import CheckpointError, LossError, ModelError, TrainingError
 from tracelink.gat import (
     AdamState,
@@ -208,7 +210,30 @@ def test_forward_shape_and_record():
     assert np.isfinite(emb).all()
 
 
-def test_forward_matches_dense_oracle():
+def test_layer_identity_on_isolated_nodes():
+    # A node with no incoming edge attends only to itself (alpha = 1), so
+    # each layer passes its transformed features through unchanged.
+    rng = np.random.default_rng(5)
+    params = init_params(5, 3, 1, rng)
+    emb, _ = model_forward(params, graph_of([(0, 1), (1, 2)], 5))
+    x2 = np.where(params.layer1.weights[0] > 0, params.layer1.weights[0],
+                  np.expm1(params.layer1.weights[0]))
+    untouched = [0, 3, 4]
+    assert np.allclose(emb[untouched], (x2 @ params.layer2.weights[0])[untouched], atol=1e-12)
+
+
+def test_layer_concat_dimension():
+    # Layer 2 reads the layer-1 heads side by side: (n, heads * hidden).
+    params = init_params(6, 4, 2, np.random.default_rng(7))
+    emb, _ = model_forward(params, graph_of([], 6))
+    h1 = np.hstack(params.layer1.weights)
+    assert h1.shape == (6, 8) and params.layer2.weights[0].shape == (8, 4)
+    x2 = np.where(h1 > 0, h1, np.expm1(h1))
+    assert emb.shape == (6, 4)
+    assert np.allclose(emb, x2 @ params.layer2.weights[0], atol=1e-12)
+
+
+def test_layer_matches_dense_oracle():
     rng = np.random.default_rng(6)
     g = graph_of([(0, 1), (1, 2), (2, 0), (3, 1), (0, 1)], 5)
     params = init_params(5, 3, 2, rng)
@@ -426,6 +451,58 @@ def test_gradients_return_the_forward_attention():
     assert np.array_equal(record.edge_src, expected.edge_src)
     assert np.array_equal(record.edge_dst, expected.edge_dst)
     assert np.array_equal(record.coeffs, expected.coeffs)
+
+
+def composed_gradients(params, graph, pos, neg):
+    """Loss and gradients of the same model built from one tape op per array
+    operation: a reference for the fused head and loss nodes."""
+    n = graph.n_nodes
+    src, dst = with_self_loops(graph.edge_src, graph.edge_dst, n)
+
+    def head(wh, att):
+        d = wh.shape[1]
+        s_dst = wh @ ad.narrow(att, 0, d)
+        s_src = wh @ ad.narrow(att, d, 2 * d)
+        scores = ad.leaky_relu(ad.gather(s_dst, dst) + ad.gather(s_src, src), 0.2)
+        weights = ad.exp(scores - Tensor(ad.segment_max(scores.data, dst, n)[dst]))
+        alpha = weights / ad.gather(ad.scatter_add(weights, dst, n), dst)
+        return ad.scatter_add(ad.gather(wh, src) * ad.reshape(alpha, (-1, 1)), dst, n)
+
+    def pair_scores(emb, pairs):
+        return ad.tsum(ad.gather(emb, pairs[:, 0]) * ad.gather(emb, pairs[:, 1]), axis=1)
+
+    heads = params.dims.heads
+    leaves = [Tensor(a, requires_grad=True) for a in
+              params.layer1.weights + params.layer1.att + params.layer2.weights + params.layer2.att]
+    w1, a1, (w2, a2) = leaves[:heads], leaves[heads:2 * heads], leaves[2 * heads:]
+    outs = [head(w, a) for w, a in zip(w1, a1)]
+    h1 = outs[0] if heads == 1 else ad.concat(outs, axis=1)
+    emb = head(ad.elu(h1, 1.0) @ w2, a2)
+    terms = []
+    if len(pos):
+        terms.append(ad.tsum(ad.softplus(ad.neg(pair_scores(emb, pos)))))
+    if len(neg):
+        terms.append(ad.tsum(ad.softplus(pair_scores(emb, neg))))
+    loss = (terms[0] if len(terms) == 1 else terms[0] + terms[1]) / float(len(pos) + len(neg))
+    loss.backward()
+    return float(loss.data), [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(2, 12))
+    pairs = [tuple(p) for p in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))]
+    g = graph_of(pairs, n)  # duplicates and self-loops included
+    params = init_params(n, int(rng.integers(1, 6)), 1 + seed % 3, rng)
+    pos = np.stack([g.edge_src, g.edge_dst], axis=1) if seed % 4 else np.empty((0, 2), np.int64)
+    neg = rng.integers(0, n, size=(int(rng.integers(1, 2 * n)), 2))
+    grads, loss, _ = compute_gradients(params, g, pos, neg)
+    ref_loss, ref_grads = composed_gradients(params, g, pos, neg)
+    assert loss == ref_loss
+    flat = grads.layer1.weights + grads.layer1.att + grads.layer2.weights + grads.layer2.att
+    for got, want in zip(flat, ref_grads):
+        assert np.array_equal(got, want)
 
 
 def test_gradients_need_at_least_one_pair():
