@@ -34,7 +34,7 @@ from .gat import (
     optimizer_step,
     train,
 )
-from .graph import WindowedGraph, build_graph, degree_counts, unique_edge_set
+from .graph import WindowedGraph, build_graph, degree_counts
 from .ingest import EventTable, TraceFormat, clean_trace, parse_trace
 from .metrics import (
     EvalReport,

@@ -10,7 +10,14 @@ Attention per head for destination i over its in-neighborhood N(i), which
 always includes i itself via an added self-loop:
 
     e_ij   = leaky_relu(a . [W h_i || W h_j])        (slope 0.2)
-    alpha  = softmax over j in N(i), one term per edge instance
+    alpha  = c_ij exp(e_ij) / sum over rows k -> i of c_ik exp(e_ik)
+
+where row j -> i stands for c_ij parallel calls.  Parallel calls share one
+score, so one row per distinct pair, weighted by its call count, gives the
+softmax over calls up to rounding, and positives enter the loss the same
+way: a step then costs the same however often a pair fires.  A window is
+merged so only when that at least halves the rows (`_message_rows`); else
+each call is a row with c = 1, which is the per-call arithmetic exactly.
 
 The softmax subtracts the per-destination max before exponentiating, which
 changes nothing mathematically and keeps large scores finite.  Gradients
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CheckpointError, LossError, ModelError, TrainingError
-from .graph import WindowedGraph, build_graph, unique_edge_set
+from .graph import WindowedGraph, build_graph
 from .preprocess import TimeWindow
 from .sampling import DEFAULT_RETRY_FACTOR, SamplingStrategy, draw_negatives
 from .seeding import derive_rng
@@ -68,9 +76,10 @@ class LayerParams:
 class AttentionRecord:
     """Layer-1 attention for one forward pass.
 
-    Edges are the graph's edge instances followed by one self-loop per node;
-    `coeffs[e, k]` is head k's coefficient for edge e.  For every destination
-    the coefficients over its incoming entries sum to 1 per head.
+    Edges are the heads' rows (`_message_rows`) followed by one self-loop per
+    node; `coeffs[e, k]` is head k's coefficient for edge e, summed over the
+    calls a merged row stands for.  For every destination the coefficients
+    over its incoming entries sum to 1 per head.
     """
 
     edge_src: np.ndarray
@@ -123,31 +132,44 @@ def init_params(n_nodes: int, hidden: int, heads: int, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 # forward pass
 
-def _loop_edges(graph: WindowedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Edge arrays with one self-loop per node appended."""
+def _message_rows(graph: WindowedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, count) rows for attention and the positive loss terms: the
+    distinct pairs with their call counts when that at least halves a head's
+    rows (self-loops included), else one row per call.  Both are one model up
+    to rounding, but long training amplifies rounding, so where merging saves
+    little the per-call arithmetic is kept exactly."""
+    if 2 * len(graph.pair_codes) + graph.n_nodes <= graph.n_edges:
+        return graph.pair_src, graph.pair_dst, graph.pair_count
+    return graph.edge_src, graph.edge_dst, np.ones(graph.n_edges)
+
+
+def _loop_edges(graph: WindowedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_message_rows`, then one self-loop (count 1) per node."""
+    src, dst, counts = _message_rows(graph)
     loops = np.arange(graph.n_nodes, dtype=np.int64)
-    src = np.concatenate([graph.edge_src, loops])
-    dst = np.concatenate([graph.edge_dst, loops])
-    return src, dst
+    return np.concatenate([src, loops]), np.concatenate([dst, loops]), np.concatenate([counts, np.ones(len(loops))])
 
 
 def _attention_head(
-    wh: Tensor, att: Tensor, src: np.ndarray, dst: np.ndarray, n: int
+    wh: Tensor, att: Tensor, edges: tuple[np.ndarray, np.ndarray, np.ndarray], n: int
 ) -> tuple[Tensor, np.ndarray]:
     """One attention head as a single tape node; returns (output, alpha).
 
-    Output row i is the alpha-weighted sum of wh[j] over the edges j -> i
-    (self-loops included).  The backward is the chain rule written out by
-    hand: scatters go through `segment_sum`, and wh's gradient adds its
-    message, destination-score and source-score terms in that order.
+    Output row i is the alpha-weighted sum of wh[j] over the rows j -> i
+    (self-loops included), each weighing count * exp(score) in the softmax.
+    The backward is the chain rule written out by hand: scatters go through
+    `segment_sum`, and wh's gradient adds its message, destination-score and
+    source-score terms in that order.
     """
+    src, dst, counts = edges
     w, a = wh.data, att.data
     d = w.shape[1]
     a_dst, a_src = a[:d], a[d:]
     z = (w @ a_dst)[dst] + (w @ a_src)[src]
     leak = np.where(z > 0, 1.0, LEAKY_SLOPE)
     scores = z * leak
-    weights = np.exp(scores - ad.segment_max(scores, dst, n)[dst])
+    shifted = np.exp(scores - ad.segment_max(scores, dst, n)[dst])
+    weights = counts * shifted
     denom = ad.segment_sum(weights, dst, n)[dst]
     alpha = weights / denom
     w_src = w[src]
@@ -158,7 +180,7 @@ def _attention_head(
         g_alpha = (g_msg * w_src).sum(axis=1)
         g_w = ad.segment_sum(g_msg * alpha[:, None], src, n)
         g_weights = g_alpha / denom + ad.segment_sum(-g_alpha * alpha / denom, dst, n)[dst]
-        g_z = g_weights * weights * leak
+        g_z = g_weights * counts * shifted * leak
         g_dst = ad.segment_sum(g_z, dst, n)
         g_src = ad.segment_sum(g_z, src, n)
         g_w += g_dst[:, None] * a_dst
@@ -177,16 +199,16 @@ def _forward(leaves: list[Tensor], graph: WindowedGraph) -> tuple[Tensor, Attent
     """Identity features -> layer 1 (concat heads) -> ELU -> layer 2, over
     the parameters wrapped as tensors in `_param_arrays` order."""
     n = graph.n_nodes
-    src, dst = _loop_edges(graph)
+    edges = _loop_edges(graph)
     *layer1, w2, a2 = leaves
     heads = len(layer1) // 2
     # With identity input features, layer 1's transformed features are the
     # weight matrices themselves: row j of W is W @ x_j for one-hot x_j.
     pairs = zip(layer1[:heads], layer1[heads:])
-    outs, alphas = zip(*[_attention_head(w, a, src, dst, n) for w, a in pairs])
+    outs, alphas = zip(*[_attention_head(w, a, edges, n) for w, a in pairs])
     h1 = outs[0] if heads == 1 else ad.concat(outs, axis=1)
-    h2, _ = _attention_head(ad.elu(h1, ELU_ALPHA) @ w2, a2, src, dst, n)
-    return h2, AttentionRecord(src, dst, np.stack(alphas, axis=1), n)
+    h2, _ = _attention_head(ad.elu(h1, ELU_ALPHA) @ w2, a2, edges, n)
+    return h2, AttentionRecord(edges[0], edges[1], np.stack(alphas, axis=1), n)
 
 
 def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
@@ -211,15 +233,15 @@ def attention_coefficients(
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != n:
         raise ModelError(f"features must be ({n}, fan_in), got {features.shape}")
-    src, dst = _loop_edges(graph)
+    edges = _loop_edges(graph)
     alphas = []
     for w, a in zip(layer.weights, layer.att):
         if features.shape[1] != w.shape[0]:
             raise ModelError(
                 f"feature dim {features.shape[1]} does not match weight fan-in {w.shape[0]}"
             )
-        alphas.append(_attention_head(Tensor(features @ w), Tensor(a), src, dst, n)[1])
-    return AttentionRecord(src, dst, np.stack(alphas, axis=1), n)
+        alphas.append(_attention_head(Tensor(features @ w), Tensor(a), edges, n)[1])
+    return AttentionRecord(edges[0], edges[1], np.stack(alphas, axis=1), n)
 
 
 # ---------------------------------------------------------------------------
@@ -246,31 +268,35 @@ def bce_loss(pos_probs: np.ndarray, neg_probs: np.ndarray) -> float:
     return float(-(np.log(pos).sum() + np.log1p(-neg).sum()) / total)
 
 
-def _link_loss(emb: Tensor, pos_edges: np.ndarray, neg_edges: np.ndarray) -> Tensor:
+def _link_loss(
+    emb: Tensor, pos_edges: np.ndarray, pos_counts: np.ndarray, neg_edges: np.ndarray
+) -> Tensor:
     """Mean binary cross-entropy of the scored pairs, as one tape node.
 
-    BCE in logit form: -log sigmoid(z) = softplus(-z) and
+    Positive row r stands for pos_counts[r] identical pairs, so its term is
+    weighted by that count, as is the mean.  BCE in logit form: -log sigmoid(z) = softplus(-z) and
     -log(1 - sigmoid(z)) = softplus(z) for a pair score z = h_u . h_v.
     Working on the raw pair scores keeps the per-pair gradient at exactly
     sigmoid(z) - label, which stays finite and corrective even for pairs
     scored with extreme confidence.
     """
     h = emb.data
-    groups = [(pairs, sign) for pairs, sign in ((pos_edges, -1.0), (neg_edges, 1.0)) if len(pairs)]
-    count = float(sum(len(pairs) for pairs, _ in groups))
+    groups = ((pos_edges, pos_counts, -1.0), (neg_edges, np.ones(len(neg_edges)), 1.0))
+    groups = [group for group in groups if len(group[0])]
+    count = float(sum(counts.sum() for _, counts, _ in groups))
     saved, nll = [], []
-    for pairs, sign in groups:
+    for pairs, counts, sign in groups:
         left, right = h[pairs[:, 0]], h[pairs[:, 1]]
         x = sign * (left * right).sum(axis=1)
-        nll.append((np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))).sum())
+        nll.append((counts * (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))).sum())
         saved.append((left, right, x))
     loss = (nll[0] if len(nll) == 1 else nll[0] + nll[1]) / count
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         scale = g / count
         index, values = [], []
-        for (pairs, sign), (left, right, x) in zip(groups, saved):
-            g_z = (sign * (scale * ad.sigmoid(x)))[:, None]
+        for (pairs, counts, sign), (left, right, x) in zip(groups, saved):
+            g_z = (sign * (scale * counts * ad.sigmoid(x)))[:, None]
             index += [pairs[:, 0], pairs[:, 1]]
             values += [g_z * right, g_z * left]
         return (ad.segment_sum(np.concatenate(values), np.concatenate(index), h.shape[0]),)
@@ -283,9 +309,11 @@ def compute_gradients(
     graph: WindowedGraph,
     pos_edges: np.ndarray,
     neg_edges: np.ndarray,
+    pos_counts: np.ndarray | None = None,
 ) -> tuple[GatParams, float, AttentionRecord]:
     """Exact loss gradients for one training step.
 
+    Positive row r stands for pos_counts[r] identical pairs (default 1).
     Returns (grads, loss, record) where grads mirrors the GatParams array
     structure and record is the forward pass's layer-1 attention.
     Parameters that cannot influence any scored pair get exact zeros.
@@ -293,12 +321,12 @@ def compute_gradients(
     _check_graph(params, graph)
     pos_edges = np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2)
     neg_edges = np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)
-    total = len(pos_edges) + len(neg_edges)
-    if total == 0:
+    if len(pos_edges) + len(neg_edges) == 0:
         raise LossError("cannot take a step with no positive and no negative pairs")
+    counts = np.ones(len(pos_edges)) if pos_counts is None else np.asarray(pos_counts, dtype=np.float64)
     leaves = [Tensor(a, requires_grad=True) for a in _param_arrays(params)]
     emb, record = _forward(leaves, graph)
-    loss = _link_loss(emb, pos_edges, neg_edges)
+    loss = _link_loss(emb, pos_edges, counts, neg_edges)
     loss.backward()
     flat = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in leaves]
     heads = params.dims.heads
@@ -359,11 +387,12 @@ def train(
 ) -> TrainArtifacts:
     """Epochs over the non-empty train windows, one Adam step per window.
 
-    Each step scores the window's edge instances as positives, draws fresh
-    negatives by the configured strategy (independently seeded per epoch and
-    window), and minimizes binary cross-entropy.  Gradients never carry over
-    between steps.  At each snapshot epoch the attention record of the
-    epoch's final forward pass is kept.
+    Each step scores the window's edge instances as positives (as
+    `_message_rows`), draws fresh negatives by the configured strategy
+    (independently seeded per epoch and window), and minimizes binary
+    cross-entropy.  Gradients never carry over between steps.  At each
+    snapshot epoch the attention record of the epoch's final forward pass is
+    kept.  A non-finite loss raises TrainingError naming epoch and window.
     """
     if epochs < 1:
         raise TrainingError(f"epochs must be positive, got {epochs}")
@@ -372,8 +401,8 @@ def train(
         if not window.n_events:
             continue
         g = build_graph(window, params.dims.n_nodes)
-        pos = np.stack([g.edge_src, g.edge_dst], axis=1)
-        prepared.append((window.index, g, unique_edge_set(g), pos))
+        src, dst, counts = _message_rows(g)
+        prepared.append((window.index, g, np.stack([src, dst], axis=1), counts))
     if not prepared:
         raise TrainingError("every training window is empty; nothing to learn from")
 
@@ -382,10 +411,12 @@ def train(
     history: list[LossEntry] = []
     snapshots: dict[int, AttentionRecord] = {}
     for epoch in range(epochs):
-        for window_index, g, existing, pos in prepared:
+        for window_index, g, pos, counts in prepared:
             rng = derive_rng(seed, "train-sampling", epoch, window_index)
-            neg = draw_negatives(sampling, g, existing, rng, retry_factor)
-            grads, loss, record = compute_gradients(params, g, pos, neg)
+            neg = draw_negatives(sampling, g, rng, retry_factor)
+            grads, loss, record = compute_gradients(params, g, pos, neg, counts)
+            if not math.isfinite(loss):
+                raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}, window {window_index}")
             optimizer_step(params, grads, state, lr)
             history.append(LossEntry(epoch, window_index, loss))
         if epoch in snapshots_at:
@@ -463,14 +494,14 @@ def load_checkpoint(path: str | Path) -> tuple[GatParams, str]:
             and all(_is_count(size) and size > 0 for size in sizes)
         ):
             raise CheckpointError(f"checkpoint {path} has a malformed header")
+        declared = 8 * sum(math.prod(entry["shape"]) for entry in entries)
+        payload = os.fstat(handle.fileno()).st_size - handle.tell()
+        if declared != payload:
+            raise CheckpointError(f"checkpoint {path} holds {payload} array bytes, its header declares {declared}")
         arrays = {}
         for entry in entries:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = handle.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointError(f"checkpoint {path} is truncated")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            buf = handle.read(8 * math.prod(entry["shape"]))
+            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(entry["shape"]).copy()
     dims = GatDims(*sizes)
     try:
         w1 = [arrays[f"layer1.w.{k}"] for k in range(dims.heads)]
@@ -479,16 +510,9 @@ def load_checkpoint(path: str | Path) -> tuple[GatParams, str]:
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} is missing array {exc}") from exc
     params = GatParams(LayerParams(w1, a1), layer2, dims)
-    expect = [
-        ((dims.n_nodes, dims.hidden), w1),
-        ((2 * dims.hidden,), a1),
-    ]
-    for shape, group in expect:
-        for a in group:
-            if a.shape != shape:
-                raise CheckpointError(f"checkpoint array has shape {a.shape}, expected {shape}")
-    if layer2.weights[0].shape != (dims.heads * dims.hidden, dims.hidden):
-        raise CheckpointError("layer-2 weight shape does not match the stored dimensions")
-    if layer2.att[0].shape != (2 * dims.hidden,):
-        raise CheckpointError("layer-2 attention shape does not match the stored dimensions")
+    n, hidden, heads = sizes
+    expect = [(n, hidden)] * heads + [(2 * hidden,)] * heads + [(heads * hidden, hidden), (2 * hidden,)]
+    for (name, a), shape in zip(_array_entries(params), expect):
+        if a.shape != shape:
+            raise CheckpointError(f"checkpoint array {name} has shape {a.shape}, expected {shape}")
     return params, str(header.get("mapping_sha256", ""))

@@ -2,13 +2,14 @@
 
 Each time window becomes a graph over the full node id space: parallel
 arrays of edge sources, destinations, and timestamps.  Repeated calls stay
-repeated (multigraph).  Node features are the identity matrix by convention,
-kept implicit: with X = I the first-layer transform XW is just W, so no
+repeated (multigraph), and are also coalesced once into distinct pairs with
+call counts.  Node features are the identity matrix by convention, kept
+implicit: with X = I the first-layer transform XW is just W, so no
 n_nodes x n_nodes array is ever materialized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,13 +19,30 @@ from .preprocess import TimeWindow
 
 @dataclass
 class WindowedGraph:
-    """Directed multigraph for one window, over ids 0..n_nodes-1."""
+    """Directed multigraph for one window, over ids 0..n_nodes-1.
+
+    `edge_*` hold one row per call.  `pair_codes` are the distinct codes
+    src * n_nodes + dst, sorted, `pair_src`/`pair_dst`/`pair_count` (float)
+    their pairs and call counts, `reverse_codes` those of the reversed pairs.
+    """
 
     n_nodes: int
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_ts: np.ndarray
     window: tuple[int, int]
+    pair_codes: np.ndarray = field(init=False, repr=False)
+    pair_count: np.ndarray = field(init=False, repr=False)
+    pair_src: np.ndarray = field(init=False, repr=False)
+    pair_dst: np.ndarray = field(init=False, repr=False)
+    reverse_codes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.n_nodes
+        self.pair_codes, counts = np.unique(self.edge_src * n + self.edge_dst, return_counts=True)
+        self.pair_count = counts.astype(np.float64)
+        self.pair_src, self.pair_dst = np.divmod(self.pair_codes, n)
+        self.reverse_codes = np.sort(self.pair_dst * n + self.pair_src)
 
     @property
     def n_edges(self) -> int:
@@ -47,11 +65,6 @@ def build_graph(window: TimeWindow, n_nodes: int) -> WindowedGraph:
                 f"edge references node id {bad} outside the known range [0, {n_nodes})"
             )
     return WindowedGraph(n_nodes, src, dst, ts, (window.start, window.end))
-
-
-def unique_edge_set(graph: WindowedGraph) -> set[tuple[int, int]]:
-    """Distinct (src, dst) pairs; multiplicity collapsed."""
-    return {(int(s), int(d)) for s, d in zip(graph.edge_src, graph.edge_dst)}
 
 
 def degree_counts(graph: WindowedGraph) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EvalError, ExportError, UndefinedMetricError
 from .gat import AttentionRecord, GatParams, link_probability, model_forward
-from .graph import build_graph, unique_edge_set
+from .graph import build_graph
 from .preprocess import TimeWindow
 from .sampling import DEFAULT_RETRY_FACTOR, SamplingStrategy, draw_negatives
 from .seeding import derive_rng
@@ -226,6 +226,7 @@ def evaluate_windows(
     instances as positives and an equal number of sampled non-edges as
     negatives, then compute ranking and threshold metrics.  Window scores are
     pooled for the aggregate numbers and also averaged per window (macro).
+    Non-finite scores raise EvalError.
     """
     reports: list[WindowReport] = []
     last_attention: AttentionRecord | None = None
@@ -236,43 +237,26 @@ def evaluate_windows(
         emb, attention = model_forward(params, g)
         last_attention = attention
         rng = derive_rng(seed, "eval-sampling", window.index)
-        neg = draw_negatives(sampling, g, unique_edge_set(g), rng, retry_factor)
+        neg = draw_negatives(sampling, g, rng, retry_factor)
         src = np.concatenate([g.edge_src, neg[:, 0]])
         dst = np.concatenate([g.edge_dst, neg[:, 1]])
         scores = link_probability(emb, src, dst)
+        if not np.isfinite(scores).all():
+            raise EvalError(f"window {window.index} has non-finite scores; the model has diverged")
         labels = np.repeat([1, 0], [g.n_edges, len(neg)])
         conf = confusion(scores, labels, tau)
-        reports.append(
-            WindowReport(
-                window.index,
-                auc(scores, labels),
-                conf,
-                scalar_metrics(conf),
-                pr_points(scores, labels),
-                roc_points(scores, labels),
-                src,
-                dst,
-                scores,
-                labels,
-            )
-        )
+        reports.append(WindowReport(
+            window.index, auc(scores, labels), conf, scalar_metrics(conf),
+            pr_points(scores, labels), roc_points(scores, labels), src, dst, scores, labels,
+        ))
     if not reports:
         raise EvalError("every test window is empty; nothing to evaluate")
     scores = np.concatenate([r.scores for r in reports])
     labels = np.concatenate([r.labels for r in reports])
     pooled_conf = confusion(scores, labels, tau)
-    macro_keys = ("auc", "accuracy", "precision", "recall", "f1")
-    macro = {
-        key: float(
-            np.mean(
-                [
-                    r.auc if key == "auc" else getattr(r.metrics, key)
-                    for r in reports
-                ]
-            )
-        )
-        for key in macro_keys
-    }
+    macro = {"auc": float(np.mean([r.auc for r in reports]))}
+    for key in ("accuracy", "precision", "recall", "f1"):
+        macro[key] = float(np.mean([getattr(r.metrics, key) for r in reports]))
     return EvalReport(
         windows=reports,
         pooled_auc=auc(scores, labels),

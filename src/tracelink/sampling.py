@@ -103,15 +103,6 @@ def degree_source_distribution(degrees: np.ndarray, alpha: float) -> np.ndarray:
     return weights / total
 
 
-def _pair_codes(pairs: set[tuple[int, int]], n_nodes: int) -> np.ndarray:
-    """Encode (src, dst) as src*n+dst for fast sorted membership tests."""
-    if not pairs:
-        return np.empty(0, dtype=np.int64)
-    arr = np.fromiter((s * n_nodes + d for s, d in pairs), dtype=np.int64, count=len(pairs))
-    arr.sort()
-    return arr
-
-
 def _member(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     if sorted_codes.size == 0:
         return np.zeros(queries.shape, dtype=bool)
@@ -120,32 +111,27 @@ def _member(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return sorted_codes[idx] == queries
 
 
-def simple_negative_sample(
-    existing: set[tuple[int, int]],
-    n_nodes: int,
-    k: int,
-    rng: np.random.Generator,
-) -> NegativeEdges:
-    """k uniform draws over ordered pairs that are neither existing edges nor
-    self-loops.  Draws are independent, so duplicates can occur.
+def simple_negative_sample(graph: WindowedGraph, k: int, rng: np.random.Generator) -> NegativeEdges:
+    """k uniform draws over ordered pairs that are neither edges of `graph`
+    nor self-loops.  Draws are independent, so duplicates can occur.
     """
+    n_nodes = graph.n_nodes
     if n_nodes < 2:
         raise ConfigError(f"need at least 2 nodes to sample pairs, got {n_nodes}")
     if k < 0:
         raise ConfigError(f"cannot sample a negative number of pairs ({k})")
-    room = n_nodes * (n_nodes - 1) - sum(1 for s, d in existing if s != d)
+    room = n_nodes * (n_nodes - 1) - int(np.count_nonzero(graph.pair_src != graph.pair_dst))
     if k > room:
         raise SamplingError(
             f"asked for {k} negatives but only {room} ordered non-edges exist"
         )
-    ex_codes = _pair_codes(existing, n_nodes)
     out = np.empty((k, 2), dtype=np.int64)
     filled = 0
     while filled < k:
         need = k - filled
         src = rng.integers(0, n_nodes, size=need)
         dst = rng.integers(0, n_nodes, size=need)
-        ok = (src != dst) & ~_member(ex_codes, src * n_nodes + dst)
+        ok = (src != dst) & ~_member(graph.pair_codes, src * n_nodes + dst)
         n_ok = int(ok.sum())
         out[filled : filled + n_ok, 0] = src[ok]
         out[filled : filled + n_ok, 1] = dst[ok]
@@ -155,7 +141,6 @@ def simple_negative_sample(
 
 def advanced_negative_sample(
     graph: WindowedGraph,
-    existing: set[tuple[int, int]],
     alpha: float = DEFAULT_ALPHA,
     rng: np.random.Generator | None = None,
     retry_factor: int = DEFAULT_RETRY_FACTOR,
@@ -176,8 +161,6 @@ def advanced_negative_sample(
     probs = degree_source_distribution(degree_counts(graph), alpha)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    ex_codes = _pair_codes(existing, n)
-    rev_codes = _pair_codes({(d, s) for s, d in existing}, n)
 
     out = np.empty((k, 2), dtype=np.int64)
     filled = 0
@@ -188,7 +171,7 @@ def advanced_negative_sample(
         src = np.searchsorted(cum, rng.random(need), side="right")
         dst = rng.integers(0, n, size=need)
         codes = src * n + dst
-        ok = (src != dst) & ~_member(ex_codes, codes) & ~_member(rev_codes, codes)
+        ok = (src != dst) & ~_member(graph.pair_codes, codes) & ~_member(graph.reverse_codes, codes)
         n_ok = int(ok.sum())
         out[filled : filled + n_ok, 0] = src[ok]
         out[filled : filled + n_ok, 1] = dst[ok]
@@ -204,7 +187,6 @@ def advanced_negative_sample(
 def draw_negatives(
     strategy: SamplingStrategy,
     graph: WindowedGraph,
-    existing: set[tuple[int, int]],
     rng: np.random.Generator,
     retry_factor: int = DEFAULT_RETRY_FACTOR,
 ) -> np.ndarray:
@@ -212,8 +194,5 @@ def draw_negatives(
     if strategy.kind is SamplingKind.NONE:
         return np.empty((0, 2), dtype=np.int64)
     if strategy.kind is SamplingKind.SIMPLE:
-        return simple_negative_sample(existing, graph.n_nodes, graph.n_edges, rng).pairs
-    return advanced_negative_sample(
-        graph, existing, strategy.alpha if strategy.alpha is not None else DEFAULT_ALPHA,
-        rng, retry_factor,
-    ).pairs
+        return simple_negative_sample(graph, graph.n_edges, rng).pairs
+    return advanced_negative_sample(graph, strategy.alpha, rng, retry_factor).pairs

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tracelink.cli import main
+from tracelink.gat import load_checkpoint, save_checkpoint
 
 TINY = [
     "--set", "synth.n_services", "30",
@@ -228,6 +229,29 @@ def test_corrupt_checkpoint_exits_3(workdir, tmp_path):
         "--trace", str(workdir / "trace.csv"), "--out", str(tmp_path / "o"), *SPAN,
     ])
     assert code == 3
+
+
+def test_diverging_train_exits_3_without_a_checkpoint(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    code = main(["train", "--trace", str(workdir / "trace.csv"), "--out", str(run), *SPAN,
+                 "--hidden", "8", "--epochs", "2", "--seed", "5", "--lr", "1e300"])
+    assert code == 3
+    assert "at epoch 0, window" in capsys.readouterr().err
+    assert not (run / "checkpoint.bin").exists()
+
+
+def test_non_finite_scores_exit_3(workdir, tmp_path, capsys):
+    run = workdir / "run"
+    params, digest = load_checkpoint(run / "checkpoint.bin")
+    params.layer2.weights[0][:] = float("nan")
+    broken = tmp_path / "checkpoint.bin"
+    save_checkpoint(params, broken, mapping_sha256=digest)
+    code = main([
+        "evaluate", "--checkpoint", str(broken), "--mapping", str(run / "mapping.tsv"),
+        "--trace", str(workdir / "trace.csv"), "--out", str(tmp_path / "o"), *SPAN, "--seed", "5",
+    ])
+    assert code == 3
+    assert "non-finite scores" in capsys.readouterr().err
 
 
 def test_mapping_digest_mismatch(workdir, tmp_path, capsys):

@@ -10,6 +10,8 @@ from tracelink import autodiff as ad
 from tracelink.autodiff import Tensor
 from tracelink.errors import CheckpointError, LossError, ModelError, TrainingError
 from tracelink.gat import (
+    _loop_edges,
+    _message_rows,
     AdamState,
     GatParams,
     LayerParams,
@@ -170,6 +172,47 @@ def test_attention_matches_dense_oracle():
     oracle = dense_attention(layer.weights, layer.att, features, g)
     assert record.coeffs.shape == oracle.shape == (7 + 6, 2)
     assert np.allclose(record.coeffs, oracle, atol=1e-12)
+
+
+def merged_multigraph(rng, n):
+    """A few pairs (self-loops allowed), each called often enough that
+    merging at least halves a head's rows."""
+    pool = rng.integers(0, n, size=(int(rng.integers(1, n + 1)), 2))
+    calls = rng.integers(0, len(pool), size=2 * len(pool) + n + int(rng.integers(0, 3 * n)))
+    return graph_of(pool[calls], n)
+
+
+def test_rows_merge_only_when_that_halves_them():
+    # 3 nodes: one pair called c times has 1 + 3 merged rows against c + 3
+    for calls, merged in ((4, False), (5, True)):
+        src, dst, counts = _message_rows(graph_of([(0, 1)] * calls, 3))
+        assert (src.tolist(), dst.tolist()) == (([0], [1]) if merged else ([0] * calls, [1] * calls))
+        assert counts.tolist() == ([float(calls)] if merged else [1.0] * calls)
+
+
+def per_pair(graph, instance_values):
+    """Sum per-instance rows (edge instances, then self-loops) onto the
+    merged layout: the graph's distinct pairs, then self-loops."""
+    codes = graph.edge_src * graph.n_nodes + graph.edge_dst
+    rows = np.concatenate([np.searchsorted(graph.pair_codes, codes),
+                           len(graph.pair_codes) + np.arange(graph.n_nodes)])
+    out = np.zeros((len(graph.pair_codes) + graph.n_nodes,) + instance_values.shape[1:])
+    np.add.at(out, rows, instance_values)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pair_coefficients_sum_instance_coefficients(seed):
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(2, 9))
+    g = merged_multigraph(rng, n)
+    layer = random_layer(rng, n, 3, 2, 1 + seed % 3)
+    features = rng.normal(size=(n, 3))
+    record = attention_coefficients(layer, features, g)
+    oracle = per_pair(g, dense_attention(layer.weights, layer.att, features, g))
+    assert record.edge_src.tolist() == g.pair_src.tolist() + list(range(n))
+    assert record.edge_dst.tolist() == g.pair_dst.tolist() + list(range(n))
+    np.testing.assert_allclose(record.coeffs, oracle, rtol=1e-12, atol=1e-15)
 
 
 def test_attention_rows_sum_to_one_per_destination():
@@ -453,18 +496,19 @@ def test_gradients_return_the_forward_attention():
     assert np.array_equal(record.coeffs, expected.coeffs)
 
 
-def composed_gradients(params, graph, pos, neg):
-    """Loss and gradients of the same model built from one tape op per array
-    operation: a reference for the fused head and loss nodes."""
-    n = graph.n_nodes
-    src, dst = with_self_loops(graph.edge_src, graph.edge_dst, n)
+def composed_gradients(params, n, edges, pos, pos_counts, neg):
+    """Loss, gradients and embeddings of the same model built from one tape
+    op per array operation, over explicit (src, dst, count) edge arrays that
+    already hold the self-loops: a reference for the fused head and loss
+    nodes."""
+    src, dst, counts = edges
 
     def head(wh, att):
         d = wh.shape[1]
         s_dst = wh @ ad.narrow(att, 0, d)
         s_src = wh @ ad.narrow(att, d, 2 * d)
         scores = ad.leaky_relu(ad.gather(s_dst, dst) + ad.gather(s_src, src), 0.2)
-        weights = ad.exp(scores - Tensor(ad.segment_max(scores.data, dst, n)[dst]))
+        weights = Tensor(counts) * ad.exp(scores - Tensor(ad.segment_max(scores.data, dst, n)[dst]))
         alpha = weights / ad.gather(ad.scatter_add(weights, dst, n), dst)
         return ad.scatter_add(ad.gather(wh, src) * ad.reshape(alpha, (-1, 1)), dst, n)
 
@@ -480,29 +524,81 @@ def composed_gradients(params, graph, pos, neg):
     emb = head(ad.elu(h1, 1.0) @ w2, a2)
     terms = []
     if len(pos):
-        terms.append(ad.tsum(ad.softplus(ad.neg(pair_scores(emb, pos)))))
+        terms.append(ad.tsum(Tensor(pos_counts) * ad.softplus(ad.neg(pair_scores(emb, pos)))))
     if len(neg):
         terms.append(ad.tsum(ad.softplus(pair_scores(emb, neg))))
-    loss = (terms[0] if len(terms) == 1 else terms[0] + terms[1]) / float(len(pos) + len(neg))
+    loss = (terms[0] if len(terms) == 1 else terms[0] + terms[1]) / float(pos_counts.sum() + len(neg))
     loss.backward()
-    return float(loss.data), [t.grad for t in leaves]
+    return float(loss.data), [t.grad for t in leaves], emb.data
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
+def model_case(g, with_pos):
+    """The rows the model itself uses for graph g: its loop edges, and the
+    positives in the form train passes them."""
+    src, dst, counts = _message_rows(g)
+    if not with_pos:
+        return _loop_edges(g), np.empty((0, 2), np.int64), np.empty(0)
+    return _loop_edges(g), np.stack([src, dst], axis=1), counts
+
+
+def instance_case(g, with_pos):
+    """The same, one row per edge instance: the reference merging must match."""
+    n = g.n_nodes
+    edges = (*with_self_loops(g.edge_src, g.edge_dst, n), np.ones(g.n_edges + n))
+    pos = np.stack([g.edge_src, g.edge_dst], axis=1) if with_pos else np.empty((0, 2), np.int64)
+    return edges, pos, np.ones(len(pos))
+
+
+def random_training_case(seed):
+    """Seeds below 6 draw sparse multigraphs (rows stay per call); the rest
+    draw multigraphs whose rows merge."""
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(2, 12))
-    pairs = [tuple(p) for p in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))]
-    g = graph_of(pairs, n)  # duplicates and self-loops included
+    if seed < 6:
+        pairs = [tuple(p) for p in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))]
+        g = graph_of(pairs, n)  # duplicates and self-loops included
+    else:
+        g = merged_multigraph(rng, n)
     params = init_params(n, int(rng.integers(1, 6)), 1 + seed % 3, rng)
-    pos = np.stack([g.edge_src, g.edge_dst], axis=1) if seed % 4 else np.empty((0, 2), np.int64)
     neg = rng.integers(0, n, size=(int(rng.integers(1, 2 * n)), 2))
-    grads, loss, _ = compute_gradients(params, g, pos, neg)
-    ref_loss, ref_grads = composed_gradients(params, g, pos, neg)
+    return g, params, bool(seed % 4), neg
+
+
+def flat_grads(grads):
+    return grads.layer1.weights + grads.layer1.att + grads.layer2.weights + grads.layer2.att
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
+    g, params, with_pos, neg = random_training_case(seed)
+    edges, pos, counts = model_case(g, with_pos)
+    grads, loss, _ = compute_gradients(params, g, pos, neg, counts)
+    ref_loss, ref_grads, _ = composed_gradients(params, g.n_nodes, edges, pos, counts, neg)
     assert loss == ref_loss
     flat = grads.layer1.weights + grads.layer1.att + grads.layer2.weights + grads.layer2.att
     for got, want in zip(flat, ref_grads):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(6, 46))
+def test_merged_gradients_match_per_instance_reference(seed):
+    g, params, with_pos, neg = random_training_case(seed)
+    assert len(_message_rows(g)[0]) == len(g.pair_codes) < g.n_edges  # rows merged
+    _, pos, counts = model_case(g, with_pos)
+    if len(pos) and seed % 5 == 1:
+        neg = neg[:0]  # an empty negative set; never empty on both sides
+    grads, loss, _ = compute_gradients(params, g, pos, neg, counts)
+    emb, _ = model_forward(params, g)
+    edges, inst_pos, inst_counts = instance_case(g, with_pos)
+    ref_loss, ref_grads, ref_emb = composed_gradients(params, g.n_nodes, edges, inst_pos, inst_counts, neg)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    # entries that cancel to ~0 in exact arithmetic keep rounding noise of
+    # the size of the terms summed, so the floor is 1e-12 of the largest
+    # gradient entry anywhere (of the largest embedding entry for embeddings)
+    floor = 1e-12 * max(np.abs(want).max() for want in ref_grads)
+    for got, want in zip(flat_grads(grads), ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=floor)
+    np.testing.assert_allclose(emb, ref_emb, rtol=1e-12, atol=1e-12 * np.abs(ref_emb).max())
 
 
 def test_gradients_need_at_least_one_pair():
@@ -616,6 +712,14 @@ def test_train_rejects_nonpositive_epochs():
         train(params, [window_of([(0, 1)])], SamplingStrategy(SamplingKind.NONE), epochs=0)
 
 
+def test_train_raises_on_a_non_finite_loss():
+    # a learning rate of 1e300 overflows the weights after the first step
+    params = init_params(4, 3, 2, np.random.default_rng(27))
+    windows = [window_of([(0, 1), (2, 3)], index=i) for i in range(3)]
+    with pytest.raises(TrainingError, match="loss nan at epoch 0, window 1"):
+        train(params, windows, SamplingStrategy(SamplingKind.SIMPLE), epochs=2, lr=1e300)
+
+
 def test_train_learns_a_tiny_pattern():
     # 4 nodes, same two calls every window: loss should drop markedly
     params = init_params(4, 4, 2, np.random.default_rng(23))
@@ -676,6 +780,34 @@ def test_checkpoint_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 16])
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_header_larger_than_the_file(tmp_path):
+    # 8e15 declared bytes against a 100-byte payload: rejected before any read
+    header = ('{"format": "tracelink-checkpoint", "version": 1, "n_nodes": 4, "hidden": 3, '
+              '"heads": 2, "arrays": [{"name": "layer2.a", "shape": [1000000000000000]}]}\n')
+    path = tmp_path / "huge.bin"
+    path.write_bytes(header.encode("utf-8") + bytes(100))
+    with pytest.raises(CheckpointError, match="holds 100 array bytes, its header declares"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    params = init_params(4, 3, 2, np.random.default_rng(26))
+    path = tmp_path / "model.bin"
+    save_checkpoint(params, path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(CheckpointError, match="declares"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_misshaped_arrays(tmp_path):
+    params = init_params(4, 3, 2, np.random.default_rng(26))
+    params.layer2.att[0] = params.layer2.att[0].reshape(3, 2)  # right size, wrong shape
+    path = tmp_path / "model.bin"
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointError, match=r"layer2.a has shape \(3, 2\), expected \(6,\)"):
         load_checkpoint(path)
 
 

@@ -9,7 +9,6 @@ from tracelink.graph import (
     WindowedGraph,
     build_graph,
     degree_counts,
-    unique_edge_set,
 )
 from tracelink.preprocess import TimeWindow
 
@@ -42,9 +41,16 @@ def test_build_graph_rejects_out_of_range_ids():
         build_graph(make_window([(-1, 0, 1)]), n_nodes=3)
 
 
-def test_unique_edge_set_collapses_duplicates():
-    g = build_graph(make_window([(0, 1, 5), (0, 1, 9), (2, 0, 1)]), n_nodes=3)
-    assert unique_edge_set(g) == {(0, 1), (2, 0)}
+def test_build_graph_coalesces_duplicates():
+    g = build_graph(make_window([(2, 0, 1), (0, 1, 5), (0, 1, 9), (2, 2, 9)]), n_nodes=3)
+    assert g.pair_codes.tolist() == [1, 6, 8]  # src * 3 + dst, sorted
+    assert g.pair_src.tolist() == [0, 2, 2]
+    assert g.pair_dst.tolist() == [1, 0, 2]
+    assert g.pair_count.tolist() == [2.0, 1.0, 1.0]
+    assert g.reverse_codes.tolist() == [2, 3, 8]  # (0,2), (1,0), (2,2)
+    assert g.n_edges == 4  # instances stay as they were
+    empty = build_graph(make_window([]), n_nodes=3)
+    assert empty.pair_codes.size == empty.pair_count.size == empty.reverse_codes.size == 0
 
 
 def test_degree_counts_sum_to_twice_edges():
@@ -69,3 +75,4 @@ def test_graph_is_plain_dataclass():
         window=(0, 10),
     )
     assert g.n_edges == 1
+    assert g.pair_src.tolist() == [0] and g.pair_count.tolist() == [1.0]

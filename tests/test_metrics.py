@@ -277,6 +277,13 @@ def test_evaluate_macro_is_mean_of_windows(small_model):
     )
 
 
+def test_evaluate_rejects_non_finite_scores(small_model):
+    small_model.layer2.weights[0][0, 0] = np.nan
+    windows = [window_of([(0, 1)], 0), window_of([(2, 3)], 1)]
+    with pytest.raises(EvalError, match="window 0 has non-finite scores"):
+        evaluate_windows(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE))
+
+
 def test_evaluate_keeps_last_attention(small_model):
     windows = [window_of([(0, 1)], 0), window_of([(2, 3)], 1)]
     report = evaluate_windows(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tracelink.errors import ConfigError, SamplingError
-from tracelink.graph import build_graph, unique_edge_set
+from tracelink.graph import build_graph, degree_counts
 from tracelink.preprocess import TimeWindow
 from tracelink.sampling import (
     SamplingKind,
@@ -103,7 +103,7 @@ def test_degree_distribution_rejects_bad_alpha():
 
 def test_simple_sampler_finds_the_only_missing_pair():
     rng = np.random.default_rng(0)
-    out = simple_negative_sample({(0, 1)}, 2, 1, rng)
+    out = simple_negative_sample(graph_of([(0, 1)], 2), 1, rng)
     assert out.pairs.tolist() == [[1, 0]]
     assert out.n_pairs == 1
 
@@ -111,13 +111,13 @@ def test_simple_sampler_finds_the_only_missing_pair():
 def test_simple_sampler_raises_when_space_exhausted():
     rng = np.random.default_rng(0)
     with pytest.raises(SamplingError):
-        simple_negative_sample({(0, 1)}, 2, 2, rng)
+        simple_negative_sample(graph_of([(0, 1)], 2), 2, rng)
 
 
 def test_simple_sampler_self_loops_never_reduce_room():
     # a recorded self-loop is outside the candidate space anyway
     rng = np.random.default_rng(1)
-    out = simple_negative_sample({(0, 0)}, 2, 2, rng)
+    out = simple_negative_sample(graph_of([(0, 0)], 2), 2, rng)
     assert sorted(map(tuple, out.pairs.tolist())) == [(0, 1), (1, 0)]
 
 
@@ -125,14 +125,14 @@ def test_simple_sampler_draws_independently():
     # seed 10 produces the same pair twice out of a 2-candidate space,
     # which sampling without replacement could never do
     rng = np.random.default_rng(10)
-    out = simple_negative_sample(set(), 2, 2, rng).pairs
+    out = simple_negative_sample(graph_of([], 2), 2, rng).pairs
     assert out.tolist() == [[1, 0], [1, 0]]
 
 
 def test_simple_sampler_respects_exclusions_in_bulk():
     rng = np.random.default_rng(7)
     existing = {(0, 1), (1, 2), (2, 3), (3, 0), (4, 4)}
-    out = simple_negative_sample(existing, 6, 20, rng).pairs
+    out = simple_negative_sample(graph_of(sorted(existing), 6), 20, rng).pairs
     assert out.shape == (20, 2)
     for s, d in out.tolist():
         assert s != d
@@ -145,28 +145,28 @@ def test_simple_sampler_respects_exclusions_in_bulk():
 def test_advanced_sampler_requires_rng():
     g = graph_of([(0, 1)], 3)
     with pytest.raises(ConfigError):
-        advanced_negative_sample(g, {(0, 1)})
+        advanced_negative_sample(g)
 
 
 def test_advanced_sampler_one_negative_per_edge_instance():
     g = graph_of([(0, 1), (0, 1), (1, 2)], 5)  # parallel edge counts twice
-    out = advanced_negative_sample(g, unique_edge_set(g), rng=np.random.default_rng(3))
+    out = advanced_negative_sample(g, rng=np.random.default_rng(3))
     assert out.pairs.shape == (3, 2)
 
 
 def test_advanced_sampler_empty_graph_yields_empty():
     g = graph_of([], 4)
-    out = advanced_negative_sample(g, set(), rng=np.random.default_rng(0))
+    out = advanced_negative_sample(g, rng=np.random.default_rng(0))
     assert out.pairs.shape == (0, 2)
 
 
 def test_advanced_sampler_excludes_existing_reverse_and_self():
     pairs = [(0, 1), (1, 2), (2, 0), (3, 1)]
     g = graph_of(pairs * 5, 8)
-    existing = unique_edge_set(g)
+    existing = set(pairs)
     reversed_pairs = {(d, s) for s, d in existing}
     for seed in range(10):
-        out = advanced_negative_sample(g, existing, alpha=0.1,
+        out = advanced_negative_sample(g, alpha=0.1,
                                        rng=np.random.default_rng(seed))
         for s, d in out.pairs.tolist():
             assert s != d
@@ -178,7 +178,7 @@ def test_advanced_sampler_never_draws_isolated_sources():
     # nodes 5..9 appear in no edge, so their degree weight is 0 for alpha>0
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     g = graph_of(pairs * 40, 10)
-    out = advanced_negative_sample(g, unique_edge_set(g), alpha=0.1,
+    out = advanced_negative_sample(g, alpha=0.1,
                                    rng=np.random.default_rng(11))
     assert out.pairs[:, 0].max() < 5
     assert out.pairs[:, 1].max() >= 5  # destinations stay uniform over everyone
@@ -189,7 +189,7 @@ def test_advanced_sampler_degree_bias_is_visible():
     # drawn sources should sit near that, far above the uniform 1/40
     pairs = ([(0, i % 4 + 1) for i in range(18)] + [(1, 2), (2, 3)]) * 10
     g = graph_of(pairs, 40)
-    out = advanced_negative_sample(g, unique_edge_set(g), alpha=1.0,
+    out = advanced_negative_sample(g, alpha=1.0,
                                    rng=np.random.default_rng(5))
     share0 = (out.pairs[:, 0] == 0).mean()
     assert 0.3 < share0 < 0.6
@@ -200,7 +200,7 @@ def test_advanced_sampler_gives_up_on_saturated_graph():
     pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
     g = graph_of(pairs, 3)
     with pytest.raises(SamplingError):
-        advanced_negative_sample(g, set(pairs), rng=np.random.default_rng(0),
+        advanced_negative_sample(g, rng=np.random.default_rng(0),
                                  retry_factor=2)
 
 
@@ -209,15 +209,79 @@ def test_advanced_sampler_gives_up_on_saturated_graph():
 
 def test_draw_negatives_none_is_empty():
     g = graph_of([(0, 1)], 3)
-    out = draw_negatives(SamplingStrategy(SamplingKind.NONE), g, {(0, 1)},
+    out = draw_negatives(SamplingStrategy(SamplingKind.NONE), g,
                          np.random.default_rng(0))
     assert out.shape == (0, 2)
 
 
 def test_draw_negatives_matches_positive_count():
     g = graph_of([(0, 1), (1, 2), (0, 1)], 6)
-    existing = unique_edge_set(g)
     rng = np.random.default_rng(2)
     for kind in (SamplingKind.SIMPLE, SamplingKind.ADVANCED):
-        out = draw_negatives(SamplingStrategy(kind), g, existing, rng)
+        out = draw_negatives(SamplingStrategy(kind), g, rng)
         assert out.shape == (3, 2)
+
+
+# ---------------------------------------------------------------------------
+# set-based reference: the samplers as they were written over Python sets of
+# (src, dst) tuples, kept to pin the array samplers' draws
+
+def set_codes(pairs, n):
+    return np.array(sorted(s * n + d for s, d in pairs), dtype=np.int64)
+
+
+def set_member(codes, queries):
+    return np.isin(queries, codes)
+
+
+def set_simple(existing, n, k, rng):
+    ex_codes = set_codes(existing, n)
+    out = np.empty((k, 2), dtype=np.int64)
+    filled = 0
+    while filled < k:
+        src = rng.integers(0, n, size=k - filled)
+        dst = rng.integers(0, n, size=k - filled)
+        ok = (src != dst) & ~set_member(ex_codes, src * n + dst)
+        out[filled : filled + ok.sum()] = np.stack([src[ok], dst[ok]], axis=1)
+        filled += int(ok.sum())
+    return out
+
+
+def set_advanced(graph, existing, alpha, rng):
+    n, k = graph.n_nodes, graph.n_edges
+    cum = np.cumsum(degree_source_distribution(degree_counts(graph), alpha))
+    cum[-1] = 1.0
+    ex_codes = set_codes(existing, n)
+    rev_codes = set_codes({(d, s) for s, d in existing}, n)
+    out = np.empty((k, 2), dtype=np.int64)
+    filled = 0
+    for _ in range(10 * n):
+        if filled == k:
+            return out
+        src = np.searchsorted(cum, rng.random(k - filled), side="right")
+        dst = rng.integers(0, n, size=k - filled)
+        codes = src * n + dst
+        ok = (src != dst) & ~set_member(ex_codes, codes) & ~set_member(rev_codes, codes)
+        out[filled : filled + ok.sum()] = np.stack([src[ok], dst[ok]], axis=1)
+        filled += int(ok.sum())
+    return out if filled == k else None
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_array_samplers_draw_what_the_set_based_ones_did(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 25))
+    pairs = rng.integers(0, n, size=(int(rng.integers(1, 3 * n)), 2))
+    g = graph_of(np.concatenate([pairs, pairs[: len(pairs) // 3]]), n)  # duplicates
+    existing = {(int(s), int(d)) for s, d in pairs}
+    k = g.n_edges
+    if k <= n * (n - 1) - sum(1 for s, d in existing if s != d):
+        simple = simple_negative_sample(g, k, np.random.default_rng(seed)).pairs
+        assert np.array_equal(simple, set_simple(existing, n, k, np.random.default_rng(seed)))
+    alpha = float(rng.uniform(0, 1))
+    want = set_advanced(g, existing, alpha, np.random.default_rng(seed))
+    if want is None:
+        with pytest.raises(SamplingError):
+            advanced_negative_sample(g, alpha, np.random.default_rng(seed))
+    else:
+        assert np.array_equal(advanced_negative_sample(g, alpha, np.random.default_rng(seed)).pairs, want)
