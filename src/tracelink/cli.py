@@ -26,7 +26,7 @@ import numpy as np
 from . import gat
 from . import metrics as metrics_mod
 from . import synth as synth_mod
-from .config import RunConfig, apply_key, dump_config, load_config_file
+from .config import CONFIG_KEYS, RunConfig, apply_key, dump_config, load_config_file
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -68,18 +68,22 @@ def _stage(name: str):
 # ---------------------------------------------------------------------------
 # shared wiring
 
-def _base_config(args: argparse.Namespace) -> RunConfig:
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then --config files, then --set pairs, then the flags.
+
+    A flag that sets a config value stores its text under the key's name
+    (its argparse `dest`), so every value goes through `apply_key`.
+    """
     cfg = RunConfig()
     for path in args.config or []:
         load_config_file(cfg, path)
     for key, value in args.set or []:
         apply_key(cfg, key, value)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            apply_key(cfg, key, str(value))
     return cfg
-
-
-def _maybe(cfg_obj, attr: str, value) -> None:
-    if value is not None:
-        setattr(cfg_obj, attr, value)
 
 
 def _fmt_float(x: float) -> str:
@@ -91,8 +95,8 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _resolve_strategy(cfg: RunConfig, mean_pos: int, n_nodes: int) -> SamplingStrategy:
-    kind = cfg.sampling.kind
+def _strategy(cfg: RunConfig, kind: str, mean_pos: int = 0, n_nodes: int = 0) -> SamplingStrategy:
+    """The regime `kind` names; "auto" picks one from the positive ratio."""
     if kind == "auto":
         return analyze_sampling(
             mean_pos,
@@ -101,9 +105,7 @@ def _resolve_strategy(cfg: RunConfig, mean_pos: int, n_nodes: int) -> SamplingSt
             moderate_threshold=cfg.sampling.moderate_threshold,
             alpha=cfg.sampling.alpha,
         )
-    if kind == "advanced":
-        return SamplingStrategy(SamplingKind.ADVANCED, cfg.sampling.alpha)
-    return SamplingStrategy(SamplingKind(kind))
+    return SamplingStrategy(SamplingKind(kind), cfg.sampling.alpha if kind == "advanced" else None)
 
 
 def _attention_range(cfg: RunConfig, n_nodes: int) -> tuple[int, int] | None:
@@ -120,22 +122,8 @@ def _attention_csv(matrix: np.ndarray) -> str:
 # generate
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _base_config(args)
-    _maybe(cfg, "seed", args.seed)
-    overrides = {
-        "n_services": args.services,
-        "duration": args.duration,
-        "window_hint": args.window_hint,
-        "events_per_window_mean": args.events_mean,
-        "hub_exponent": args.hub_exponent,
-        "tree_depth_mean": args.tree_depth,
-        "period": args.period,
-    }
-    synth_cfg = cfg.synth
-    for name, value in overrides.items():
-        if value is not None:
-            synth_cfg = replace(synth_cfg, **{name: value})
-    synth_cfg = replace(synth_cfg, seed=derive_seed(cfg.seed, "synth"))
+    cfg = _run_config(args)
+    synth_cfg = replace(cfg.synth, seed=derive_seed(cfg.seed, "synth"))
     with _stage("generate"):
         events = synth_mod.generate_trace(synth_cfg)
     out = Path(args.out)
@@ -181,22 +169,7 @@ def _load_mapped_windows(cfg: RunConfig, mapping: NodeMapping | None):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _base_config(args)
-    _maybe(cfg, "trace", args.trace)
-    _maybe(cfg, "out_dir", args.out)
-    _maybe(cfg, "seed", args.seed)
-    _maybe(cfg, "window_size", args.window_size)
-    _maybe(cfg, "t_train", args.t_train)
-    _maybe(cfg, "t_max", args.t_max)
-    _maybe(cfg, "temporal", args.temporal)
-    _maybe(cfg.model, "hidden", args.hidden)
-    _maybe(cfg.model, "heads", args.heads)
-    _maybe(cfg.model, "epochs", args.epochs)
-    _maybe(cfg.model, "lr", args.lr)
-    _maybe(cfg.sampling, "kind", args.sampling)
-    _maybe(cfg.sampling, "alpha", args.alpha)
-    if args.snapshot_epochs is not None:
-        cfg.model.snapshot_epochs = tuple(int(p) for p in args.snapshot_epochs.split(","))
+    cfg = _run_config(args)
     cfg.validate()
 
     mapping, train_w, _, n_events, skipped_lines, _ = _load_mapped_windows(cfg, None)
@@ -207,7 +180,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     nonempty = [w for w in train_w if w.n_events]
     with _stage("sampling"):
         mean_pos = max(1, round(sum(w.n_events for w in nonempty) / max(1, len(nonempty))))
-        strategy = _resolve_strategy(cfg, mean_pos, n_nodes)
+        strategy = _strategy(cfg, cfg.sampling.kind, mean_pos, n_nodes)
     with _stage("model-init"):
         params = gat.init_params(n_nodes, cfg.model.hidden, cfg.model.heads, derive_rng(cfg.seed, "init"))
     with _stage("train"):
@@ -292,19 +265,7 @@ def _curve_csv_roc(points) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _base_config(args)
-    _maybe(cfg, "trace", args.trace)
-    _maybe(cfg, "out_dir", args.out)
-    _maybe(cfg, "seed", args.seed)
-    _maybe(cfg, "window_size", args.window_size)
-    _maybe(cfg, "t_train", args.t_train)
-    _maybe(cfg, "t_max", args.t_max)
-    _maybe(cfg, "temporal", args.temporal)
-    _maybe(cfg.model, "tau", args.tau)
-    _maybe(cfg.sampling, "eval_kind", args.eval_sampling)
-    _maybe(cfg.sampling, "alpha", args.alpha)
-    if args.lenient:
-        cfg.strict_mapping = False
+    cfg = _run_config(args)
     cfg.validate()
 
     checkpoint_path = Path(args.checkpoint)
@@ -330,11 +291,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     _, _, test_w, _, skipped_lines, skipped_unknown = _load_mapped_windows(cfg, mapping)
 
-    eval_kind = cfg.sampling.eval_kind
-    if eval_kind == "advanced":
-        strategy = SamplingStrategy(SamplingKind.ADVANCED, cfg.sampling.alpha)
-    else:
-        strategy = SamplingStrategy(SamplingKind(eval_kind))
+    strategy = _strategy(cfg, cfg.sampling.eval_kind)
     with _stage("evaluate"):
         report = metrics_mod.evaluate_windows(
             params,
@@ -426,53 +383,50 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", action="append", metavar="FILE", help="key=value config file (repeatable)")
         p.add_argument("--set", nargs=2, action="append", metavar=("KEY", "VALUE"), help="override one config key")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
+        p.add_argument("--seed", dest="seed", help="master seed (default 0)")
+
+    def add_run(p: argparse.ArgumentParser) -> None:
+        add_common(p)
+        p.add_argument("--trace", dest="trace", help="input trace file")
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--window-size", dest="window_size")
+        p.add_argument("--t-train", dest="t_train")
+        p.add_argument("--t-max", dest="t_max")
+        p.add_argument("--temporal", dest="temporal", action=argparse.BooleanOptionalAction, default=None,
+                       help="window the trace (default) or use one static graph per span")
+        p.add_argument("--alpha", dest="sampling.alpha", help="advanced sampler's degree exponent")
 
     gen = sub.add_parser("generate", help="write a synthetic trace")
     add_common(gen)
     gen.add_argument("--out", required=True, help="trace file to write")
-    gen.add_argument("--services", type=int, help="number of services")
-    gen.add_argument("--duration", type=int, help="trace horizon in ms")
-    gen.add_argument("--window-hint", type=int, dest="window_hint", help="load modulation granularity in ms")
-    gen.add_argument("--events-mean", type=float, dest="events_mean", help="mean events per window")
-    gen.add_argument("--hub-exponent", type=float, dest="hub_exponent", help="callee popularity skew (>1)")
-    gen.add_argument("--tree-depth", type=float, dest="tree_depth", help="mean call-tree size (>1)")
-    gen.add_argument("--period", type=int, help="load modulation period in ms")
+    gen.add_argument("--services", dest="synth.n_services", help="number of services")
+    gen.add_argument("--duration", dest="synth.duration", help="trace horizon in ms")
+    gen.add_argument("--window-hint", dest="synth.window_hint", help="load modulation granularity in ms")
+    gen.add_argument("--events-mean", dest="synth.events_per_window_mean", help="mean events per window")
+    gen.add_argument("--hub-exponent", dest="synth.hub_exponent", help="callee popularity skew (>1)")
+    gen.add_argument("--tree-depth", dest="synth.tree_depth_mean", help="mean call-tree size (>1)")
+    gen.add_argument("--period", dest="synth.period", help="load modulation period in ms")
     gen.set_defaults(func=cmd_generate)
 
     tr = sub.add_parser("train", help="train a model from a trace")
-    add_common(tr)
-    tr.add_argument("--trace", help="input trace file")
-    tr.add_argument("--out", help="output directory")
-    tr.add_argument("--window-size", type=int, dest="window_size")
-    tr.add_argument("--t-train", type=int, dest="t_train")
-    tr.add_argument("--t-max", type=int, dest="t_max")
-    tr.add_argument("--temporal", action=argparse.BooleanOptionalAction, default=None,
-                    help="window the trace (default) or train on one static graph")
-    tr.add_argument("--hidden", type=int)
-    tr.add_argument("--heads", type=int)
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--lr", type=float)
-    tr.add_argument("--sampling", choices=("auto", "none", "simple", "advanced"))
-    tr.add_argument("--alpha", type=float)
-    tr.add_argument("--snapshot-epochs", dest="snapshot_epochs", help="comma list of epochs to snapshot attention at")
+    add_run(tr)
+    tr.add_argument("--hidden", dest="model.hidden")
+    tr.add_argument("--heads", dest="model.heads")
+    tr.add_argument("--epochs", dest="model.epochs")
+    tr.add_argument("--lr", dest="model.lr")
+    tr.add_argument("--sampling", dest="sampling.kind", choices=("auto", "none", "simple", "advanced"))
+    tr.add_argument("--snapshot-epochs", dest="model.snapshot_epochs",
+                    help="comma list of epochs to snapshot attention at")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("evaluate", help="score test windows with a checkpoint")
-    add_common(ev)
+    add_run(ev)
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--trace", help="trace file (defaults to the `trace` config key)")
     ev.add_argument("--mapping", help="mapping file (default: mapping.tsv next to the checkpoint)")
-    ev.add_argument("--out", help="output directory")
-    ev.add_argument("--window-size", type=int, dest="window_size")
-    ev.add_argument("--t-train", type=int, dest="t_train")
-    ev.add_argument("--t-max", type=int, dest="t_max")
-    ev.add_argument("--temporal", action=argparse.BooleanOptionalAction, default=None)
-    ev.add_argument("--tau", type=float, help="classification threshold (default 0.5)")
-    ev.add_argument("--eval-sampling", dest="eval_sampling", choices=("none", "simple", "advanced"),
+    ev.add_argument("--tau", dest="model.tau", help="classification threshold (default 0.5)")
+    ev.add_argument("--eval-sampling", dest="sampling.eval_kind", choices=("none", "simple", "advanced"),
                     help="how to draw contrast negatives (default advanced)")
-    ev.add_argument("--alpha", type=float)
-    ev.add_argument("--lenient", action="store_true",
+    ev.add_argument("--lenient", dest="strict_mapping", action="store_const", const="false",
                     help="drop events for unknown services instead of failing")
     ev.set_defaults(func=cmd_evaluate)
 

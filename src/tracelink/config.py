@@ -2,11 +2,13 @@
 
 Config files are flat `key=value` text; dotted keys namespace the blocks
 (model.*, sampling.*, synth.*, trace_format.*).  Blank lines and `#`
-comments are ignored.  Command-line flags override file values, which
-override the built-in defaults.
+comments are ignored.  Settings resolve in this order, each overriding the
+one before: built-in defaults, `--config` files (in the order given),
+`--set key value` pairs, then the command's own flags.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
@@ -69,14 +71,23 @@ class RunConfig:
             raise ConfigError(f"tau must lie strictly inside (0, 1), got {self.model.tau}")
         if self.model.hidden < 1 or self.model.heads < 1 or self.model.epochs < 1:
             raise ConfigError("hidden, heads, and epochs must all be positive")
-        if self.model.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.model.lr}")
+        if not (math.isfinite(self.model.lr) and self.model.lr > 0):
+            raise ConfigError(f"learning rate must be finite and positive, got {self.model.lr}")
         if self.sampling.kind not in ("auto", "none", "simple", "advanced"):
             raise ConfigError(f"unknown sampling kind {self.sampling.kind!r}")
         if self.sampling.eval_kind not in ("none", "simple", "advanced"):
             raise ConfigError(f"unknown eval sampling kind {self.sampling.eval_kind!r}")
-        if self.sampling.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.sampling.alpha}")
+        if not (math.isfinite(self.sampling.alpha) and self.sampling.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.sampling.alpha}")
+        if self.sampling.retry_factor < 1:
+            raise ConfigError(f"retry_factor must be at least 1, got {self.sampling.retry_factor}")
+        thresholds = (self.sampling.balanced_threshold, self.sampling.moderate_threshold)
+        if not all(map(math.isfinite, thresholds)):
+            raise ConfigError(f"sampling thresholds must be finite, got {thresholds}")
+        if len(self.trace_format.delimiter) != 1:
+            raise ConfigError(
+                f"trace_format.delimiter must be one character, got {self.trace_format.delimiter!r}"
+            )
         if self.attention_lo < 0 or self.attention_hi <= self.attention_lo:
             raise ConfigError(
                 f"attention range [{self.attention_lo}, {self.attention_hi}) is empty"
@@ -102,73 +113,63 @@ def _parse_str_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _setter(section: str, name: str, parse: Callable[[str], Any]) -> Callable[[RunConfig, str], None]:
-    def apply(cfg: RunConfig, text: str) -> None:
-        target = cfg if section == "" else getattr(cfg, section)
-        try:
-            value = parse(text)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"bad value {text!r} for {name}") from exc
-        if section == "synth":
-            # SynthConfig is frozen; rebuild it with the one field changed.
-            cfg.synth = replace(cfg.synth, **{name: value})
-        elif section == "trace_format":
-            cfg.trace_format = replace(cfg.trace_format, **{name: value})
-        else:
-            setattr(target, name, value)
-
-    return apply
-
-
-#: Every recognized config key -> how to apply it.  This table doubles as
-#: the config-file reference; see README for the documented meanings.
-CONFIG_KEYS: dict[str, Callable[[RunConfig, str], None]] = {
-    "trace": _setter("", "trace", str),
-    "out_dir": _setter("", "out_dir", str),
-    "window_size": _setter("", "window_size", int),
-    "t_train": _setter("", "t_train", int),
-    "t_max": _setter("", "t_max", int),
-    "temporal": _setter("", "temporal", _parse_bool),
-    "seed": _setter("", "seed", int),
-    "strict_mapping": _setter("", "strict_mapping", _parse_bool),
-    "attention.lo": _setter("", "attention_lo", int),
-    "attention.hi": _setter("", "attention_hi", int),
-    "model.hidden": _setter("model", "hidden", int),
-    "model.heads": _setter("model", "heads", int),
-    "model.epochs": _setter("model", "epochs", int),
-    "model.lr": _setter("model", "lr", float),
-    "model.tau": _setter("model", "tau", float),
-    "model.snapshot_epochs": _setter("model", "snapshot_epochs", _parse_int_tuple),
-    "sampling.kind": _setter("sampling", "kind", str),
-    "sampling.alpha": _setter("sampling", "alpha", float),
-    "sampling.retry_factor": _setter("sampling", "retry_factor", int),
-    "sampling.balanced_threshold": _setter("sampling", "balanced_threshold", float),
-    "sampling.moderate_threshold": _setter("sampling", "moderate_threshold", float),
-    "sampling.eval_kind": _setter("sampling", "eval_kind", str),
-    "synth.n_services": _setter("synth", "n_services", int),
-    "synth.duration": _setter("synth", "duration", int),
-    "synth.window_hint": _setter("synth", "window_hint", int),
-    "synth.events_per_window_mean": _setter("synth", "events_per_window_mean", float),
-    "synth.hub_exponent": _setter("synth", "hub_exponent", float),
-    "synth.tree_depth_mean": _setter("synth", "tree_depth_mean", float),
-    "synth.period": _setter("synth", "period", int),
-    "trace_format.delimiter": _setter("trace_format", "delimiter", str),
-    "trace_format.header": _setter("trace_format", "header", _parse_bool),
-    "trace_format.columns": _setter("trace_format", "columns", _parse_str_tuple),
-    "trace_format.caller": _setter("trace_format", "caller", str),
-    "trace_format.callee": _setter("trace_format", "callee", str),
-    "trace_format.timestamp": _setter("trace_format", "timestamp", str),
+#: Every recognized config key -> (section, field, parser); section "" is
+#: RunConfig itself.  This table is the one list of settings: config files,
+#: `--set`, the CLI flags and `dump_config` all go through it.  See README
+#: for the documented meanings.
+CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], Any]]] = {
+    "trace": ("", "trace", str),
+    "out_dir": ("", "out_dir", str),
+    "window_size": ("", "window_size", int),
+    "t_train": ("", "t_train", int),
+    "t_max": ("", "t_max", int),
+    "temporal": ("", "temporal", _parse_bool),
+    "seed": ("", "seed", int),
+    "strict_mapping": ("", "strict_mapping", _parse_bool),
+    "attention.lo": ("", "attention_lo", int),
+    "attention.hi": ("", "attention_hi", int),
+    "model.hidden": ("model", "hidden", int),
+    "model.heads": ("model", "heads", int),
+    "model.epochs": ("model", "epochs", int),
+    "model.lr": ("model", "lr", float),
+    "model.tau": ("model", "tau", float),
+    "model.snapshot_epochs": ("model", "snapshot_epochs", _parse_int_tuple),
+    "sampling.kind": ("sampling", "kind", str),
+    "sampling.alpha": ("sampling", "alpha", float),
+    "sampling.retry_factor": ("sampling", "retry_factor", int),
+    "sampling.balanced_threshold": ("sampling", "balanced_threshold", float),
+    "sampling.moderate_threshold": ("sampling", "moderate_threshold", float),
+    "sampling.eval_kind": ("sampling", "eval_kind", str),
+    "synth.n_services": ("synth", "n_services", int),
+    "synth.duration": ("synth", "duration", int),
+    "synth.window_hint": ("synth", "window_hint", int),
+    "synth.events_per_window_mean": ("synth", "events_per_window_mean", float),
+    "synth.hub_exponent": ("synth", "hub_exponent", float),
+    "synth.tree_depth_mean": ("synth", "tree_depth_mean", float),
+    "synth.period": ("synth", "period", int),
+    "trace_format.delimiter": ("trace_format", "delimiter", str),
+    "trace_format.header": ("trace_format", "header", _parse_bool),
+    "trace_format.columns": ("trace_format", "columns", _parse_str_tuple),
+    "trace_format.caller": ("trace_format", "caller", str),
+    "trace_format.callee": ("trace_format", "callee", str),
+    "trace_format.timestamp": ("trace_format", "timestamp", str),
 }
 
 
 def apply_key(cfg: RunConfig, key: str, value: str) -> None:
     try:
-        setter = CONFIG_KEYS[key]
+        section, name, parse = CONFIG_KEYS[key]
     except KeyError:
         raise ConfigError(f"unknown config key {key!r}") from None
-    setter(cfg, value)
+    try:
+        parsed = parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value {value!r} for {name}") from exc
+    if section:
+        # Sections are replaced, not mutated: SynthConfig and TraceFormat are frozen.
+        setattr(cfg, section, replace(getattr(cfg, section), **{name: parsed}))
+    else:
+        setattr(cfg, name, parsed)
 
 
 def load_config_file(cfg: RunConfig, path: str | Path) -> None:
@@ -186,43 +187,20 @@ def load_config_file(cfg: RunConfig, path: str | Path) -> None:
         apply_key(cfg, key.strip(), value.strip())
 
 
+def _format_value(value: Any) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def dump_config(cfg: RunConfig) -> str:
     """Render the resolved settings as sorted key=value lines."""
-    values: dict[str, str] = {
-        "trace": str(cfg.trace),
-        "out_dir": cfg.out_dir,
-        "window_size": str(cfg.window_size),
-        "t_train": str(cfg.t_train),
-        "t_max": str(cfg.t_max),
-        "temporal": str(cfg.temporal).lower(),
-        "seed": str(cfg.seed),
-        "strict_mapping": str(cfg.strict_mapping).lower(),
-        "attention.lo": str(cfg.attention_lo),
-        "attention.hi": str(cfg.attention_hi),
-        "model.hidden": str(cfg.model.hidden),
-        "model.heads": str(cfg.model.heads),
-        "model.epochs": str(cfg.model.epochs),
-        "model.lr": repr(cfg.model.lr),
-        "model.tau": repr(cfg.model.tau),
-        "model.snapshot_epochs": ",".join(map(str, cfg.model.snapshot_epochs)),
-        "sampling.kind": cfg.sampling.kind,
-        "sampling.alpha": repr(cfg.sampling.alpha),
-        "sampling.retry_factor": str(cfg.sampling.retry_factor),
-        "sampling.balanced_threshold": repr(cfg.sampling.balanced_threshold),
-        "sampling.moderate_threshold": repr(cfg.sampling.moderate_threshold),
-        "sampling.eval_kind": cfg.sampling.eval_kind,
-        "synth.n_services": str(cfg.synth.n_services),
-        "synth.duration": str(cfg.synth.duration),
-        "synth.window_hint": str(cfg.synth.window_hint),
-        "synth.events_per_window_mean": repr(cfg.synth.events_per_window_mean),
-        "synth.hub_exponent": repr(cfg.synth.hub_exponent),
-        "synth.tree_depth_mean": repr(cfg.synth.tree_depth_mean),
-        "synth.period": str(cfg.synth.period),
-        "trace_format.delimiter": cfg.trace_format.delimiter,
-        "trace_format.header": str(cfg.trace_format.header).lower(),
-        "trace_format.columns": ",".join(cfg.trace_format.columns),
-        "trace_format.caller": cfg.trace_format.caller,
-        "trace_format.callee": cfg.trace_format.callee,
-        "trace_format.timestamp": cfg.trace_format.timestamp,
-    }
-    return "".join(f"{key}={values[key]}\n" for key in sorted(values))
+    lines = []
+    for key, (section, name, _) in sorted(CONFIG_KEYS.items()):
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        lines.append(f"{key}={_format_value(value)}\n")
+    return "".join(lines)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tracelink.cli import main
+from tracelink.cli import _run_config, build_parser, main
+from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
 
 TINY = [
@@ -297,3 +298,79 @@ def test_lenient_eval_drops_unknown_services(workdir, tmp_path):
 
 def test_report_missing_metrics_exits_2(tmp_path):
     assert main(["report", str(tmp_path / "void")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# every value-setting flag is one config key
+
+BASE = {"generate": ["--out", "t.csv"], "train": [], "evaluate": ["--checkpoint", "c.bin"]}
+#: (command, flag words, key, the flag's value as --set text, another value,
+#: a value the flag must reject or None)
+FLAG_KEYS = [
+    ("generate", ["--seed", "3"], "seed", "3", "4", "x"),
+    ("generate", ["--services", "30"], "synth.n_services", "30", "40", "many"),
+    ("generate", ["--duration", "900"], "synth.duration", "900", "800", "1.5"),
+    ("generate", ["--window-hint", "30"], "synth.window_hint", "30", "20", "x"),
+    ("generate", ["--events-mean", "12.5"], "synth.events_per_window_mean", "12.5", "9", "x"),
+    ("generate", ["--hub-exponent", "1.5"], "synth.hub_exponent", "1.5", "2.5", "x"),
+    ("generate", ["--tree-depth", "2"], "synth.tree_depth_mean", "2", "4", "x"),
+    ("generate", ["--period", "300"], "synth.period", "300", "200", "x"),
+    ("train", ["--seed", "3"], "seed", "3", "4", "x"),
+    ("train", ["--trace", "a.csv"], "trace", "a.csv", "b.csv", None),
+    ("train", ["--out", "o"], "out_dir", "o", "p", None),
+    ("train", ["--window-size", "50"], "window_size", "50", "20", "0"),
+    ("train", ["--t-train", "500"], "t_train", "500", "600", "x"),
+    ("train", ["--t-max", "9000"], "t_max", "9000", "8000", "100"),
+    ("train", ["--temporal"], "temporal", "true", "false", None),
+    ("train", ["--no-temporal"], "temporal", "false", "true", None),
+    ("train", ["--hidden", "8"], "model.hidden", "8", "16", "x"),
+    ("train", ["--heads", "3"], "model.heads", "3", "4", "0"),
+    ("train", ["--epochs", "7"], "model.epochs", "7", "9", "x"),
+    ("train", ["--lr", "0.25"], "model.lr", "0.25", "0.5", "nan"),
+    ("train", ["--sampling", "simple"], "sampling.kind", "simple", "none", "fancy"),
+    ("train", ["--alpha", "0.4"], "sampling.alpha", "0.4", "0.2", "inf"),
+    ("train", ["--snapshot-epochs", "1,2"], "model.snapshot_epochs", "1,2", "3", "x"),
+    ("evaluate", ["--seed", "3"], "seed", "3", "4", "x"),
+    ("evaluate", ["--trace", "a.csv"], "trace", "a.csv", "b.csv", None),
+    ("evaluate", ["--out", "o"], "out_dir", "o", "p", None),
+    ("evaluate", ["--window-size", "50"], "window_size", "50", "20", "x"),
+    ("evaluate", ["--t-train", "500"], "t_train", "500", "600", "0"),
+    ("evaluate", ["--t-max", "9000"], "t_max", "9000", "8000", "x"),
+    ("evaluate", ["--temporal"], "temporal", "true", "false", None),
+    ("evaluate", ["--no-temporal"], "temporal", "false", "true", None),
+    ("evaluate", ["--tau", "0.7"], "model.tau", "0.7", "0.3", "1.5"),
+    ("evaluate", ["--eval-sampling", "simple"], "sampling.eval_kind", "simple", "none", "auto"),
+    ("evaluate", ["--alpha", "0.4"], "sampling.alpha", "0.4", "0.2", "-1"),
+    ("evaluate", ["--lenient"], "strict_mapping", "false", "true", None),
+]
+
+
+def _flag_id(row):
+    return f"{row[0]}{row[1][0]}"
+
+
+def _resolved(argv):
+    return dump_config(_run_config(build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize("row", FLAG_KEYS, ids=_flag_id)
+def test_flag_sets_its_key_and_overrides_set(row):
+    command, words, key, value, other, _ = row
+    base = [command, *BASE[command]]
+    by_flag = _resolved(base + words)
+    assert by_flag == _resolved(base + ["--set", key, value])
+    assert by_flag != _resolved(base + ["--set", key, other])
+    assert _resolved(base + ["--set", key, other] + words) == by_flag
+    assert _resolved(base + words + ["--set", key, other]) == by_flag
+
+
+BAD_FLAGS = [row for row in FLAG_KEYS if row[5] is not None]
+
+
+@pytest.mark.parametrize("row", BAD_FLAGS, ids=_flag_id)
+def test_bad_flag_value_exits_1(row, tmp_path, monkeypatch, capsys):
+    command, words, bad = row[0], row[1], row[5]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *BASE[command], words[0], bad]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())

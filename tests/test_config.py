@@ -130,9 +130,29 @@ def test_validate_rejects_bad_fields():
         ("sampling.eval_kind", "auto"),  # eval must be concrete
         ("sampling.alpha", "-1"),
         ("attention.hi", "0"),
+        ("model.lr", "nan"),
+        ("model.lr", "inf"),
+        ("sampling.alpha", "nan"),
+        ("sampling.alpha", "inf"),
+        ("sampling.balanced_threshold", "nan"),
+        ("sampling.moderate_threshold", "-inf"),
+        ("sampling.retry_factor", "0"),
+        ("trace_format.delimiter", ""),
+        ("trace_format.delimiter", "ab"),
     ]
     for key, value in bad_settings:
         cfg = RunConfig()
         apply_key(cfg, key, value)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+def test_tab_delimiter_in_a_config_file_is_rejected(tmp_path):
+    # the file loader strips values, so a tab arrives as "" and must not
+    # reach the csv module
+    path = tmp_path / "tsv.cfg"
+    path.write_text("trace_format.delimiter=\t\n")
+    cfg = RunConfig()
+    load_config_file(cfg, path)
+    with pytest.raises(ConfigError, match="delimiter"):
+        cfg.validate()
