@@ -254,14 +254,13 @@ def _metrics_block(auc_value: float, conf, scalars) -> dict:
     }
 
 
-def _curve_csv_pr(points) -> str:
-    rows = [f"{_fmt_float(p.threshold)},{_fmt_float(p.precision)},{_fmt_float(p.recall)}\n" for p in points]
-    return "threshold,precision,recall\n" + "".join(rows)
+_PR_COLUMNS, _ROC_COLUMNS = "threshold,precision,recall\n", "threshold,fpr,tpr\n"
 
 
-def _curve_csv_roc(points) -> str:
-    rows = [f"{_fmt_float(p.threshold)},{_fmt_float(p.fpr)},{_fmt_float(p.tpr)}\n" for p in points]
-    return "threshold,fpr,tpr\n" + "".join(rows)
+def _curve_csv(header: str, curve) -> str:
+    """A `pr_points`/`roc_points` curve, one row per point, floats as repr."""
+    rows = [f"{t!r},{x!r},{y!r}\n" for t, x, y in zip(*(column.tolist() for column in curve))]
+    return header + "".join(rows)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -318,14 +317,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "skipped_unknown_events": skipped_unknown,
         }
         _write_text(out / "metrics.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        _write_text(out / "pr_pooled.csv", _curve_csv_pr(report.pooled_pr))
-        _write_text(out / "roc_pooled.csv", _curve_csv_roc(report.pooled_roc))
+        _write_text(out / "pr_pooled.csv", _curve_csv(_PR_COLUMNS, report.pooled_pr))
+        _write_text(out / "roc_pooled.csv", _curve_csv(_ROC_COLUMNS, report.pooled_roc))
         for r in report.windows:
             tag = f"{r.window_index:04d}"
-            _write_text(out / f"pr_window_{tag}.csv", _curve_csv_pr(r.pr))
-            _write_text(out / f"roc_window_{tag}.csv", _curve_csv_roc(r.roc))
+            _write_text(out / f"pr_window_{tag}.csv", _curve_csv(_PR_COLUMNS, r.pr))
+            _write_text(out / f"roc_window_{tag}.csv", _curve_csv(_ROC_COLUMNS, r.roc))
             pair_rows = [
-                f"{s},{d},{_fmt_float(score)},{label}\n"
+                f"{s},{d},{score!r},{label}\n"
                 for s, d, score, label in zip(r.src.tolist(), r.dst.tolist(), r.scores.tolist(), r.labels.tolist())
             ]
             _write_text(out / f"scored_window_{tag}.csv", "src,dst,score,label\n" + "".join(pair_rows))

@@ -2,12 +2,17 @@
 
 Config files are flat `key=value` text; dotted keys namespace the blocks
 (model.*, sampling.*, synth.*, trace_format.*).  Blank lines and `#`
-comments are ignored.  Settings resolve in this order, each overriding the
-one before: built-in defaults, `--config` files (in the order given),
-`--set key value` pairs, then the command's own flags.
+comments are ignored.  Keys and values are stripped of surrounding
+whitespace; a value in double quotes is read as a JSON string, which is how
+`dump_config` writes any value that stripping or line splitting would alter
+(`trace_format.delimiter="\t"`), so its output always loads back.  Settings
+resolve in this order, each overriding the one before: built-in defaults,
+`--config` files (in the order given), `--set key value` pairs, then the
+command's own flags.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -184,17 +189,26 @@ def load_config_file(cfg: RunConfig, path: str | Path) -> None:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        apply_key(cfg, key.strip(), value.strip())
+        value = value.strip()
+        if len(value) >= 2 and value[0] == value[-1] == '"':
+            try:
+                value = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{line_no}: bad quoted value {value}: {exc.msg}") from None
+        apply_key(cfg, key.strip(), value)
 
 
 def _format_value(value: Any) -> str:
+    """`value` as `load_config_file` reads it back: text is JSON-quoted when
+    it has edge whitespace, a line break, or a leading quote."""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, tuple):
-        return ",".join(map(str, value))
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    if text != text.strip() or len(text.splitlines()) > 1 or text.startswith('"'):
+        return json.dumps(text)
+    return text
 
 
 def dump_config(cfg: RunConfig) -> str:

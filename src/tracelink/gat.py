@@ -143,51 +143,69 @@ def _message_rows(graph: WindowedGraph) -> tuple[np.ndarray, np.ndarray, np.ndar
     return graph.edge_src, graph.edge_dst, np.ones(graph.n_edges)
 
 
-def _loop_edges(graph: WindowedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_message_rows`, then one self-loop (count 1) per node."""
+@dataclass(frozen=True)
+class _Rows:
+    """A window's per-step constants: the heads' rows (`_message_rows`), and
+    the attention record's edges, which are those rows then one self-loop per
+    node."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    counts: np.ndarray
+    record_src: np.ndarray
+    record_dst: np.ndarray
+
+
+def _rows(graph: WindowedGraph) -> _Rows:
     src, dst, counts = _message_rows(graph)
     loops = np.arange(graph.n_nodes, dtype=np.int64)
-    return np.concatenate([src, loops]), np.concatenate([dst, loops]), np.concatenate([counts, np.ones(len(loops))])
+    return _Rows(src, dst, counts, np.concatenate([src, loops]), np.concatenate([dst, loops]))
 
 
-def _attention_head(
-    wh: Tensor, att: Tensor, edges: tuple[np.ndarray, np.ndarray, np.ndarray], n: int
-) -> tuple[Tensor, np.ndarray]:
-    """One attention head as a single tape node; returns (output, alpha).
+def _attention_head(wh: Tensor, att: Tensor, rows: _Rows, n: int) -> tuple[Tensor, np.ndarray]:
+    """One attention head as a single tape node; returns (output, alpha),
+    alpha in the record's order: rows, then self-loops.
 
-    Output row i is the alpha-weighted sum of wh[j] over the rows j -> i
-    (self-loops included), each weighing count * exp(score) in the softmax.
+    Output row i is the alpha-weighted sum of wh[j] over the rows j -> i and
+    i's self-loop, each weighing count * exp(score) in the softmax.  The
+    self-loops are one dense term per node, added after the rows' segment
+    sums: `segment_sum` adds in input order from zero, so this is the same
+    sequence of additions as a loop row placed after every message row.
     The backward is the chain rule written out by hand: scatters go through
     `segment_sum`, and wh's gradient adds its message, destination-score and
     source-score terms in that order.
     """
-    src, dst, counts = edges
+    src, dst, counts = rows.src, rows.dst, rows.counts
     w, a = wh.data, att.data
     d = w.shape[1]
     a_dst, a_src = a[:d], a[d:]
-    z = (w @ a_dst)[dst] + (w @ a_src)[src]
-    leak = np.where(z > 0, 1.0, LEAKY_SLOPE)
-    scores = z * leak
-    shifted = np.exp(scores - ad.segment_max(scores, dst, n)[dst])
+    s_dst, s_src = w @ a_dst, w @ a_src
+    z, z_loop = s_dst[dst] + s_src[src], s_dst + s_src
+    leak, leak_loop = np.where(z > 0, 1.0, LEAKY_SLOPE), np.where(z_loop > 0, 1.0, LEAKY_SLOPE)
+    scores, scores_loop = z * leak, z_loop * leak_loop
+    top = np.maximum(ad.segment_max(scores, dst, n), scores_loop)
+    shifted, shifted_loop = np.exp(scores - top[dst]), np.exp(scores_loop - top)
     weights = counts * shifted
-    denom = ad.segment_sum(weights, dst, n)[dst]
-    alpha = weights / denom
+    denom_loop = ad.segment_sum(weights, dst, n) + shifted_loop
+    denom = denom_loop[dst]
+    alpha, alpha_loop = weights / denom, shifted_loop / denom_loop
     w_src = w[src]
-    out = ad.segment_sum(w_src * alpha[:, None], dst, n)
+    out = ad.segment_sum(w_src * alpha[:, None], dst, n) + w * alpha_loop[:, None]
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g_msg = g[dst]
-        g_alpha = (g_msg * w_src).sum(axis=1)
-        g_w = ad.segment_sum(g_msg * alpha[:, None], src, n)
-        g_weights = g_alpha / denom + ad.segment_sum(-g_alpha * alpha / denom, dst, n)[dst]
-        g_z = g_weights * counts * shifted * leak
-        g_dst = ad.segment_sum(g_z, dst, n)
-        g_src = ad.segment_sum(g_z, src, n)
+        g_alpha, g_alpha_loop = (g_msg * w_src).sum(axis=1), (g * w).sum(axis=1)
+        g_w = ad.segment_sum(g_msg * alpha[:, None], src, n) + g * alpha_loop[:, None]
+        back = ad.segment_sum(-g_alpha * alpha / denom, dst, n) + -g_alpha_loop * alpha_loop / denom_loop
+        g_z = (g_alpha / denom + back[dst]) * counts * shifted * leak
+        g_z_loop = (g_alpha_loop / denom_loop + back) * shifted_loop * leak_loop
+        g_dst = ad.segment_sum(g_z, dst, n) + g_z_loop
+        g_src = ad.segment_sum(g_z, src, n) + g_z_loop
         g_w += g_dst[:, None] * a_dst
         g_w += g_src[:, None] * a_src
         return g_w, np.concatenate([w.T @ g_dst, w.T @ g_src])
 
-    return ad.fused(out, (wh, att), backward), alpha
+    return ad.fused(out, (wh, att), backward), np.concatenate([alpha, alpha_loop])
 
 
 def _param_arrays(params: GatParams) -> list[np.ndarray]:
@@ -195,20 +213,19 @@ def _param_arrays(params: GatParams) -> list[np.ndarray]:
     return [*params.layer1.weights, *params.layer1.att, *params.layer2.weights, *params.layer2.att]
 
 
-def _forward(leaves: list[Tensor], graph: WindowedGraph) -> tuple[Tensor, AttentionRecord]:
+def _forward(leaves: list[Tensor], graph: WindowedGraph, rows: _Rows) -> tuple[Tensor, AttentionRecord]:
     """Identity features -> layer 1 (concat heads) -> ELU -> layer 2, over
     the parameters wrapped as tensors in `_param_arrays` order."""
     n = graph.n_nodes
-    edges = _loop_edges(graph)
     *layer1, w2, a2 = leaves
     heads = len(layer1) // 2
     # With identity input features, layer 1's transformed features are the
     # weight matrices themselves: row j of W is W @ x_j for one-hot x_j.
     pairs = zip(layer1[:heads], layer1[heads:])
-    outs, alphas = zip(*[_attention_head(w, a, edges, n) for w, a in pairs])
+    outs, alphas = zip(*[_attention_head(w, a, rows, n) for w, a in pairs])
     h1 = outs[0] if heads == 1 else ad.concat(outs, axis=1)
-    h2, _ = _attention_head(ad.elu(h1, ELU_ALPHA) @ w2, a2, edges, n)
-    return h2, AttentionRecord(edges[0], edges[1], np.stack(alphas, axis=1), n)
+    h2, _ = _attention_head(ad.elu(h1, ELU_ALPHA) @ w2, a2, rows, n)
+    return h2, AttentionRecord(rows.record_src, rows.record_dst, np.stack(alphas, axis=1), n)
 
 
 def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
@@ -221,7 +238,7 @@ def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
 def model_forward(params: GatParams, graph: WindowedGraph) -> tuple[np.ndarray, AttentionRecord]:
     """Embeddings for every node, plus the layer-1 attention record."""
     _check_graph(params, graph)
-    emb, record = _forward([Tensor(a) for a in _param_arrays(params)], graph)
+    emb, record = _forward([Tensor(a) for a in _param_arrays(params)], graph, _rows(graph))
     return emb.data, record
 
 
@@ -233,15 +250,15 @@ def attention_coefficients(
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != n:
         raise ModelError(f"features must be ({n}, fan_in), got {features.shape}")
-    edges = _loop_edges(graph)
+    rows = _rows(graph)
     alphas = []
     for w, a in zip(layer.weights, layer.att):
         if features.shape[1] != w.shape[0]:
             raise ModelError(
                 f"feature dim {features.shape[1]} does not match weight fan-in {w.shape[0]}"
             )
-        alphas.append(_attention_head(Tensor(features @ w), Tensor(a), edges, n)[1])
-    return AttentionRecord(edges[0], edges[1], np.stack(alphas, axis=1), n)
+        alphas.append(_attention_head(Tensor(features @ w), Tensor(a), rows, n)[1])
+    return AttentionRecord(rows.record_src, rows.record_dst, np.stack(alphas, axis=1), n)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +327,13 @@ def compute_gradients(
     pos_edges: np.ndarray,
     neg_edges: np.ndarray,
     pos_counts: np.ndarray | None = None,
+    rows: _Rows | None = None,
 ) -> tuple[GatParams, float, AttentionRecord]:
     """Exact loss gradients for one training step.
 
     Positive row r stands for pos_counts[r] identical pairs (default 1).
+    `rows` are the graph's `_rows`, passed by a caller that keeps them
+    across steps.
     Returns (grads, loss, record) where grads mirrors the GatParams array
     structure and record is the forward pass's layer-1 attention.
     Parameters that cannot influence any scored pair get exact zeros.
@@ -325,7 +345,7 @@ def compute_gradients(
         raise LossError("cannot take a step with no positive and no negative pairs")
     counts = np.ones(len(pos_edges)) if pos_counts is None else np.asarray(pos_counts, dtype=np.float64)
     leaves = [Tensor(a, requires_grad=True) for a in _param_arrays(params)]
-    emb, record = _forward(leaves, graph)
+    emb, record = _forward(leaves, graph, _rows(graph) if rows is None else rows)
     loss = _link_loss(emb, pos_edges, counts, neg_edges)
     loss.backward()
     flat = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in leaves]
@@ -362,13 +382,16 @@ def optimizer_step(params: GatParams, grads: GatParams, state: AdamState, lr: fl
     t = state.step
     b1, b2, eps = state.beta1, state.beta2, state.eps
     for arr, g, m, v in zip(_param_arrays(params), _param_arrays(grads), state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        # arr -= lr * m_hat / (sqrt(v_hat) + eps) after the moment updates,
+        # operation for operation, through two scratch arrays.
+        step, denom = np.empty_like(arr), np.empty_like(arr)
+        np.multiply(m, b1, out=m)
+        np.add(m, np.multiply(g, 1.0 - b1, out=step), out=m)
+        np.multiply(v, b2, out=v)
+        np.add(v, np.multiply(np.square(g, out=step), 1.0 - b2, out=step), out=v)
+        np.multiply(np.divide(m, 1.0 - b1**t, out=step), lr, out=step)
+        np.add(np.sqrt(np.divide(v, 1.0 - b2**t, out=denom), out=denom), eps, out=denom)
+        arr -= np.divide(step, denom, out=step)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +424,8 @@ def train(
         if not window.n_events:
             continue
         g = build_graph(window, params.dims.n_nodes)
-        src, dst, counts = _message_rows(g)
-        prepared.append((window.index, g, np.stack([src, dst], axis=1), counts))
+        rows = _rows(g)
+        prepared.append((window.index, g, rows, np.stack([rows.src, rows.dst], axis=1)))
     if not prepared:
         raise TrainingError("every training window is empty; nothing to learn from")
 
@@ -411,10 +434,10 @@ def train(
     history: list[LossEntry] = []
     snapshots: dict[int, AttentionRecord] = {}
     for epoch in range(epochs):
-        for window_index, g, pos, counts in prepared:
+        for window_index, g, rows, pos in prepared:
             rng = derive_rng(seed, "train-sampling", epoch, window_index)
             neg = draw_negatives(sampling, g, rng, retry_factor)
-            grads, loss, record = compute_gradients(params, g, pos, neg, counts)
+            grads, loss, record = compute_gradients(params, g, pos, neg, rows.counts, rows)
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}, window {window_index}")
             optimizer_step(params, grads, state, lr)

@@ -45,18 +45,8 @@ class ScalarMetrics:
     flagged: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PrPoint:
-    threshold: float
-    precision: float
-    recall: float
-
-
-@dataclass(frozen=True, slots=True)
-class RocPoint:
-    threshold: float
-    fpr: float
-    tpr: float
+#: A PR or ROC curve: (threshold, x, y) arrays, one entry per point.
+Curve = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -140,40 +130,34 @@ def _threshold_sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return thresholds, cum_tp[last_idx], cum_fp[last_idx], int(sorted_pos.sum()), int(len(scores) - sorted_pos.sum())
 
 
-def pr_points(scores, labels) -> list[PrPoint]:
-    """Precision/recall at each distinct score threshold, highest first,
-    truncated at (and including) the first point reaching full recall."""
+def pr_points(scores, labels) -> Curve:
+    """(threshold, precision, recall) arrays at each distinct score
+    threshold, highest first, truncated at (and including) the first point
+    reaching full recall."""
     thresholds, tp, fp, n_pos, _ = _threshold_sweep(scores, labels)
     if n_pos == 0:
         raise UndefinedMetricError("PR curve needs at least one positive pair")
-    points: list[PrPoint] = []
-    for t, tp_i, fp_i in zip(thresholds, tp, fp):
-        points.append(PrPoint(float(t), tp_i / (tp_i + fp_i), tp_i / n_pos))
-        if tp_i == n_pos:
-            break
-    return points
+    end = int(np.argmax(tp == n_pos)) + 1
+    tp, fp = tp[:end], fp[:end]
+    return thresholds[:end], tp / (tp + fp), tp / n_pos
 
 
-def roc_points(scores, labels) -> list[RocPoint]:
-    """ROC curve over the same sweep, anchored at (0,0); the lowest threshold
-    predicts everything positive so the series ends at (1,1)."""
+def roc_points(scores, labels) -> Curve:
+    """(threshold, fpr, tpr) arrays over the same sweep, anchored at
+    (inf, 0, 0); the lowest threshold predicts everything positive so the
+    series ends at (1, 1)."""
     thresholds, tp, fp, n_pos, n_neg = _threshold_sweep(scores, labels)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"ROC needs both classes, got {n_pos} positives and {n_neg} negatives"
         )
-    points = [RocPoint(math.inf, 0.0, 0.0)]
-    for t, tp_i, fp_i in zip(thresholds, tp, fp):
-        points.append(RocPoint(float(t), fp_i / n_neg, tp_i / n_pos))
-    return points
+    return np.append(math.inf, thresholds), np.append(0.0, fp / n_neg), np.append(0.0, tp / n_pos)
 
 
-def roc_area(points: Sequence[RocPoint]) -> float:
-    """Trapezoidal area under the ROC series (equals `auc` analytically)."""
-    area = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        area += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2.0
-    return area
+def roc_area(curve: Curve) -> float:
+    """Trapezoidal area under a `roc_points` curve (equals `auc` analytically)."""
+    _, fpr, tpr = curve
+    return float(np.sum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +172,8 @@ class WindowReport:
     auc: float
     confusion: Confusion
     metrics: ScalarMetrics
-    pr: list[PrPoint]
-    roc: list[RocPoint]
+    pr: Curve
+    roc: Curve
     src: np.ndarray
     dst: np.ndarray
     scores: np.ndarray
@@ -205,8 +189,8 @@ class EvalReport:
     pooled_auc: float
     pooled_confusion: Confusion
     pooled_metrics: ScalarMetrics
-    pooled_pr: list[PrPoint]
-    pooled_roc: list[RocPoint]
+    pooled_pr: Curve
+    pooled_roc: Curve
     macro: dict[str, float]
     tau: float
     last_attention: AttentionRecord | None = None

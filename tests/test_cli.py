@@ -202,6 +202,16 @@ def test_config_file_feeds_commands(workdir, tmp_path):
     assert "model.hidden=8" in saved.splitlines()
 
 
+def test_tab_delimited_run_config_loads_back(workdir, tmp_path):
+    tsv = tmp_path / "trace.tsv"
+    tsv.write_text((workdir / "trace.csv").read_text().replace(",", "\t"))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["train", "--trace", str(tsv), "--out", str(first), *SPAN, "--hidden", "4",
+                 "--epochs", "1", "--set", "trace_format.delimiter", "\t"]) == 0
+    assert main(["train", "--config", str(first / "run_config.txt"), "--out", str(again)]) == 0
+    assert (again / "checkpoint.bin").read_bytes() == (first / "checkpoint.bin").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 

@@ -102,6 +102,53 @@ def test_dump_round_trips(tmp_path):
     assert reloaded.temporal is False
 
 
+def test_tab_delimited_dump_loads_back(tmp_path):
+    cfg = RunConfig()
+    apply_key(cfg, "trace_format.delimiter", "\t")
+    text = dump_config(cfg)
+    assert 'trace_format.delimiter="\\t"\n' in text
+
+    path = tmp_path / "run_config.txt"
+    path.write_text(text)
+    reloaded = RunConfig()
+    load_config_file(reloaded, path)
+    reloaded.validate()
+    assert reloaded.trace_format.delimiter == "\t"
+    assert dump_config(reloaded) == text
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("trace_format.delimiter", " "),
+        ("trace_format.delimiter", '"'),
+        ("out_dir", " run dir "),
+        ("out_dir", "a\nb"),
+        ("out_dir", "x\u2028y"),
+        ("trace", '"quoted".csv'),
+        ("trace_format.caller", "caller "),
+        ("trace_format.columns", '"a","b"'),
+    ],
+)
+def test_dump_round_trips_awkward_text(tmp_path, key, value):
+    cfg = RunConfig(trace="trace.csv")  # a dumped None reads back as "None"
+    apply_key(cfg, key, value)
+    text = dump_config(cfg)
+    path = tmp_path / "dumped.cfg"
+    path.write_text(text, encoding="utf-8")
+    reloaded = RunConfig()
+    load_config_file(reloaded, path)
+    assert dump_config(reloaded) == text
+    assert reloaded == cfg
+
+
+def test_bad_quoted_value_is_a_config_error(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text('trace_format.delimiter="\\q"\n')
+    with pytest.raises(ConfigError, match="bad.cfg:1: bad quoted value"):
+        load_config_file(RunConfig(), path)
+
+
 def test_dump_is_sorted_and_complete():
     lines = dump_config(RunConfig()).splitlines()
     keys = [line.split("=", 1)[0] for line in lines]

@@ -10,7 +10,6 @@ from tracelink import autodiff as ad
 from tracelink.autodiff import Tensor
 from tracelink.errors import CheckpointError, LossError, ModelError, TrainingError
 from tracelink.gat import (
-    _loop_edges,
     _message_rows,
     AdamState,
     GatParams,
@@ -536,9 +535,10 @@ def model_case(g, with_pos):
     """The rows the model itself uses for graph g: its loop edges, and the
     positives in the form train passes them."""
     src, dst, counts = _message_rows(g)
+    edges = (*with_self_loops(src, dst, g.n_nodes), np.concatenate([counts, np.ones(g.n_nodes)]))
     if not with_pos:
-        return _loop_edges(g), np.empty((0, 2), np.int64), np.empty(0)
-    return _loop_edges(g), np.stack([src, dst], axis=1), counts
+        return edges, np.empty((0, 2), np.int64), np.empty(0)
+    return edges, np.stack([src, dst], axis=1), counts
 
 
 def instance_case(g, with_pos):
@@ -568,9 +568,31 @@ def flat_grads(grads):
     return grads.layer1.weights + grads.layer1.att + grads.layer2.weights + grads.layer2.att
 
 
-@pytest.mark.parametrize("seed", range(12))
+#: Graphs the random cases may miss: no message rows at all (every head runs
+#: on self-loops alone), and self-calls u -> u beside the added self-loops,
+#: one row per call and merged.
+EDGE_CASE_PAIRS = {
+    "no-rows": [],
+    "self-calls": [(0, 0), (1, 2), (2, 2), (0, 0), (3, 1)],
+    "merged-self-calls": [(0, 0)] * 7 + [(1, 1)] * 2 + [(2, 0)],
+}
+
+
+def training_case(case):
+    if case not in EDGE_CASE_PAIRS:
+        return random_training_case(case)
+    rng = np.random.default_rng(99)
+    n = 4
+    g = graph_of(EDGE_CASE_PAIRS[case], n)
+    params = init_params(n, 3, 2, rng)
+    return g, params, g.n_edges > 0, rng.integers(0, n, size=(5, 2))
+
+
+@pytest.mark.parametrize("seed", [*range(12), *EDGE_CASE_PAIRS])
 def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
-    g, params, with_pos, neg = random_training_case(seed)
+    g, params, with_pos, neg = training_case(seed)
+    if seed == "merged-self-calls":
+        assert len(_message_rows(g)[0]) == len(g.pair_codes) < g.n_edges
     edges, pos, counts = model_case(g, with_pos)
     grads, loss, _ = compute_gradients(params, g, pos, neg, counts)
     ref_loss, ref_grads, _ = composed_gradients(params, g.n_nodes, edges, pos, counts, neg)
@@ -651,6 +673,36 @@ def test_adam_ten_steps_bit_identical():
         runs[1].layer1.weights + runs[1].layer1.att + runs[1].layer2.weights,
     ):
         assert np.array_equal(a, b)
+
+
+def test_adam_matches_the_textbook_update_bitwise():
+    rng = np.random.default_rng(19)
+    params = init_params(4, 3, 2, rng)
+    state = init_adam_state(params)
+    arrays = [a.copy() for a in flat_grads(params)]  # the same flat layout for params
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    # zero, negative and mixed gradients, then zero again with moments left
+    for t, kind in enumerate(("zero", "negative", "mixed", "mixed", "zero"), start=1):
+        grads = grads_like(params, 0.0)
+        for g in flat_grads(grads):
+            if kind == "negative":
+                g[...] = -np.abs(rng.normal(size=g.shape))
+            elif kind == "mixed":
+                g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-9, 3, size=g.shape)
+        optimizer_step(params, grads, state, lr=lr)
+        for k, g in enumerate(flat_grads(grads)):
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g**2
+            m_hat = m[k] / (1.0 - b1**t)
+            v_hat = v[k] / (1.0 - b2**t)
+            arrays[k] = arrays[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for want, have, m_want, m_have, v_want, v_have in zip(arrays, flat_grads(params), m, state.m, v, state.v):
+            assert np.array_equal(have, want)
+            assert np.array_equal(m_have, m_want)
+            assert np.array_equal(v_have, v_want)
+    assert state.step == 5
 
 
 def test_adam_state_defaults():

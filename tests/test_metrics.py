@@ -134,17 +134,16 @@ def test_scalar_metrics_formulas(counts):
 # curves
 
 def test_pr_perfect_classifier_has_unit_precision():
-    points = pr_points(*pairs_of([0.9, 0.8], [0.2, 0.1]))
-    assert all(p.precision == 1.0 for p in points)
-    assert points[-1].recall == 1.0
+    thresholds, precision, recall = pr_points(*pairs_of([0.9, 0.8], [0.2, 0.1]))
+    assert (precision == 1.0).all()
+    assert recall[-1] == 1.0
     # sweep stops once every positive is recovered
-    assert len(points) == 2
+    assert len(thresholds) == len(precision) == len(recall) == 2
 
 
 def test_pr_single_positive():
-    points = pr_points(*pairs_of([0.7], []))
-    assert len(points) == 1
-    assert (points[0].threshold, points[0].precision, points[0].recall) == (0.7, 1.0, 1.0)
+    curve = pr_points(*pairs_of([0.7], []))
+    assert [column.tolist() for column in curve] == [[0.7], [1.0], [1.0]]
 
 
 def test_pr_needs_a_positive():
@@ -156,7 +155,7 @@ def test_pr_needs_a_positive():
 
 def test_pr_matches_exhaustive_enumeration():
     scores, labels = pairs_of([0.8, 0.4], [0.6, 0.4])
-    points = pr_points(scores, labels)
+    curve = pr_points(scores, labels)
     pairs = list(zip(scores.tolist(), labels.tolist()))
     # oracle: predict positive at score >= t for each distinct score desc
     expected = []
@@ -166,7 +165,7 @@ def test_pr_matches_exhaustive_enumeration():
         expected.append((t, tp / (tp + fp), tp / 2))
         if tp == 2:
             break
-    assert [(p.threshold, p.precision, p.recall) for p in points] == expected
+    assert list(zip(*(column.tolist() for column in curve))) == expected
 
 
 @given(
@@ -174,27 +173,28 @@ def test_pr_matches_exhaustive_enumeration():
     st.lists(st.integers(0, 6), max_size=15),
 )
 def test_pr_recall_monotone_in_threshold(pos, neg):
-    points = pr_points(*pairs_of([s / 6 for s in pos], [s / 6 for s in neg]))
-    recalls = [p.recall for p in points]
+    thresholds, _, recall = pr_points(*pairs_of([s / 6 for s in pos], [s / 6 for s in neg]))
+    recalls = recall.tolist()
     assert recalls == sorted(recalls)
     assert recalls[-1] == 1.0
-    thresholds = [p.threshold for p in points]
-    assert thresholds == sorted(thresholds, reverse=True)
+    assert thresholds.tolist() == sorted(thresholds.tolist(), reverse=True)
 
 
 def test_roc_perfect_traces_the_corner():
-    points = roc_points(*pairs_of([0.9, 0.8], [0.2, 0.1]))
-    xy = [(p.fpr, p.tpr) for p in points]
+    curve = roc_points(*pairs_of([0.9, 0.8], [0.2, 0.1]))
+    thresholds, fpr, tpr = curve
+    xy = list(zip(fpr.tolist(), tpr.tolist()))
+    assert thresholds[0] == math.inf
     assert xy[0] == (0.0, 0.0)
     assert (0.0, 1.0) in xy
     assert xy[-1] == (1.0, 1.0)
-    assert roc_area(points) == 1.0
+    assert roc_area(curve) == 1.0
 
 
 def test_roc_all_ties_is_diagonal():
-    points = roc_points(*pairs_of([0.5], [0.5]))
-    assert [(p.fpr, p.tpr) for p in points] == [(0.0, 0.0), (1.0, 1.0)]
-    assert roc_area(points) == 0.5
+    curve = roc_points(*pairs_of([0.5], [0.5]))
+    assert [column.tolist() for column in curve] == [[math.inf, 0.5], [0.0, 1.0], [0.0, 1.0]]
+    assert roc_area(curve) == 0.5
 
 
 def test_roc_needs_both_classes():
