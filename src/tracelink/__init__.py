@@ -62,6 +62,6 @@ from .sampling import (
     analyze_sampling,
     simple_negative_sample,
 )
-from .synth import SynthConfig, generate_trace, ground_truth_future_links
+from .synth import SynthConfig, generate_trace
 
 __version__ = "0.1.0"

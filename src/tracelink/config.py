@@ -123,7 +123,7 @@ def _parse_str_tuple(text: str) -> tuple[str, ...]:
 #: `--set`, the CLI flags and `dump_config` all go through it.  See README
 #: for the documented meanings.
 CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], Any]]] = {
-    "trace": ("", "trace", str),
+    "trace": ("", "trace", lambda text: text or None),  # `trace=` is unset
     "out_dir": ("", "out_dir", str),
     "window_size": ("", "window_size", int),
     "t_train": ("", "t_train", int),
@@ -182,7 +182,11 @@ def load_config_file(cfg: RunConfig, path: str | Path) -> None:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -199,8 +203,11 @@ def load_config_file(cfg: RunConfig, path: str | Path) -> None:
 
 
 def _format_value(value: Any) -> str:
-    """`value` as `load_config_file` reads it back: text is JSON-quoted when
-    it has edge whitespace, a line break, or a leading quote."""
+    """`value` as `load_config_file` reads it back: None is empty, and text
+    is JSON-quoted when it has edge whitespace, a line break, or a leading
+    quote."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):

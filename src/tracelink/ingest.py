@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 #: Physical layout of a trace file and the binding of logical columns
 #: (caller / callee / timestamp) to physical column names.
@@ -75,9 +75,16 @@ def parse_trace(lines: Iterable[str], fmt: TraceFormat = TraceFormat()) -> tuple
     Returns (events, skipped) where `skipped` counts malformed lines: wrong
     field count or a timestamp that is unparseable or not finite.  Fractional
     timestamps are truncated toward zero.  With ``fmt.header`` the first data
-    line names the columns and overrides ``fmt.columns``.
+    line names the columns and overrides ``fmt.columns``.  Text that csv
+    cannot split (say, a field over its size limit) is a DataError.
     """
-    stream = _data_lines(lines, fmt.comment)
+    try:
+        return _parse_rows(_data_lines(lines, fmt.comment), fmt)
+    except csv.Error as exc:
+        raise DataError(f"unreadable trace line: {exc}") from None
+
+
+def _parse_rows(stream: Iterator[str], fmt: TraceFormat) -> tuple[EventTable, int]:
     columns = fmt.columns
     callers: list[str] = []
     callees: list[str] = []
@@ -117,7 +124,10 @@ def parse_trace(lines: Iterable[str], fmt: TraceFormat = TraceFormat()) -> tuple
 
 def parse_trace_file(path: str | Path, fmt: TraceFormat = TraceFormat()) -> tuple[EventTable, int]:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle, fmt)
+        try:
+            return parse_trace(handle, fmt)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"trace {path} is not UTF-8 text: {exc.reason}") from None
 
 
 def clean_trace(events: EventTable, t_max: int) -> EventTable:

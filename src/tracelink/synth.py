@@ -255,12 +255,3 @@ def backbone_pairs(cfg: SynthConfig) -> set[tuple[str, str]]:
         for (s, d) in tree
     }
 
-
-def ground_truth_future_links(
-    trace: EventTable, t_train: int, t_max: int
-) -> set[tuple[str, str]]:
-    """Distinct (caller, callee) pairs observed in [t_train, t_max)."""
-    if not 0 <= t_train < t_max:
-        raise ConfigError(f"need 0 <= t_train < t_max, got {t_train}, {t_max}")
-    inside = (trace.ts >= t_train) & (trace.ts < t_max)
-    return set(zip(trace.caller[inside].tolist(), trace.callee[inside].tolist()))

@@ -1,10 +1,13 @@
 """Config defaults, key application, file loading, and dump round-trips."""
 from __future__ import annotations
 
-import pytest
+import contextlib
 
-from tracelink.config import RunConfig, apply_key, dump_config, load_config_file
-from tracelink.errors import ConfigError
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from tracelink.config import CONFIG_KEYS, RunConfig, apply_key, dump_config, load_config_file
+from tracelink.errors import ConfigError, TracelinkError
 
 
 def test_defaults_validate():
@@ -117,6 +120,15 @@ def test_tab_delimited_dump_loads_back(tmp_path):
     assert dump_config(reloaded) == text
 
 
+def test_unset_trace_round_trips(tmp_path):
+    text = dump_config(RunConfig())
+    assert "\ntrace=\n" in text
+    (tmp_path / "dumped.cfg").write_text(text, encoding="utf-8")
+    reloaded = RunConfig(trace="elsewhere.csv")
+    load_config_file(reloaded, tmp_path / "dumped.cfg")
+    assert reloaded == RunConfig()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -131,7 +143,7 @@ def test_tab_delimited_dump_loads_back(tmp_path):
     ],
 )
 def test_dump_round_trips_awkward_text(tmp_path, key, value):
-    cfg = RunConfig(trace="trace.csv")  # a dumped None reads back as "None"
+    cfg = RunConfig(trace="trace.csv")
     apply_key(cfg, key, value)
     text = dump_config(cfg)
     path = tmp_path / "dumped.cfg"
@@ -202,4 +214,21 @@ def test_tab_delimiter_in_a_config_file_is_rejected(tmp_path):
     cfg = RunConfig()
     load_config_file(cfg, path)
     with pytest.raises(ConfigError, match="delimiter"):
+        cfg.validate()
+
+
+config_lines = st.text(max_size=30) | st.tuples(
+    st.sampled_from(sorted(CONFIG_KEYS)) | st.text(max_size=8), st.sampled_from(["=", " = ", ""]),
+    st.text(max_size=12) | st.sampled_from(['"', '""', '"\\q"', '"\\ud800"', "1,x", "nan", "-0", "9" * 5000]),
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example("model.hidden=caf\xe9\n".encode("latin-1"))  # not UTF-8
+@given(st.lists(config_lines, max_size=6).map("\n".join).map(str.encode) | st.binary(max_size=80))
+def test_config_file_ends_in_a_config_or_a_typed_error(tmp_path, data):
+    (tmp_path / "fuzz.cfg").write_bytes(data)
+    with contextlib.suppress(TracelinkError):
+        cfg = RunConfig()
+        load_config_file(cfg, tmp_path / "fuzz.cfg")
         cfg.validate()

@@ -1,14 +1,19 @@
 """Attention network: forward pass, loss, gradients, optimizer, training."""
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tracelink import autodiff as ad
 from tracelink.autodiff import Tensor
-from tracelink.errors import CheckpointError, LossError, ModelError, TrainingError
+from tracelink.errors import CheckpointError, LossError, ModelError, TracelinkError, TrainingError
 from tracelink.gat import (
     _message_rows,
     AdamState,
@@ -29,6 +34,8 @@ from tracelink.gat import (
 from tracelink.graph import build_graph
 from tracelink.preprocess import TimeWindow
 from tracelink.sampling import SamplingKind, SamplingStrategy
+
+import tape_reference as ref
 
 
 def graph_of(pairs, n_nodes):
@@ -503,30 +510,29 @@ def composed_gradients(params, n, edges, pos, pos_counts, neg):
     src, dst, counts = edges
 
     def head(wh, att):
-        d = wh.shape[1]
-        s_dst = wh @ ad.narrow(att, 0, d)
-        s_src = wh @ ad.narrow(att, d, 2 * d)
-        scores = ad.leaky_relu(ad.gather(s_dst, dst) + ad.gather(s_src, src), 0.2)
-        weights = Tensor(counts) * ad.exp(scores - Tensor(ad.segment_max(scores.data, dst, n)[dst]))
-        alpha = weights / ad.gather(ad.scatter_add(weights, dst, n), dst)
-        return ad.scatter_add(ad.gather(wh, src) * ad.reshape(alpha, (-1, 1)), dst, n)
+        d = wh.data.shape[1]
+        s_dst = ref.matmul(wh, ref.narrow(att, 0, d))
+        s_src = ref.matmul(wh, ref.narrow(att, d, 2 * d))
+        scores = ref.leaky_relu(ref.add(ref.gather(s_dst, dst), ref.gather(s_src, src)), 0.2)
+        weights = ref.mul(counts, ref.exp(ref.sub(scores, ad.segment_max(scores.data, dst, n)[dst])))
+        alpha = ref.div(weights, ref.gather(ref.scatter_add(weights, dst, n), dst))
+        return ref.scatter_add(ref.mul(ref.gather(wh, src), ref.reshape(alpha, (-1, 1))), dst, n)
 
     def pair_scores(emb, pairs):
-        return ad.tsum(ad.gather(emb, pairs[:, 0]) * ad.gather(emb, pairs[:, 1]), axis=1)
+        return ref.tsum(ref.mul(ref.gather(emb, pairs[:, 0]), ref.gather(emb, pairs[:, 1])), axis=1)
 
     heads = params.dims.heads
-    leaves = [Tensor(a, requires_grad=True) for a in
-              params.layer1.weights + params.layer1.att + params.layer2.weights + params.layer2.att]
+    leaves = [Tensor(a, requires_grad=True) for a in flat_grads(params)]
     w1, a1, (w2, a2) = leaves[:heads], leaves[heads:2 * heads], leaves[2 * heads:]
     outs = [head(w, a) for w, a in zip(w1, a1)]
-    h1 = outs[0] if heads == 1 else ad.concat(outs, axis=1)
-    emb = head(ad.elu(h1, 1.0) @ w2, a2)
+    h1 = outs[0] if heads == 1 else ad.concat(outs)
+    emb = head(ad.matmul(ad.elu(h1, 1.0), w2), a2)
     terms = []
     if len(pos):
-        terms.append(ad.tsum(Tensor(pos_counts) * ad.softplus(ad.neg(pair_scores(emb, pos)))))
+        terms.append(ref.tsum(ref.mul(pos_counts, ref.softplus(ref.neg(pair_scores(emb, pos))))))
     if len(neg):
-        terms.append(ad.tsum(ad.softplus(pair_scores(emb, neg))))
-    loss = (terms[0] if len(terms) == 1 else terms[0] + terms[1]) / float(pos_counts.sum() + len(neg))
+        terms.append(ref.tsum(ref.softplus(pair_scores(emb, neg))))
+    loss = ref.div(terms[0] if len(terms) == 1 else ref.add(terms[0], terms[1]), float(pos_counts.sum() + len(neg)))
     loss.backward()
     return float(loss.data), [t.grad for t in leaves], emb.data
 
@@ -866,3 +872,38 @@ def test_checkpoint_rejects_misshaped_arrays(tmp_path):
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nope.bin")
+
+
+def _checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(init_params(3, 2, 2, np.random.default_rng(27)), Path(tmp) / "model.bin")
+        return (Path(tmp) / "model.bin").read_bytes()
+
+
+VALID_CHECKPOINT = _checkpoint_bytes()
+header_sizes = st.integers(-1, 5) | st.sampled_from([10**20, 1.5, "4", None, True])
+headers = st.fixed_dictionaries({
+    "format": st.sampled_from(["tracelink-checkpoint", "other"]), "version": st.sampled_from([1, 1.0, True, 2, "1"]),
+    "n_nodes": header_sizes, "hidden": header_sizes, "heads": header_sizes,
+    "arrays": st.lists(st.fixed_dictionaries({
+        "name": st.sampled_from(["layer1.w.0", "layer1.a.0", "layer2.w", "layer2.a", "x"]),
+        "shape": st.lists(st.integers(0, 6) | st.sampled_from([10**18, 10**20, -1]), max_size=3),
+    }), max_size=5),
+})
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(b"1" * 5000 + b"\n")  # an int past Python's digit limit
+@example(b"[" * 100_000 + b"\n")  # nested past the recursion limit
+@example(b'{"format": "tracelink-checkpoint", "version": 1, "n_nodes": 4, "hidden": 3, "heads": 2, '
+         b'"arrays": [{"name": "layer2.a", "shape": [0, 100000000000000000000]}]}\n')  # empty, too big to shape
+@given(st.one_of(
+    st.builds(lambda h, k: json.dumps(h).encode() + b"\n" + bytes(8 * k), headers, st.integers(0, 12)),
+    st.builds(lambda i, junk, k: VALID_CHECKPOINT[:i] + junk + VALID_CHECKPOINT[i + k:],
+              st.integers(0, len(VALID_CHECKPOINT)), st.binary(max_size=6), st.integers(0, 6)),
+    st.binary(max_size=80),
+))
+def test_checkpoint_bytes_load_or_raise_a_typed_error(tmp_path, data):
+    (tmp_path / "fuzz.bin").write_bytes(data)
+    with contextlib.suppress(TracelinkError):
+        load_checkpoint(tmp_path / "fuzz.bin")

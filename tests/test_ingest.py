@@ -1,11 +1,13 @@
 """Parsing and cleaning of delimited trace files."""
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tracelink.errors import ConfigError
+from tracelink.errors import ConfigError, TracelinkError
 from tracelink.ingest import (
     EventTable,
     TraceFormat,
@@ -164,3 +166,29 @@ def test_write_then_parse_round_trip(tmp_path):
     assert skipped == 0
     assert rows(clean_trace(parsed, 100)) == events
     assert path.read_text().startswith("# seed=7\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any input ends in a table or a TracelinkError
+
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+trace_text = st.text(st.sampled_from(',;\t "#\x00\rabum0123456789.e-') | st.characters(), max_size=40)
+
+
+@FUZZ
+@example(["timestamp,um,dm", "1,a," + "x" * 200_000], ",", True)  # over csv's field limit
+@example(["timestamp,um,dm", "1,a\rb,c"], ",", True)  # a line break inside a line
+@given(st.lists(trace_text, max_size=8), st.sampled_from([",", "\t", ";", " ", '"', "#"]), st.booleans())
+def test_parse_trace_ends_in_a_table_or_a_typed_error(lines, delimiter, header):
+    with contextlib.suppress(TracelinkError):
+        parsed, skipped = parse_trace(lines, TraceFormat(delimiter=delimiter, header=header))
+        assert len(parsed) + skipped <= len(lines)
+
+
+@FUZZ
+@example("timestamp,um,dm\n1,caf\xe9,b\n".encode("latin-1"))  # not UTF-8
+@given(st.binary(max_size=120) | trace_text.map(str.encode))
+def test_parse_trace_file_ends_in_a_table_or_a_typed_error(tmp_path, data):
+    (tmp_path / "trace.csv").write_bytes(data)
+    with contextlib.suppress(TracelinkError):
+        parse_trace_file(tmp_path / "trace.csv")

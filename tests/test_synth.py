@@ -14,7 +14,6 @@ from tracelink.synth import (
     backbone_pairs,
     gateway_services,
     generate_trace,
-    ground_truth_future_links,
     hub_services,
 )
 
@@ -147,18 +146,6 @@ def test_popularity_is_skewed(default_trace):
     assert {name for name, _ in counts.most_common(len(hubs))} == hubs
 
 
-def test_future_links_window(small_table, small_trace):
-    future = ground_truth_future_links(small_table, 1_400, 2_000)
-    observed = {(e.caller, e.callee) for e in small_trace if e.timestamp >= 1_400}
-    assert future == observed
-    assert future  # recurring backbone guarantees future traffic
-
-
-def test_future_links_rejects_bad_range(small_table):
-    with pytest.raises(ConfigError):
-        ground_truth_future_links(small_table, 10, 10)
-
-
 def test_config_validation():
     bad = [
         {"n_services": 1},
@@ -196,7 +183,7 @@ def test_train_span_predicts_test_span():
     cfg = SynthConfig(n_services=60, duration=5_000, events_per_window_mean=40.0, seed=1)
     table = generate_trace(cfg)
     early = {(e.caller, e.callee) for e in events(table) if e.timestamp < 3_500}
-    late = ground_truth_future_links(table, 3_500, 5_000)
+    late = {(e.caller, e.callee) for e in events(table) if 3_500 <= e.timestamp < 5_000}
     overlap = len(late & early) / len(late)
     assert overlap > 0.8
 
