@@ -89,10 +89,7 @@ class RunConfig:
         thresholds = (self.sampling.balanced_threshold, self.sampling.moderate_threshold)
         if not all(map(math.isfinite, thresholds)):
             raise ConfigError(f"sampling thresholds must be finite, got {thresholds}")
-        if len(self.trace_format.delimiter) != 1:
-            raise ConfigError(
-                f"trace_format.delimiter must be one character, got {self.trace_format.delimiter!r}"
-            )
+        self.trace_format.validate()
         if self.attention_lo < 0 or self.attention_hi <= self.attention_lo:
             raise ConfigError(
                 f"attention range [{self.attention_lo}, {self.attention_hi}) is empty"

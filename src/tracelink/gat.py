@@ -26,6 +26,11 @@ attention head and the loss are one tape node apiece (`autodiff.fused`),
 with the chain rule written out by hand, as are the head concat, the ELU
 and layer 2's matmul.  The tests check these nodes bit for bit against the
 same model composed one array operation at a time.
+
+The loss reads its pair scores per row, or, for a step that scores many
+rows for its node count (heavy call traffic), from the Gram matrix h h^T;
+`_link_loss` gives the rule.  The two agree up to rounding, and the rule
+keeps small and wide graphs on the per-row arithmetic exactly.
 """
 from __future__ import annotations
 
@@ -43,7 +48,7 @@ from .autodiff import Tensor
 from .errors import CheckpointError, LossError, ModelError, TrainingError
 from .graph import WindowedGraph, build_graph
 from .preprocess import TimeWindow
-from .sampling import DEFAULT_RETRY_FACTOR, SamplingStrategy, draw_negatives
+from .sampling import DEFAULT_RETRY_FACTOR, SamplingStrategy, draw_negatives, window_sources
 from .seeding import derive_rng
 
 LEAKY_SLOPE = 0.2
@@ -52,6 +57,10 @@ PROB_EPS = 1e-7
 DEFAULT_SNAPSHOT_EPOCHS = (0, 49, 99, 149, 199)
 CHECKPOINT_FORMAT = "tracelink-checkpoint"
 CHECKPOINT_VERSION = 1
+#: `_link_loss` scores through the Gram matrix h @ h.T from this many rows...
+GRAM_MIN_ROWS = 1024
+#: ...and where n_nodes**2 is at most this many times the rows.
+GRAM_NODES2_PER_ROW = 32
 
 
 @dataclass(frozen=True)
@@ -286,6 +295,12 @@ def bce_loss(pos_probs: np.ndarray, neg_probs: np.ndarray) -> float:
     return float(-(np.log(pos).sum() + np.log1p(-neg).sum()) / total)
 
 
+def _scores_through_gram(n_nodes: int, n_rows: int) -> bool:
+    """Whether `_link_loss` reads its pair scores from the Gram matrix:
+    only for a step that scores many rows for its node count."""
+    return n_rows >= GRAM_MIN_ROWS and n_nodes * n_nodes <= GRAM_NODES2_PER_ROW * n_rows
+
+
 def _link_loss(
     emb: Tensor, pos_edges: np.ndarray, pos_counts: np.ndarray, neg_edges: np.ndarray
 ) -> Tensor:
@@ -297,27 +312,57 @@ def _link_loss(
     Working on the raw pair scores keeps the per-pair gradient at exactly
     sigmoid(z) - label, which stays finite and corrective even for pairs
     scored with extreme confidence.
+
+    Two kernels compute the same pair scores and gradient.  The per-row one
+    gathers h_u and h_v for every row and scatters the row gradients back
+    through `segment_sum`.  The Gram one reads z from S = h @ h.T and, with
+    C the n x n sum of the rows' coefficients sign * scale * count *
+    sigmoid(x) at (u, v) (one `segment_sum` over the codes u * n + v), gets
+    the gradient as (C + C.T) @ h.  Its cost grows with n^2 * d, not with
+    the rows, so it runs only where a step scores at least GRAM_MIN_ROWS
+    (1024) rows and n^2 <= GRAM_NODES2_PER_ROW (32) * rows.  The two differ
+    only in rounding.
+
+    Measured for forward plus backward at n = 200, d = 64 (one core of a
+    2-core Xeon, BLAS one thread), per-row against Gram: 0.92 against
+    0.86 ms at n^2/rows = 131, where Gram starts to win; 3.0 against
+    0.44 ms at 1,556 rows and 12 against 0.92 ms at 4,756, the range of
+    `--events-mean 3000` windows (n^2/rows 8-26).  Default windows score
+    at most ~230 rows (n^2/rows >= 170), and at n = 1984 with 526 rows,
+    like `--services 2000` windows (n^2/rows >= 2,700), it is 0.85 against
+    83 ms: neither meets the rule.  The row floor also keeps small test
+    graphs, whose n^2 is tiny, on the per-row kernel.
     """
     h = emb.data
+    n = h.shape[0]
     groups = ((pos_edges, pos_counts, -1.0), (neg_edges, np.ones(len(neg_edges)), 1.0))
     groups = [group for group in groups if len(group[0])]
     count = float(sum(counts.sum() for _, counts, _ in groups))
+    gram = h @ h.T if _scores_through_gram(n, sum(len(pairs) for pairs, _, _ in groups)) else None
     saved, nll = [], []
     for pairs, counts, sign in groups:
-        left, right = h[pairs[:, 0]], h[pairs[:, 1]]
-        x = sign * (left * right).sum(axis=1)
+        if gram is None:
+            left, right = h[pairs[:, 0]], h[pairs[:, 1]]
+            x = sign * (left * right).sum(axis=1)
+        else:
+            left = right = None
+            x = sign * gram[pairs[:, 0], pairs[:, 1]]
         nll.append((counts * (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))).sum())
         saved.append((left, right, x))
     loss = (nll[0] if len(nll) == 1 else nll[0] + nll[1]) / count
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         scale = g / count
+        coeffs = [sign * (scale * counts * ad.sigmoid(x)) for (_, counts, sign), (_, _, x) in zip(groups, saved)]
+        if gram is not None:
+            codes = np.concatenate([pairs[:, 0] * n + pairs[:, 1] for pairs, _, _ in groups])
+            c = ad.segment_sum(np.concatenate(coeffs), codes, n * n).reshape(n, n)
+            return ((c + c.T) @ h,)
         index, values = [], []
-        for (pairs, counts, sign), (left, right, x) in zip(groups, saved):
-            g_z = (sign * (scale * counts * ad.sigmoid(x)))[:, None]
+        for (pairs, _, _), (left, right, _), g_z in zip(groups, saved, coeffs):
             index += [pairs[:, 0], pairs[:, 1]]
-            values += [g_z * right, g_z * left]
-        return (ad.segment_sum(np.concatenate(values), np.concatenate(index), h.shape[0]),)
+            values += [g_z[:, None] * right, g_z[:, None] * left]
+        return (ad.segment_sum(np.concatenate(values), np.concatenate(index), n),)
 
     return ad.fused(loss, (emb,), backward)
 
@@ -426,7 +471,8 @@ def train(
             continue
         g = build_graph(window, params.dims.n_nodes)
         rows = _rows(g)
-        prepared.append((window.index, g, rows, np.stack([rows.src, rows.dst], axis=1)))
+        pos = np.stack([rows.src, rows.dst], axis=1)
+        prepared.append((window.index, g, rows, pos, window_sources(sampling, g)))
     if not prepared:
         raise TrainingError("every training window is empty; nothing to learn from")
 
@@ -435,9 +481,9 @@ def train(
     history: list[LossEntry] = []
     snapshots: dict[int, AttentionRecord] = {}
     for epoch in range(epochs):
-        for window_index, g, rows, pos in prepared:
+        for window_index, g, rows, pos, sources in prepared:
             rng = derive_rng(seed, "train-sampling", epoch, window_index)
-            neg = draw_negatives(sampling, g, rng, retry_factor)
+            neg = draw_negatives(sampling, g, rng, retry_factor, sources)
             grads, loss, record = compute_gradients(params, g, pos, neg, rows.counts, rows)
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}, window {window_index}")

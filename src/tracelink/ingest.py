@@ -30,6 +30,11 @@ class TraceFormat:
     header: bool = True
     comment: str = "#"
 
+    def validate(self) -> None:
+        """csv splits on a one-character delimiter only."""
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ConfigError(f"trace_format.delimiter must be one character, got {self.delimiter!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class EventTable:
@@ -76,8 +81,10 @@ def parse_trace(lines: Iterable[str], fmt: TraceFormat = TraceFormat()) -> tuple
     field count or a timestamp that is unparseable or not finite.  Fractional
     timestamps are truncated toward zero.  With ``fmt.header`` the first data
     line names the columns and overrides ``fmt.columns``.  Text that csv
-    cannot split (say, a field over its size limit) is a DataError.
+    cannot split (say, a field over its size limit) is a DataError, and a
+    format that fails `TraceFormat.validate` a ConfigError.
     """
+    fmt.validate()
     try:
         return _parse_rows(_data_lines(lines, fmt.comment), fmt)
     except csv.Error as exc:

@@ -4,6 +4,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,11 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import tracelink
 from tracelink import autodiff as ad
+from tracelink import gat
 from tracelink.autodiff import Tensor
 from tracelink.errors import CheckpointError, LossError, ModelError, TracelinkError, TrainingError
 from tracelink.gat import (
+    _link_loss,
     _message_rows,
+    _scores_through_gram,
     AdamState,
     GatParams,
     LayerParams,
@@ -32,8 +39,9 @@ from tracelink.gat import (
     train,
 )
 from tracelink.graph import build_graph
-from tracelink.preprocess import TimeWindow
+from tracelink.preprocess import TimeWindow, apply_mapping, build_node_mapping, segment_windows
 from tracelink.sampling import SamplingKind, SamplingStrategy
+from tracelink.synth import SynthConfig, generate_trace
 
 import tape_reference as ref
 
@@ -634,6 +642,133 @@ def test_gradients_need_at_least_one_pair():
     g = graph_of([(0, 1)], 3)
     with pytest.raises(LossError):
         compute_gradients(params, g, np.empty((0, 2)), np.empty((0, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the loss's two kernels: per-row gathers, or scores read from h @ h.T
+
+def loss_and_grad(h, pos, counts, neg):
+    emb = Tensor(h, requires_grad=True)
+    loss = _link_loss(emb, pos, counts, neg)
+    loss.backward()
+    return float(loss.data), emb.grad
+
+
+def kernel_case(case):
+    """Embeddings and scored rows of a Gram-sized step (n=30, 1,160 rows):
+    count-weighted positives, or one group empty, or few distinct pairs
+    repeated (self-pairs u -> u included)."""
+    rng = np.random.default_rng(21)
+    n = 30
+    h = rng.normal(scale=0.8, size=(n, 8))
+    pos, counts = rng.integers(0, n, size=(60, 2)), rng.integers(1, 50, size=60).astype(float)
+    neg = rng.integers(0, n, size=(1100, 2))
+    if case == "no-positives":
+        pos, counts = pos[:0], counts[:0]
+    elif case == "no-negatives":
+        neg = neg[:0]
+    elif case == "repeated":
+        pos, counts = np.repeat([[0, 1], [2, 2], [1, 0]], 20, axis=0), np.repeat([3.0, 1.0, 7.0], 20)
+        neg = np.tile([[4, 5], [6, 6], [5, 4], [7, 8]], (275, 1))
+    return h, pos, counts, neg
+
+
+@pytest.mark.parametrize("case", ["weighted", "no-positives", "no-negatives", "repeated"])
+def test_gram_kernel_matches_per_row_kernel(case, monkeypatch):
+    h, pos, counts, neg = kernel_case(case)
+    results = []
+    for use_gram in (False, True):
+        monkeypatch.setattr(gat, "_scores_through_gram", lambda n_nodes, n_rows, use=use_gram: use)
+        results.append(loss_and_grad(h, pos, counts, neg))
+    (row_loss, row_grad), (gram_loss, gram_grad) = results
+    assert gram_loss == pytest.approx(row_loss, rel=1e-12)
+    # as in test_merged_gradients_match_per_instance_reference: entries that
+    # cancel to ~0 keep rounding noise of the size of the terms summed
+    floor = 1e-12 * np.abs(row_grad).max()
+    np.testing.assert_allclose(gram_grad, row_grad, rtol=1e-12, atol=floor)
+
+
+def test_gram_kernel_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    n = 40
+    h = rng.normal(size=(n, 4))
+    pos, counts = rng.integers(0, n, size=(100, 2)), rng.integers(1, 30, size=100).astype(float)
+    neg = rng.integers(0, n, size=(1000, 2))
+    assert _scores_through_gram(n, len(pos) + len(neg))
+    _, grad = loss_and_grad(h, pos, counts, neg)
+    eps = 1e-6
+    for _ in range(3):
+        step = rng.normal(size=h.shape)
+        up = _link_loss(Tensor(h + eps * step), pos, counts, neg).data
+        down = _link_loss(Tensor(h - eps * step), pos, counts, neg).data
+        assert (up - down) / (2 * eps) == pytest.approx(float((grad * step).sum()), rel=1e-6, abs=1e-9)
+
+
+def generated_step_shapes(seed, **synth):
+    """(nodes, scored rows) of every training step on a generated trace: the
+    positives as `train` passes them plus one negative per call."""
+    cfg = SynthConfig(seed=seed, **synth)
+    events = generate_trace(cfg)
+    mapping = build_node_mapping(events)
+    for window in segment_windows(apply_mapping(events, mapping), cfg.window_hint, cfg.duration):
+        if window.n_events:
+            g = build_graph(window, mapping.n_nodes)
+            yield g.n_nodes, len(_message_rows(g)[0]) + g.n_edges
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("synth, gram", [
+    ({}, False),  # desk: <= ~230 rows a step
+    ({"events_per_window_mean": 3000}, True),  # heavy: n^2 / rows <= ~25
+    ({"n_services": 2000, "events_per_window_mean": 400}, False),  # wide: n^2 / rows >= ~2,700
+], ids=["desk", "heavy", "wide"])
+def test_gram_kernel_runs_on_heavy_steps_only(seed, synth, gram):
+    shapes = list(generated_step_shapes(seed, **synth))
+    assert shapes and all(_scores_through_gram(n, rows) == gram for n, rows in shapes)
+
+
+def test_bitwise_reference_cases_use_the_per_row_kernel():
+    for case in [*range(12), *EDGE_CASE_PAIRS]:
+        g, _, with_pos, neg = training_case(case)
+        _, pos, _ = model_case(g, with_pos)
+        assert not _scores_through_gram(g.n_nodes, len(pos) + len(neg))
+
+
+#: One heavy-sized step (200 nodes, 60 merged pairs, 3,000 negatives);
+#: prints a digest of its loss and gradients.
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from tracelink.gat import _param_arrays, _scores_through_gram, compute_gradients, init_params
+from tracelink.graph import build_graph
+from tracelink.preprocess import TimeWindow
+
+rng = np.random.default_rng(4)
+n = 200
+pairs = rng.integers(0, n, size=(60, 2))[rng.integers(0, 60, size=3000)]
+g = build_graph(TimeWindow(0, 0, 100, pairs[:, 0], pairs[:, 1], np.arange(3000)), n)
+pos = np.stack([g.pair_src, g.pair_dst], axis=1)
+neg = rng.integers(0, n, size=(3000, 2))
+assert _scores_through_gram(n, len(pos) + len(neg))
+grads, loss, _ = compute_gradients(init_params(n, 64, 2, rng), g, pos, neg, g.pair_count)
+digest = hashlib.sha256(np.float64(loss).tobytes())
+for a in _param_arrays(grads):
+    digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_gram_kernel_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(tracelink.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

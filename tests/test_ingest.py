@@ -168,6 +168,12 @@ def test_write_then_parse_round_trip(tmp_path):
     assert path.read_text().startswith("# seed=7\n")
 
 
+@pytest.mark.parametrize("delimiter", ["", "ab"])
+def test_parse_trace_rejects_a_delimiter_csv_cannot_split_on(delimiter):
+    with pytest.raises(ConfigError, match="delimiter"):
+        parse_trace(["timestamp,um,dm", "0,A,B"], TraceFormat(delimiter=delimiter))
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any input ends in a table or a TracelinkError
 
