@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tracelink.errors import ConfigError, TracelinkError
+from tracelink import ingest
+from tracelink.errors import ConfigError, DataError, TracelinkError
 from tracelink.ingest import (
     EventTable,
     TraceFormat,
@@ -16,6 +18,7 @@ from tracelink.ingest import (
     parse_trace_file,
     write_trace,
 )
+from tracelink.synth import SynthConfig, generate_trace
 
 PLAIN = TraceFormat(
     columns=("timestamp", "caller", "callee"),
@@ -174,6 +177,51 @@ def test_parse_trace_rejects_a_delimiter_csv_cannot_split_on(delimiter):
         parse_trace(["timestamp,um,dm", "0,A,B"], TraceFormat(delimiter=delimiter))
 
 
+@pytest.mark.parametrize("comment", [5, None, b"#"])
+def test_parse_trace_rejects_a_comment_that_is_not_a_string(comment):
+    with pytest.raises(ConfigError, match="comment"):
+        parse_trace(["0,A,B"], TraceFormat(header=False, comment=comment))
+
+
+def test_names_holding_the_delimiter_or_a_quote_round_trip(tmp_path):
+    events = [("a,b", 'q"x', 1), ('q"x', "a,b", 2), ("a", "b", 3)]
+    path = tmp_path / "trace.csv"
+    write_trace(clean_trace(table(events), 100), path)
+    parsed, skipped = parse_trace_file(path)
+    assert skipped == 0
+    assert rows(parsed) == events
+
+
+def generated_trace_file(tmp_path, seed=0):
+    path = tmp_path / "trace.csv"
+    write_trace(generate_trace(SynthConfig(seed=seed)), path, header_comment=f"seed={seed}")
+    return path
+
+
+def test_crlf_trace_parses_to_the_same_table(tmp_path):
+    path = generated_trace_file(tmp_path)
+    crlf = tmp_path / "trace_crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    (events, skipped), (crlf_events, crlf_skipped) = parse_trace_file(path), parse_trace_file(crlf)
+    assert crlf_skipped == skipped == 0
+    assert rows(crlf_events) == rows(events)
+    assert crlf_events.ts.tobytes() == events.ts.tobytes()
+
+
+def test_generated_trace_takes_the_bulk_path(tmp_path, monkeypatch):
+    path = generated_trace_file(tmp_path)
+    expected = parse_text_file(path, TraceFormat())
+
+    def no_fallback(*args):
+        raise AssertionError("parse_trace_file fell back to the csv reader")
+
+    monkeypatch.setattr(ingest, "parse_trace", no_fallback)
+    events, skipped = parse_trace_file(path)
+    assert outcome(events, skipped) == outcome(*expected)
+    names = events.caller.tolist() + events.callee.tolist()
+    assert len({id(name) for name in names}) == len(set(names))  # one str per service
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any input ends in a table or a TracelinkError
 
@@ -198,3 +246,70 @@ def test_parse_trace_file_ends_in_a_table_or_a_typed_error(tmp_path, data):
     (tmp_path / "trace.csv").write_bytes(data)
     with contextlib.suppress(TracelinkError):
         parse_trace_file(tmp_path / "trace.csv")
+
+
+# ---------------------------------------------------------------------------
+# the bulk file reader against the csv reader
+
+def parse_text_file(path, fmt):
+    """The reference: `parse_trace` over the file opened as UTF-8 text."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return parse_trace(handle, fmt)
+        except UnicodeDecodeError:
+            raise DataError("not UTF-8") from None
+
+
+def outcome(events, skipped):
+    return (events.caller.tolist(), events.callee.tolist(), events.caller.dtype, events.callee.dtype,
+            events.ts.dtype, events.ts.tobytes(), skipped)
+
+
+def parsed_or_error(parse, path, fmt):
+    try:
+        return outcome(*parse(path, fmt))
+    except TracelinkError as exc:
+        return type(exc)
+
+
+FIELD_TEXT = st.sampled_from(["0", "12", "7.9", "-3", "1e3", "1_0", "nan", "inf", "x", "", "svc001", "a"])
+ODD_CHARS = st.sampled_from(["\r", "\t", "\x00", '"', " ", "\x1c", "\xe9", "\n", "#", ";", ","])
+
+
+@st.composite
+def trace_files(draw):
+    """Trace bytes, mostly plain, with every byte csv or the text layer treats specially."""
+    delimiter = draw(st.sampled_from([",", ",", ",", ";", "#", "\t"]))
+    comment = draw(st.sampled_from(["#"] * 5 + [";", "//", ""]))
+    fmt = TraceFormat(delimiter=delimiter, header=draw(st.booleans()), comment=comment)
+    plain_row = st.lists(FIELD_TEXT, min_size=3, max_size=3).map(delimiter.join)
+    odd_row = st.lists(FIELD_TEXT | st.text(ODD_CHARS | st.sampled_from("ab09."), max_size=4),
+                       min_size=1, max_size=4).map(delimiter.join)
+    blank = st.text(st.sampled_from(" \t\x0b\x0c\x1c"), max_size=2)
+    comment_line = st.tuples(st.text(st.sampled_from(" \t"), max_size=1), st.sampled_from(["#", ";", "//"]),
+                             st.text(max_size=6)).map("".join)
+    line = st.one_of(*[plain_row] * 4, odd_row, blank, comment_line).map(str.encode)
+    lines = draw(st.lists(st.one_of(*[line] * 15, st.binary(max_size=6)), max_size=8))
+    if fmt.header:
+        names = draw(st.sampled_from([["timestamp", "um", "dm"]] * 3 + [["timestamp", "um", "x", "dm"], ["um", "x"]]))
+        lines.insert(0, delimiter.join(draw(st.permutations(names))).encode())
+    newline = draw(st.sampled_from([b"\n"] * 8 + [b"\r\n", b"\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else b""), fmt
+
+
+LIMIT = csv.field_size_limit()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example((b"timestamp,um,dm\n1,a," + b"x" * (LIMIT - 4) + b"\n", TraceFormat()))  # a line at csv's field limit
+@example((b"timestamp,um,dm\n1,a," + b"x" * (LIMIT - 3) + b"\n", TraceFormat()))  # one byte over: the csv reader
+@example((b"x" * (LIMIT + 1), TraceFormat()))  # a header over the limit
+@example((b"#\r,\n0,a,b\n", TraceFormat(header=False)))  # universal newlines split the comment
+@example((b"# caf\xe9\n0,a,b", TraceFormat(header=False)))  # non-UTF-8 comment
+@example((b"timestamp,um,dm\n\n  \n\x1c# c\n1,,b\n2,a\n3,a,b,c\nnan,a,b\n4.5,a,b", TraceFormat()))
+@given(trace_files())
+def test_parse_trace_file_matches_the_csv_reader(tmp_path, trace):
+    data, fmt = trace
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    assert parsed_or_error(parse_trace_file, path, fmt) == parsed_or_error(parse_text_file, path, fmt)
