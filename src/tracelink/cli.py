@@ -86,10 +86,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -114,8 +110,14 @@ def _attention_range(cfg: RunConfig, n_nodes: int) -> tuple[int, int] | None:
     return (lo, hi) if lo < hi else None
 
 
-def _attention_csv(matrix: np.ndarray) -> str:
-    return "".join(",".join(_fmt_float(x) for x in row) + "\n" for row in matrix)
+def _csv(header: str, *columns) -> str:
+    """CSV text: the `header` line (none if empty), then one line per entry
+    of the parallel `columns`, each value as its repr.  Rows are formatted
+    lazily, so no whole column of strings is held at once."""
+    lines = [header] if header else []
+    lines += map(",".join, zip(*(map(repr, np.asarray(column).tolist()) for column in columns)))
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +202,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         digest = mapping_digest(mapping)
         save_mapping(mapping, out / "mapping.tsv")
         gat.save_checkpoint(params, out / "checkpoint.bin", mapping_sha256=digest)
-        loss_rows = [
-            f"{entry.epoch},{entry.window_index},{_fmt_float(entry.loss)}\n"
-            for entry in artifacts.loss_history
-        ]
-        _write_text(out / "loss_history.csv", "epoch,window,loss" + "\n" + "".join(loss_rows))
+        columns = zip(*((e.epoch, e.window_index, e.loss) for e in artifacts.loss_history))
+        _write_text(out / "loss_history.csv", _csv("epoch,window,loss", *columns))
         span = _attention_range(cfg, n_nodes)
         if span is not None:
             for epoch, record in sorted(artifacts.attention_snapshots.items()):
                 matrix = metrics_mod.export_attention(record, span)
-                _write_text(out / f"attention_epoch_{epoch:04d}.csv", _attention_csv(matrix))
+                _write_text(out / f"attention_epoch_{epoch:04d}.csv", _csv("", *matrix.T))
         _write_text(out / "run_config.txt", dump_config(cfg))
         meta = {
             "n_nodes": n_nodes,
@@ -239,28 +238,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _metrics_block(auc_value: float, conf, scalars) -> dict:
-    return {
-        "auc": auc_value,
-        "accuracy": scalars.accuracy,
-        "precision": scalars.precision,
-        "recall": scalars.recall,
-        "f1": scalars.f1,
-        "tp": conf.tp,
-        "fp": conf.fp,
-        "fn": conf.fn,
-        "tn": conf.tn,
-        "flagged": sorted(scalars.flagged),
-    }
-
-
-_PR_COLUMNS, _ROC_COLUMNS = "threshold,precision,recall\n", "threshold,fpr,tpr\n"
-
-
-def _curve_csv(header: str, curve) -> str:
-    """A `pr_points`/`roc_points` curve, one row per point, floats as repr."""
-    rows = [f"{t!r},{x!r},{y!r}\n" for t, x, y in zip(*(column.tolist() for column in curve))]
-    return header + "".join(rows)
+def _metrics_block(scored: metrics_mod.ScoredSet) -> dict:
+    """auc, the confusion counts and the threshold metrics, flags sorted."""
+    flagged = sorted(scored.metrics.flagged)
+    return {"auc": scored.auc, **vars(scored.confusion), **vars(scored.metrics), "flagged": flagged}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -306,10 +287,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         doc = {
             "tau": cfg.model.tau,
             "sampling": {"kind": strategy.kind.value, "alpha": strategy.alpha},
-            "pooled": _metrics_block(report.pooled_auc, report.pooled_confusion, report.pooled_metrics),
+            "pooled": _metrics_block(report.pooled),
             "macro": report.macro,
             "windows": {
-                f"{r.window_index:04d}": _metrics_block(r.auc, r.confusion, r.metrics)
+                f"{r.window_index:04d}": _metrics_block(r)
                 for r in report.windows
             },
             "n_test_windows": len(report.windows),
@@ -317,26 +298,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "skipped_unknown_events": skipped_unknown,
         }
         _write_text(out / "metrics.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        _write_text(out / "pr_pooled.csv", _curve_csv(_PR_COLUMNS, report.pooled_pr))
-        _write_text(out / "roc_pooled.csv", _curve_csv(_ROC_COLUMNS, report.pooled_roc))
+        scored_sets = [("pooled", report.pooled), *((f"window_{r.window_index:04d}", r) for r in report.windows)]
+        for tag, scored in scored_sets:
+            _write_text(out / f"pr_{tag}.csv", _csv("threshold,precision,recall", *scored.pr))
+            _write_text(out / f"roc_{tag}.csv", _csv("threshold,fpr,tpr", *scored.roc))
         for r in report.windows:
-            tag = f"{r.window_index:04d}"
-            _write_text(out / f"pr_window_{tag}.csv", _curve_csv(_PR_COLUMNS, r.pr))
-            _write_text(out / f"roc_window_{tag}.csv", _curve_csv(_ROC_COLUMNS, r.roc))
-            pair_rows = [
-                f"{s},{d},{score!r},{label}\n"
-                for s, d, score, label in zip(r.src.tolist(), r.dst.tolist(), r.scores.tolist(), r.labels.tolist())
-            ]
-            _write_text(out / f"scored_window_{tag}.csv", "src,dst,score,label\n" + "".join(pair_rows))
+            _write_text(out / f"scored_window_{r.window_index:04d}.csv",
+                        _csv("src,dst,score,label", r.src, r.dst, r.scores, r.labels))
         if report.last_attention is not None:
             span = _attention_range(cfg, params.dims.n_nodes)
             if span is not None:
                 matrix = metrics_mod.export_attention(report.last_attention, span)
-                _write_text(out / "attention_test.csv", _attention_csv(matrix))
+                _write_text(out / "attention_test.csv", _csv("", *matrix.T))
 
-    pooled = report.pooled_metrics
+    pooled = report.pooled.metrics
     print(
-        f"evaluated {len(report.windows)} windows: AUC {report.pooled_auc:.4f}, "
+        f"evaluated {len(report.windows)} windows: AUC {report.pooled.auc:.4f}, "
         f"accuracy {pooled.accuracy:.4f}, F1 {pooled.f1:.4f}; results in {out}"
     )
     return 0
@@ -423,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--mapping", help="mapping file (default: mapping.tsv next to the checkpoint)")
     ev.add_argument("--tau", dest="model.tau", help="classification threshold (default 0.5)")
-    ev.add_argument("--eval-sampling", dest="sampling.eval_kind", choices=("none", "simple", "advanced"),
+    ev.add_argument("--eval-sampling", dest="sampling.eval_kind", choices=("simple", "advanced"),
                     help="how to draw contrast negatives (default advanced)")
     ev.add_argument("--lenient", dest="strict_mapping", action="store_const", const="false",
                     help="drop events for unknown services instead of failing")

@@ -21,6 +21,7 @@ from typing import Any, Callable
 from .errors import ConfigError
 from .gat import DEFAULT_SNAPSHOT_EPOCHS
 from .ingest import TraceFormat
+from .sampling import BALANCED_THRESHOLD, DEFAULT_ALPHA, DEFAULT_RETRY_FACTOR, MODERATE_THRESHOLD
 from .synth import SynthConfig
 
 
@@ -37,11 +38,11 @@ class ModelSettings:
 @dataclass
 class SamplingSettings:
     kind: str = "auto"  # auto | none | simple | advanced
-    alpha: float = 0.1
-    retry_factor: int = 10
-    balanced_threshold: float = 0.8
-    moderate_threshold: float = 0.01
-    eval_kind: str = "advanced"  # negatives used to contrast test positives
+    alpha: float = DEFAULT_ALPHA
+    retry_factor: int = DEFAULT_RETRY_FACTOR
+    balanced_threshold: float = BALANCED_THRESHOLD
+    moderate_threshold: float = MODERATE_THRESHOLD
+    eval_kind: str = "advanced"  # simple | advanced: negatives that contrast test positives
 
 
 @dataclass
@@ -80,8 +81,8 @@ class RunConfig:
             raise ConfigError(f"learning rate must be finite and positive, got {self.model.lr}")
         if self.sampling.kind not in ("auto", "none", "simple", "advanced"):
             raise ConfigError(f"unknown sampling kind {self.sampling.kind!r}")
-        if self.sampling.eval_kind not in ("none", "simple", "advanced"):
-            raise ConfigError(f"unknown eval sampling kind {self.sampling.eval_kind!r}")
+        if self.sampling.eval_kind not in ("simple", "advanced"):
+            raise ConfigError(f"eval sampling kind must be simple or advanced, got {self.sampling.eval_kind!r}")
         if not (math.isfinite(self.sampling.alpha) and self.sampling.alpha >= 0):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.sampling.alpha}")
         if self.sampling.retry_factor < 1:

@@ -77,10 +77,6 @@ class LayerParams:
     weights: list[np.ndarray]  # each (fan_in, out_dim)
     att: list[np.ndarray]  # each (2 * out_dim,)
 
-    @property
-    def n_heads(self) -> int:
-        return len(self.weights)
-
 
 @dataclass
 class AttentionRecord:

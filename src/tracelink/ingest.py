@@ -297,7 +297,15 @@ def write_trace(events: EventTable, path: str | Path, header_comment: str | None
     """Write a clean table in the default format this module reads (round-trip).
 
     Rows go through csv, so a name holding the delimiter or a `"` is quoted.
+    A name the reader would not give back, one with whitespace at an edge
+    (stripped) or a line break (lines split there), is a DataError raised
+    before the file is opened.
     """
+    for column in (events.caller, events.callee):
+        for name in dict.fromkeys(column.tolist()):
+            if name != name.strip() or "\n" in name or "\r" in name:
+                row = int(np.flatnonzero(column == name)[0])
+                raise DataError(f"row {row}: service name {name!r} would not read back from a trace file")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:

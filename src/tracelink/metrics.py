@@ -4,7 +4,8 @@ behind the standard plots (PR and ROC curves, attention heatmaps).
 AUC uses the rank (Mann-Whitney) estimator with ties counted 1/2, which is
 exactly the probability that a random positive outscores a random negative.
 Curves are swept over the distinct observed scores, predicting positive at
-`score >= threshold`.
+`score >= threshold`.  One sort of a scored set gives that sweep, and AUC
+and both curves read from it; `summarize` gives every metric of one set.
 """
 from __future__ import annotations
 
@@ -53,26 +54,23 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
-def auc(scores, labels) -> float:
-    """Rank-based AUC over parallel score and label (1=linked) arrays; ties
-    between classes count half a win."""
-    scores, labels = _as_arrays(scores, labels)
+def _auc_pairs(labels: np.ndarray) -> int:
+    """n_pos * n_neg, the positive-negative comparisons AUC averages over."""
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUC needs both classes, got {n_pos} positives and {n_neg} negatives"
         )
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    # Average (mid) ranks across tie groups, 1-based.
-    boundaries = np.flatnonzero(np.diff(scores[order])) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(scores)]])
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    rank_sum = ranks[labels == 1].sum()
-    u_stat = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return float(u_stat / (n_pos * n_neg))
+    return n_pos * n_neg
+
+
+def auc(scores, labels) -> float:
+    """Rank-based AUC over parallel score and label (1=linked) arrays; ties
+    between classes count half a win."""
+    scores, labels = _as_arrays(scores, labels)
+    n_pairs = _auc_pairs(labels)
+    return _sweep_auc(_threshold_sweep(scores, labels), n_pairs)
 
 
 def confusion(scores, labels, tau: float = 0.5) -> Confusion:
@@ -110,31 +108,35 @@ def scalar_metrics(conf: Confusion) -> ScalarMetrics:
     return ScalarMetrics(accuracy, precision, recall, f1, tuple(flagged))
 
 
-def _threshold_sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Cumulative tp/fp at each distinct score threshold, descending.
-
-    Predictions are inclusive (score >= threshold).
-    """
+def _threshold_sweep(scores, labels) -> tuple:
+    """(thresholds, tp, fp, n_pos, n_neg): cumulative tp/fp at each distinct
+    score threshold, descending.  Predictions are inclusive (score >=
+    threshold); every label but 1 counts as negative."""
     scores, labels = _as_arrays(scores, labels)
     if len(scores) == 0:
         raise UndefinedMetricError("cannot sweep thresholds over zero pairs")
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
-    sorted_pos = (labels[order] == 1).astype(np.int64)
-    cum_tp = np.cumsum(sorted_pos)
-    cum_fp = np.cumsum(1 - sorted_pos)
+    cum_tp = np.cumsum(labels[order] == 1, dtype=np.int64)
     # Last index of each tie group = counts with every pair >= that score.
-    distinct_last = np.flatnonzero(np.diff(sorted_scores)) if len(scores) else np.empty(0, np.intp)
-    last_idx = np.concatenate([distinct_last, [len(scores) - 1]]).astype(np.intp)
-    thresholds = sorted_scores[last_idx]
-    return thresholds, cum_tp[last_idx], cum_fp[last_idx], int(sorted_pos.sum()), int(len(scores) - sorted_pos.sum())
+    # (`!=`, not a difference: inf - inf is nan, which would split a tie.)
+    last_idx = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), len(scores) - 1)
+    tp = cum_tp[last_idx]
+    n_pos = int(cum_tp[-1])
+    return sorted_scores[last_idx], tp, last_idx + 1 - tp, n_pos, len(scores) - n_pos
 
 
-def pr_points(scores, labels) -> Curve:
-    """(threshold, precision, recall) arrays at each distinct score
-    threshold, highest first, truncated at (and including) the first point
-    reaching full recall."""
-    thresholds, tp, fp, n_pos, _ = _threshold_sweep(scores, labels)
+def _sweep_auc(sweep: tuple, n_pairs: int) -> float:
+    """Mann-Whitney U over `n_pairs`: each positive beats the other pairs
+    scored strictly lower and ties with half of those scored the same.  2U is
+    an exact integer, so this is the mid-rank estimator bit for bit."""
+    _, tp, fp, _, n_neg = sweep
+    two_u = np.diff(tp, prepend=0) * (2 * (n_neg - fp) + np.diff(fp, prepend=0))
+    return int(two_u.sum()) / (2 * n_pairs)
+
+
+def _sweep_pr(sweep: tuple) -> Curve:
+    thresholds, tp, fp, n_pos, _ = sweep
     if n_pos == 0:
         raise UndefinedMetricError("PR curve needs at least one positive pair")
     end = int(np.argmax(tp == n_pos)) + 1
@@ -142,16 +144,27 @@ def pr_points(scores, labels) -> Curve:
     return thresholds[:end], tp / (tp + fp), tp / n_pos
 
 
-def roc_points(scores, labels) -> Curve:
-    """(threshold, fpr, tpr) arrays over the same sweep, anchored at
-    (inf, 0, 0); the lowest threshold predicts everything positive so the
-    series ends at (1, 1)."""
-    thresholds, tp, fp, n_pos, n_neg = _threshold_sweep(scores, labels)
+def _sweep_roc(sweep: tuple) -> Curve:
+    thresholds, tp, fp, n_pos, n_neg = sweep
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"ROC needs both classes, got {n_pos} positives and {n_neg} negatives"
         )
     return np.append(math.inf, thresholds), np.append(0.0, fp / n_neg), np.append(0.0, tp / n_pos)
+
+
+def pr_points(scores, labels) -> Curve:
+    """(threshold, precision, recall) arrays at each distinct score
+    threshold, highest first, truncated at (and including) the first point
+    reaching full recall."""
+    return _sweep_pr(_threshold_sweep(scores, labels))
+
+
+def roc_points(scores, labels) -> Curve:
+    """(threshold, fpr, tpr) arrays over the same sweep, anchored at
+    (inf, 0, 0); the lowest threshold predicts everything positive so the
+    series ends at (1, 1)."""
+    return _sweep_roc(_threshold_sweep(scores, labels))
 
 
 def roc_area(curve: Curve) -> float:
@@ -163,17 +176,33 @@ def roc_area(curve: Curve) -> float:
 # ---------------------------------------------------------------------------
 # windowed evaluation
 
-@dataclass
-class WindowReport:
-    """One test window's metrics plus every scored pair as parallel arrays:
-    its edge instances (label 1) followed by the sampled negatives (label 0)."""
+@dataclass(frozen=True, eq=False)
+class ScoredSet:
+    """Every metric of one set of scored pairs: a test window or the pool."""
 
-    window_index: int
     auc: float
     confusion: Confusion
     metrics: ScalarMetrics
     pr: Curve
     roc: Curve
+
+
+def summarize(scores, labels, tau: float = 0.5) -> ScoredSet:
+    """AUC, the confusion at `tau`, its threshold metrics, and the PR and
+    ROC curves of one scored set, all from a single threshold sweep."""
+    scores, labels = _as_arrays(scores, labels)
+    n_pairs = _auc_pairs(labels)
+    sweep = _threshold_sweep(scores, labels)
+    conf = confusion(scores, labels, tau)
+    return ScoredSet(_sweep_auc(sweep, n_pairs), conf, scalar_metrics(conf), _sweep_pr(sweep), _sweep_roc(sweep))
+
+
+@dataclass(frozen=True, eq=False)
+class WindowReport(ScoredSet):
+    """One test window's metrics plus every scored pair as parallel arrays:
+    its edge instances (label 1) followed by the sampled negatives (label 0)."""
+
+    window_index: int
     src: np.ndarray
     dst: np.ndarray
     scores: np.ndarray
@@ -186,11 +215,7 @@ class EvalReport:
     macro-averaged (mean of per-window values) aggregates."""
 
     windows: list[WindowReport]
-    pooled_auc: float
-    pooled_confusion: Confusion
-    pooled_metrics: ScalarMetrics
-    pooled_pr: Curve
-    pooled_roc: Curve
+    pooled: ScoredSet
     macro: dict[str, float]
     tau: float
     last_attention: AttentionRecord | None = None
@@ -208,9 +233,9 @@ def evaluate_windows(
 
     Per window: run the model on that window's own graph, score its edge
     instances as positives and an equal number of sampled non-edges as
-    negatives, then compute ranking and threshold metrics.  Window scores are
-    pooled for the aggregate numbers and also averaged per window (macro).
-    Non-finite scores raise EvalError.
+    negatives, then `summarize` them.  Window scores are pooled and
+    summarized again for the aggregate numbers, and also averaged per window
+    (macro).  Non-finite scores raise EvalError.
     """
     reports: list[WindowReport] = []
     last_attention: AttentionRecord | None = None
@@ -228,26 +253,19 @@ def evaluate_windows(
         if not np.isfinite(scores).all():
             raise EvalError(f"window {window.index} has non-finite scores; the model has diverged")
         labels = np.repeat([1, 0], [g.n_edges, len(neg)])
-        conf = confusion(scores, labels, tau)
         reports.append(WindowReport(
-            window.index, auc(scores, labels), conf, scalar_metrics(conf),
-            pr_points(scores, labels), roc_points(scores, labels), src, dst, scores, labels,
+            **vars(summarize(scores, labels, tau)),
+            window_index=window.index, src=src, dst=dst, scores=scores, labels=labels,
         ))
     if not reports:
         raise EvalError("every test window is empty; nothing to evaluate")
-    scores = np.concatenate([r.scores for r in reports])
-    labels = np.concatenate([r.labels for r in reports])
-    pooled_conf = confusion(scores, labels, tau)
     macro = {"auc": float(np.mean([r.auc for r in reports]))}
     for key in ("accuracy", "precision", "recall", "f1"):
         macro[key] = float(np.mean([getattr(r.metrics, key) for r in reports]))
     return EvalReport(
         windows=reports,
-        pooled_auc=auc(scores, labels),
-        pooled_confusion=pooled_conf,
-        pooled_metrics=scalar_metrics(pooled_conf),
-        pooled_pr=pr_points(scores, labels),
-        pooled_roc=roc_points(scores, labels),
+        pooled=summarize(np.concatenate([r.scores for r in reports]),
+                         np.concatenate([r.labels for r in reports]), tau),
         macro=macro,
         tau=tau,
         last_attention=last_attention,

@@ -56,10 +56,6 @@ class NegativeEdges:
 
     pairs: np.ndarray
 
-    @property
-    def n_pairs(self) -> int:
-        return int(self.pairs.shape[0])
-
 
 def analyze_sampling(
     n_pos: int,

@@ -9,6 +9,7 @@ import pytest
 from tracelink.cli import _run_config, build_parser, main
 from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
+from tracelink.metrics import auc, pr_points, roc_points
 
 TINY = [
     "--set", "synth.n_services", "30",
@@ -103,6 +104,39 @@ def test_train_is_deterministic(workdir, tmp_path):
     assert code == 0
     for name in ("checkpoint.bin", "loss_history.csv", "mapping.tsv"):
         assert (rerun / name).read_bytes() == (workdir / "run" / name).read_bytes(), name
+
+
+def _read_csv(path, *types):
+    """A CSV artefact's header and columns, parsed with `types`; every parsed
+    row must print back (as reprs) to the line it came from."""
+    header, *lines = path.read_text().splitlines()
+    rows = [[kind(text) for kind, text in zip(types, line.split(","))] for line in lines]
+    assert [",".join(map(repr, row)) for row in rows] == lines
+    return header, [list(column) for column in zip(*rows)]
+
+
+def test_evaluate_artefacts_agree_exactly(workdir, tmp_path):
+    out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--checkpoint", str(workdir / "run" / "checkpoint.bin"),
+        "--trace", str(workdir / "trace.csv"), "--out", str(out), *SPAN, "--seed", "5",
+    ]) == 0
+    doc = json.loads((out / "metrics.json").read_text())
+    pooled_scores, pooled_labels = [], []
+    for tag in sorted(doc["windows"]):
+        header, (_, _, scores, labels) = _read_csv(out / f"scored_window_{tag}.csv", int, int, float, int)
+        assert header == "src,dst,score,label"
+        assert doc["windows"][tag]["auc"] == auc(scores, labels)
+        for name, curve in (("pr", pr_points(scores, labels)), ("roc", roc_points(scores, labels))):
+            _, columns = _read_csv(out / f"{name}_window_{tag}.csv", float, float, float)
+            assert columns == [column.tolist() for column in curve], (name, tag)
+        pooled_scores += scores
+        pooled_labels += labels
+    assert doc["pooled"]["auc"] == auc(pooled_scores, pooled_labels)
+    for name, curve in (("pr", pr_points(pooled_scores, pooled_labels)),
+                        ("roc", roc_points(pooled_scores, pooled_labels))):
+        _, columns = _read_csv(out / f"{name}_pooled.csv", float, float, float)
+        assert columns == [column.tolist() for column in curve], name
 
 
 def test_evaluate_and_report(workdir, tmp_path, capsys):
@@ -349,7 +383,7 @@ FLAG_KEYS = [
     ("evaluate", ["--temporal"], "temporal", "true", "false", None),
     ("evaluate", ["--no-temporal"], "temporal", "false", "true", None),
     ("evaluate", ["--tau", "0.7"], "model.tau", "0.7", "0.3", "1.5"),
-    ("evaluate", ["--eval-sampling", "simple"], "sampling.eval_kind", "simple", "none", "auto"),
+    ("evaluate", ["--eval-sampling", "simple"], "sampling.eval_kind", "simple", "advanced", "auto"),
     ("evaluate", ["--alpha", "0.4"], "sampling.alpha", "0.4", "0.2", "-1"),
     ("evaluate", ["--lenient"], "strict_mapping", "false", "true", None),
 ]

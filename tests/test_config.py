@@ -187,6 +187,7 @@ def test_validate_rejects_bad_fields():
         ("model.lr", "-0.1"),
         ("sampling.kind", "fancy"),
         ("sampling.eval_kind", "auto"),  # eval must be concrete
+        ("sampling.eval_kind", "none"),  # AUC needs negatives
         ("sampling.alpha", "-1"),
         ("attention.hi", "0"),
         ("model.lr", "nan"),

@@ -192,6 +192,26 @@ def test_names_holding_the_delimiter_or_a_quote_round_trip(tmp_path):
     assert rows(parsed) == events
 
 
+@pytest.mark.parametrize("name, readable", [
+    (" a", False),  # edge whitespace is stripped
+    ("x\ny", False),  # would read back as "xy"
+    ("x\ry", False),  # the row would be lost
+    ('a,"b', True),  # quoted by csv
+])
+def test_write_trace_refuses_a_name_it_cannot_give_back(tmp_path, name, readable):
+    events = [("a", "b", 1), ("b", name, 2)]
+    path = tmp_path / "trace.csv"
+    if not readable:
+        with pytest.raises(DataError, match="row 1"):
+            write_trace(table(events), path)
+        assert not path.exists()
+        return
+    write_trace(table(events), path)
+    parsed, skipped = parse_trace_file(path)
+    assert skipped == 0
+    assert rows(parsed) == events
+
+
 def generated_trace_file(tmp_path, seed=0):
     path = tmp_path / "trace.csv"
     write_trace(generate_trace(SynthConfig(seed=seed)), path, header_comment=f"seed={seed}")

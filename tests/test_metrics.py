@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tracelink import metrics
 from tracelink.errors import EvalError, ExportError, UndefinedMetricError
 from tracelink.gat import AttentionRecord, init_params
 from tracelink.metrics import (
@@ -20,6 +21,7 @@ from tracelink.metrics import (
     roc_area,
     roc_points,
     scalar_metrics,
+    summarize,
 )
 from tracelink.preprocess import TimeWindow
 from tracelink.sampling import SamplingKind, SamplingStrategy
@@ -66,14 +68,18 @@ def test_auc_requires_both_classes():
 
 def test_auc_equals_brute_force_exactly():
     rng = np.random.default_rng(0)
-    for trial in range(200):
-        n_pos = int(rng.integers(1, 26))
-        n_neg = int(rng.integers(1, 26))
+    # 200 small sets, then a few of several hundred pairs
+    sizes = [(int(rng.integers(1, 26)), int(rng.integers(1, 26))) for _ in range(200)]
+    sizes += [(300, 300), (450, 120), (37, 600)]
+    for n_pos, n_neg in sizes:
         # coarse grid scores force plenty of ties
         pos = rng.integers(0, 8, size=n_pos) / 8.0
         neg = rng.integers(0, 8, size=n_neg) / 8.0
         pairs = pairs_of(pos, neg)
         assert auc(*pairs) == brute_force_auc(*pairs)
+    # scores tied at +-inf tie like any others
+    pairs = pairs_of([math.inf, -math.inf, 0.5], [math.inf, -math.inf])
+    assert auc(*pairs) == brute_force_auc(*pairs) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +218,42 @@ def test_roc_area_equals_auc(pos, neg):
 
 
 # ---------------------------------------------------------------------------
+# one summary per scored set
+
+def test_summarize_equals_the_public_functions_exactly():
+    rng = np.random.default_rng(1)
+    for n_pos, n_neg in [(1, 1), (3, 40), (25, 7), (300, 280)]:
+        pairs = pairs_of(rng.integers(0, 9, size=n_pos) / 8.0, rng.integers(0, 9, size=n_neg) / 8.0)
+        scored = summarize(*pairs, tau=0.5)
+        assert scored.auc == auc(*pairs)
+        assert scored.confusion == confusion(*pairs, tau=0.5)
+        assert scored.metrics == scalar_metrics(scored.confusion)
+        for got, want in ((scored.pr, pr_points(*pairs)), (scored.roc, roc_points(*pairs))):
+            assert [column.tolist() for column in got] == [column.tolist() for column in want]
+
+
+def test_summarize_needs_both_classes_like_auc():
+    for pairs in (pairs_of([0.9, 0.4], []), pairs_of([], [0.3]), pairs_of([], [])):
+        with pytest.raises(UndefinedMetricError, match="AUC needs both classes"):
+            summarize(*pairs)
+
+
+def test_evaluate_sweeps_each_scored_set_once(small_model, monkeypatch):
+    calls = []
+    real_sweep = metrics._threshold_sweep
+
+    def counting_sweep(scores, labels):
+        calls.append(len(scores))
+        return real_sweep(scores, labels)
+
+    monkeypatch.setattr(metrics, "_threshold_sweep", counting_sweep)
+    windows = [window_of([(0, 1), (1, 2)], 0), window_of([], 1), window_of([(3, 4)], 2)]
+    evaluate_windows(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE), seed=3)
+    # two non-empty windows, then the pool of both
+    assert calls == [4, 2, 6]
+
+
+# ---------------------------------------------------------------------------
 # windowed evaluation
 
 def window_of(pairs, index):
@@ -242,8 +284,8 @@ def test_evaluate_is_deterministic(small_model):
     strategy = SamplingStrategy(SamplingKind.ADVANCED)
     a = evaluate_windows(small_model, windows, strategy, seed=9)
     b = evaluate_windows(small_model, windows, strategy, seed=9)
-    assert a.pooled_auc == b.pooled_auc
-    assert a.pooled_confusion == b.pooled_confusion
+    assert a.pooled.auc == b.pooled.auc
+    assert a.pooled.confusion == b.pooled.confusion
     assert [w.scores.tolist() for w in a.windows] == [w.scores.tolist() for w in b.windows]
 
 
@@ -260,9 +302,9 @@ def test_evaluate_tau_changes_confusion_not_auc(small_model):
     strategy = SamplingStrategy(SamplingKind.SIMPLE)
     low = evaluate_windows(small_model, windows, strategy, tau=0.1, seed=2)
     high = evaluate_windows(small_model, windows, strategy, tau=0.9, seed=2)
-    assert low.pooled_auc == high.pooled_auc
+    assert low.pooled.auc == high.pooled.auc
     # with every score in (0.1, 0.9) the two thresholds flip all predictions
-    assert low.pooled_confusion != high.pooled_confusion
+    assert low.pooled.confusion != high.pooled.confusion
     assert (low.tau, high.tau) == (0.1, 0.9)
 
 

@@ -106,7 +106,7 @@ def test_simple_sampler_finds_the_only_missing_pair():
     rng = np.random.default_rng(0)
     out = simple_negative_sample(graph_of([(0, 1)], 2), 1, rng)
     assert out.pairs.tolist() == [[1, 0]]
-    assert out.n_pairs == 1
+    assert len(out.pairs) == 1
 
 
 def test_simple_sampler_raises_when_space_exhausted():
