@@ -322,24 +322,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # report
 
+#: The pooled metrics `report` tabulates, in column order.
+_REPORT_KEYS = ("auc", "accuracy", "precision", "recall", "f1")
+
+
+def _pooled_values(path: Path) -> list[float]:
+    """The `_REPORT_KEYS` of a metrics.json's pooled block; a file that is
+    not UTF-8 JSON or lacks one of them as a number is a DataError."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
+        raise DataError(f"{path} is not UTF-8 JSON: {exc}") from None
+    pooled = doc.get("pooled") if isinstance(doc, dict) else None
+    values = [pooled.get(key) for key in _REPORT_KEYS] if isinstance(pooled, dict) else [None]
+    if any(type(value) not in (int, float) for value in values):
+        raise DataError(f"{path} lacks a numeric pooled {', '.join(_REPORT_KEYS)}")
+    return values
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for run_dir in args.runs:
         path = Path(run_dir) / "metrics.json"
         if not path.exists():
             raise DataError(f"no metrics.json under {run_dir}")
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        pooled = doc["pooled"]
-        rows.append(
-            (
-                str(run_dir),
-                pooled["auc"],
-                pooled["accuracy"],
-                pooled["precision"],
-                pooled["recall"],
-                pooled["f1"],
-            )
-        )
+        rows.append((str(run_dir), *_pooled_values(path)))
     name_width = max(len("run"), *(len(r[0]) for r in rows))
     header = f"{'run':<{name_width}}  {'auc':>7}  {'acc':>7}  {'prec':>7}  {'recall':>7}  {'f1':>7}"
     print(header)

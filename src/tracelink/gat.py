@@ -48,7 +48,7 @@ from .autodiff import Tensor
 from .errors import CheckpointError, LossError, ModelError, TrainingError
 from .graph import WindowedGraph, build_graph
 from .preprocess import TimeWindow
-from .sampling import DEFAULT_RETRY_FACTOR, SamplingStrategy, draw_negatives, window_sources
+from .sampling import DEFAULT_RETRY_FACTOR, SamplingStrategy, draw_negatives
 from .seeding import derive_rng
 
 LEAKY_SLOPE = 0.2
@@ -61,6 +61,10 @@ CHECKPOINT_VERSION = 1
 GRAM_MIN_ROWS = 1024
 #: ...and where n_nodes**2 is at most this many times the rows.
 GRAM_NODES2_PER_ROW = 32
+#: Adam's moment decay rates and denominator guard (the textbook defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,6 @@ class LossEntry:
 class TrainArtifacts:
     loss_history: list[LossEntry]
     attention_snapshots: dict[int, AttentionRecord]
-    params: GatParams
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -149,26 +152,15 @@ def _message_rows(graph: WindowedGraph) -> tuple[np.ndarray, np.ndarray, np.ndar
     return graph.edge_src, graph.edge_dst, np.ones(graph.n_edges)
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """A window's per-step constants: the heads' rows (`_message_rows`), and
-    the attention record's edges, which are those rows then one self-loop per
-    node."""
-
-    src: np.ndarray
-    dst: np.ndarray
-    counts: np.ndarray
-    record_src: np.ndarray
-    record_dst: np.ndarray
+def _attention_record(rows: tuple[np.ndarray, ...], alphas: Sequence[np.ndarray], n: int) -> AttentionRecord:
+    """The heads' `alphas` over the `_message_rows` `rows`, then one
+    self-loop per node."""
+    src, dst, _ = rows
+    loops = np.arange(n, dtype=np.int64)
+    return AttentionRecord(np.concatenate([src, loops]), np.concatenate([dst, loops]), np.stack(alphas, axis=1), n)
 
 
-def _rows(graph: WindowedGraph) -> _Rows:
-    src, dst, counts = _message_rows(graph)
-    loops = np.arange(graph.n_nodes, dtype=np.int64)
-    return _Rows(src, dst, counts, np.concatenate([src, loops]), np.concatenate([dst, loops]))
-
-
-def _attention_head(wh: Tensor, att: Tensor, rows: _Rows, n: int) -> tuple[Tensor, np.ndarray]:
+def _attention_head(wh: Tensor, att: Tensor, rows: tuple[np.ndarray, ...], n: int) -> tuple[Tensor, np.ndarray]:
     """One attention head as a single tape node; returns (output, alpha),
     alpha in the record's order: rows, then self-loops.
 
@@ -181,7 +173,7 @@ def _attention_head(wh: Tensor, att: Tensor, rows: _Rows, n: int) -> tuple[Tenso
     `segment_sum`, and wh's gradient adds its message, destination-score and
     source-score terms in that order.
     """
-    src, dst, counts = rows.src, rows.dst, rows.counts
+    src, dst, counts = rows
     w, a = wh.data, att.data
     d = w.shape[1]
     a_dst, a_src = a[:d], a[d:]
@@ -219,10 +211,11 @@ def _param_arrays(params: GatParams) -> list[np.ndarray]:
     return [*params.layer1.weights, *params.layer1.att, *params.layer2.weights, *params.layer2.att]
 
 
-def _forward(leaves: list[Tensor], graph: WindowedGraph, rows: _Rows) -> tuple[Tensor, AttentionRecord]:
+def _forward(leaves: list[Tensor], graph: WindowedGraph) -> tuple[Tensor, AttentionRecord]:
     """Identity features -> layer 1 (concat heads) -> ELU -> layer 2, over
     the parameters wrapped as tensors in `_param_arrays` order."""
     n = graph.n_nodes
+    rows = _message_rows(graph)
     *layer1, w2, a2 = leaves
     heads = len(layer1) // 2
     # With identity input features, layer 1's transformed features are the
@@ -231,7 +224,7 @@ def _forward(leaves: list[Tensor], graph: WindowedGraph, rows: _Rows) -> tuple[T
     outs, alphas = zip(*[_attention_head(w, a, rows, n) for w, a in pairs])
     h1 = outs[0] if heads == 1 else ad.concat(outs)
     h2, _ = _attention_head(ad.matmul(ad.elu(h1, ELU_ALPHA), w2), a2, rows, n)
-    return h2, AttentionRecord(rows.record_src, rows.record_dst, np.stack(alphas, axis=1), n)
+    return h2, _attention_record(rows, alphas, n)
 
 
 def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
@@ -244,7 +237,7 @@ def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
 def model_forward(params: GatParams, graph: WindowedGraph) -> tuple[np.ndarray, AttentionRecord]:
     """Embeddings for every node, plus the layer-1 attention record."""
     _check_graph(params, graph)
-    emb, record = _forward([Tensor(a) for a in _param_arrays(params)], graph, _rows(graph))
+    emb, record = _forward([Tensor(a) for a in _param_arrays(params)], graph)
     return emb.data, record
 
 
@@ -256,7 +249,7 @@ def attention_coefficients(
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != n:
         raise ModelError(f"features must be ({n}, fan_in), got {features.shape}")
-    rows = _rows(graph)
+    rows = _message_rows(graph)
     alphas = []
     for w, a in zip(layer.weights, layer.att):
         if features.shape[1] != w.shape[0]:
@@ -264,7 +257,7 @@ def attention_coefficients(
                 f"feature dim {features.shape[1]} does not match weight fan-in {w.shape[0]}"
             )
         alphas.append(_attention_head(Tensor(features @ w), Tensor(a), rows, n)[1])
-    return AttentionRecord(rows.record_src, rows.record_dst, np.stack(alphas, axis=1), n)
+    return _attention_record(rows, alphas, n)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +362,10 @@ def compute_gradients(
     pos_edges: np.ndarray,
     neg_edges: np.ndarray,
     pos_counts: np.ndarray | None = None,
-    rows: _Rows | None = None,
 ) -> tuple[GatParams, float, AttentionRecord]:
     """Exact loss gradients for one training step.
 
     Positive row r stands for pos_counts[r] identical pairs (default 1).
-    `rows` are the graph's `_rows`, passed by a caller that keeps them
-    across steps.
     Returns (grads, loss, record) where grads mirrors the GatParams array
     structure and record is the forward pass's layer-1 attention.
     Parameters that cannot influence any scored pair get exact zeros.
@@ -387,7 +377,7 @@ def compute_gradients(
         raise LossError("cannot take a step with no positive and no negative pairs")
     counts = np.ones(len(pos_edges)) if pos_counts is None else np.asarray(pos_counts, dtype=np.float64)
     leaves = [Tensor(a, requires_grad=True) for a in _param_arrays(params)]
-    emb, record = _forward(leaves, graph, _rows(graph) if rows is None else rows)
+    emb, record = _forward(leaves, graph)
     loss = _link_loss(emb, pos_edges, counts, neg_edges)
     loss.backward()
     flat = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in leaves]
@@ -408,9 +398,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam_state(params: GatParams) -> AdamState:
@@ -422,7 +409,7 @@ def optimizer_step(params: GatParams, grads: GatParams, state: AdamState, lr: fl
     """One Adam update, in place, with the standard bias correction."""
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     for arr, g, m, v in zip(_param_arrays(params), _param_arrays(grads), state.m, state.v):
         # arr -= lr * m_hat / (sqrt(v_hat) + eps) after the moment updates,
         # operation for operation, through two scratch arrays.
@@ -466,9 +453,8 @@ def train(
         if not window.n_events:
             continue
         g = build_graph(window, params.dims.n_nodes)
-        rows = _rows(g)
-        pos = np.stack([rows.src, rows.dst], axis=1)
-        prepared.append((window.index, g, rows, pos, window_sources(sampling, g)))
+        src, dst, counts = _message_rows(g)
+        prepared.append((window.index, g, np.stack([src, dst], axis=1), counts))
     if not prepared:
         raise TrainingError("every training window is empty; nothing to learn from")
 
@@ -477,17 +463,17 @@ def train(
     history: list[LossEntry] = []
     snapshots: dict[int, AttentionRecord] = {}
     for epoch in range(epochs):
-        for window_index, g, rows, pos, sources in prepared:
+        for window_index, g, pos, counts in prepared:
             rng = derive_rng(seed, "train-sampling", epoch, window_index)
-            neg = draw_negatives(sampling, g, rng, retry_factor, sources)
-            grads, loss, record = compute_gradients(params, g, pos, neg, rows.counts, rows)
+            neg = draw_negatives(sampling, g, rng, retry_factor)
+            grads, loss, record = compute_gradients(params, g, pos, neg, counts)
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}, window {window_index}")
             optimizer_step(params, grads, state, lr)
             history.append(LossEntry(epoch, window_index, loss))
         if epoch in snapshots_at:
             snapshots[epoch] = record
-    return TrainArtifacts(history, snapshots, params)
+    return TrainArtifacts(history, snapshots)
 
 
 # ---------------------------------------------------------------------------

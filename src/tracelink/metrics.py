@@ -111,10 +111,13 @@ def scalar_metrics(conf: Confusion) -> ScalarMetrics:
 def _threshold_sweep(scores, labels) -> tuple:
     """(thresholds, tp, fp, n_pos, n_neg): cumulative tp/fp at each distinct
     score threshold, descending.  Predictions are inclusive (score >=
-    threshold); every label but 1 counts as negative."""
+    threshold); every label but 1 counts as negative.  A NaN score has no
+    place in the order and raises; +-inf ties like any other score."""
     scores, labels = _as_arrays(scores, labels)
     if len(scores) == 0:
         raise UndefinedMetricError("cannot sweep thresholds over zero pairs")
+    if np.isnan(scores).any():
+        raise UndefinedMetricError("cannot rank a NaN score")
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
     cum_tp = np.cumsum(labels[order] == 1, dtype=np.int64)

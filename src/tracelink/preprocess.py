@@ -171,19 +171,21 @@ def serialize_mapping(mapping: NodeMapping) -> bytes:
 
 def load_mapping(path: str | Path) -> NodeMapping:
     mapping = NodeMapping()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                id_text, name = line.split("\t", 1)
-                node_id = int(id_text)
-            except ValueError as exc:
-                raise DataError(f"bad mapping line {line_no + 1}: {line!r}") from exc
-            if node_id != mapping.n_nodes:
-                raise DataError(f"mapping ids must be dense and ascending, got {node_id} at line {line_no + 1}")
-            mapping.add(name)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"mapping file {path} is not UTF-8 text: {exc.reason}") from None
+    for line_no, line in enumerate(text.split("\n")):
+        if not line:
+            continue
+        try:
+            id_text, name = line.split("\t", 1)
+            node_id = int(id_text)
+        except ValueError as exc:
+            raise DataError(f"bad mapping line {line_no + 1}: {line!r}") from exc
+        if node_id != mapping.n_nodes:
+            raise DataError(f"mapping ids must be dense and ascending, got {node_id} at line {line_no + 1}")
+        mapping.add(name)
     return mapping
 
 

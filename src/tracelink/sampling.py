@@ -135,30 +135,18 @@ def simple_negative_sample(graph: WindowedGraph, k: int, rng: np.random.Generato
     return NegativeEdges(out)
 
 
-def source_cdf(graph: WindowedGraph, alpha: float) -> np.ndarray:
-    """Cumulative `degree_source_distribution` of the graph's total degrees,
-    its last entry pinned to 1: the table advanced sampling draws sources
-    from."""
-    cum = np.cumsum(degree_source_distribution(degree_counts(graph), alpha))
-    cum[-1] = 1.0
-    return cum
-
-
 def advanced_negative_sample(
     graph: WindowedGraph,
     alpha: float = DEFAULT_ALPHA,
     rng: np.random.Generator | None = None,
     retry_factor: int = DEFAULT_RETRY_FACTOR,
-    cdf: np.ndarray | None = None,
 ) -> NegativeEdges:
     """One negative per edge instance of `graph`, degree-weighted sources.
 
     Sources follow degree**alpha over the graph's total degrees, destinations
     are uniform; a candidate is rejected when the pair exists, its reverse
     exists, or it is a self-loop.  Each negative gets at most
-    retry_factor * n_nodes attempts before an infeasibility error.  `cdf` is
-    the graph's `source_cdf` for `alpha`, passed by a caller that keeps it
-    across draws; it is computed here when None.
+    retry_factor * n_nodes attempts before an infeasibility error.
     """
     if rng is None:
         raise ConfigError("advanced sampling needs an explicit random generator")
@@ -166,7 +154,8 @@ def advanced_negative_sample(
     k = graph.n_edges
     if k == 0:
         return NegativeEdges(np.empty((0, 2), dtype=np.int64))
-    cum = source_cdf(graph, alpha) if cdf is None else cdf
+    cum = np.cumsum(degree_source_distribution(degree_counts(graph), alpha))
+    cum[-1] = 1.0
 
     out = np.empty((k, 2), dtype=np.int64)
     filled = 0
@@ -190,27 +179,15 @@ def advanced_negative_sample(
     return NegativeEdges(out)
 
 
-def window_sources(strategy: SamplingStrategy, graph: WindowedGraph) -> np.ndarray | None:
-    """What `draw_negatives` reads of `graph` beyond its pairs: the advanced
-    sampler's `source_cdf` (None for the other kinds and for an empty graph).
-    It depends on the window alone, so a caller drawing from one window many
-    times computes it once."""
-    if strategy.kind is SamplingKind.ADVANCED and graph.n_edges:
-        return source_cdf(graph, strategy.alpha)
-    return None
-
-
 def draw_negatives(
     strategy: SamplingStrategy,
     graph: WindowedGraph,
     rng: np.random.Generator,
     retry_factor: int = DEFAULT_RETRY_FACTOR,
-    sources: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dispatch on the strategy; returns a (k, 2) array (k=0 for 'none').
-    `sources` is the graph's `window_sources`, computed here when None."""
+    """Dispatch on the strategy; returns a (k, 2) array (k=0 for 'none')."""
     if strategy.kind is SamplingKind.NONE:
         return np.empty((0, 2), dtype=np.int64)
     if strategy.kind is SamplingKind.SIMPLE:
         return simple_negative_sample(graph, graph.n_edges, rng).pairs
-    return advanced_negative_sample(graph, strategy.alpha, rng, retry_factor, sources).pairs
+    return advanced_negative_sample(graph, strategy.alpha, rng, retry_factor).pairs

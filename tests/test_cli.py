@@ -344,6 +344,27 @@ def test_report_missing_metrics_exits_2(tmp_path):
     assert main(["report", str(tmp_path / "void")]) == 2
 
 
+@pytest.mark.parametrize("case", ["metrics_not_utf8", "metrics_not_json", "metrics_f1_not_a_number", "mapping_not_utf8"])
+def test_unreadable_read_back_file_exits_2_naming_it(case, workdir, tmp_path, capsys):
+    bad = {
+        "metrics_not_utf8": b"\xff\xfe{}",
+        "metrics_not_json": b"{\"pooled\": ",
+        "metrics_f1_not_a_number": json.dumps({"pooled": {"auc": 0.5, "accuracy": 0.5, "precision": 0.5,
+                                                "recall": 0.5, "f1": "high"}}).encode(),
+        "mapping_not_utf8": b"0\tsvc-\xff\n",
+    }[case]
+    if case.startswith("metrics"):
+        path = tmp_path / "metrics.json"
+        args = ["report", str(tmp_path)]
+    else:
+        path = tmp_path / "mapping.tsv"
+        args = ["evaluate", "--checkpoint", str(workdir / "run" / "checkpoint.bin"), "--mapping", str(path),
+                "--trace", str(workdir / "trace.csv"), "--out", str(tmp_path / "o"), *SPAN]
+    path.write_bytes(bad)
+    assert main(args) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # every value-setting flag is one config key
 

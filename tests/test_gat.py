@@ -849,7 +849,7 @@ def test_adam_matches_the_textbook_update_bitwise():
 def test_adam_state_defaults():
     state = init_adam_state(init_params(2, 2, 1, np.random.default_rng(0)))
     assert isinstance(state, AdamState)
-    assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+    assert (gat.ADAM_BETA1, gat.ADAM_BETA2, gat.ADAM_EPS) == (0.9, 0.999, 1e-8)
     assert state.step == 0
 
 

@@ -238,6 +238,14 @@ def test_summarize_needs_both_classes_like_auc():
             summarize(*pairs)
 
 
+@pytest.mark.parametrize("score_fn", [auc, pr_points, roc_points, summarize], ids=lambda f: f.__name__)
+def test_nan_scores_are_refused(score_fn):
+    for pairs in (pairs_of([math.nan], [0.5]), pairs_of([0.5], [0.2, math.nan])):
+        with pytest.raises(UndefinedMetricError, match="NaN"):
+            score_fn(*pairs)
+    score_fn(*pairs_of([math.inf, -math.inf], [math.inf, -math.inf]))  # ties at +-inf stay legal
+
+
 def test_evaluate_sweeps_each_scored_set_once(small_model, monkeypatch):
     calls = []
     real_sweep = metrics._threshold_sweep

@@ -15,7 +15,6 @@ from tracelink.sampling import (
     degree_source_distribution,
     draw_negatives,
     simple_negative_sample,
-    window_sources,
 )
 
 
@@ -289,22 +288,11 @@ def test_array_samplers_draw_what_the_set_based_ones_did(seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_window_sources_passed_in_draw_what_computing_them_draws(seed):
+def test_repeated_draws_from_one_window_depend_only_on_their_generator(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 25))
     g = graph_of(rng.integers(0, n, size=(int(rng.integers(1, 2 * n)), 2)), n)
     strategy = SamplingStrategy(SamplingKind.ADVANCED, float(rng.uniform(0, 1)))
-    sources = window_sources(strategy, g)
-    for draw in range(3):  # one table serves every draw from the window
-        want = draw_negatives(strategy, g, np.random.default_rng([seed, draw]))
-        got = draw_negatives(strategy, g, np.random.default_rng([seed, draw]), sources=sources)
-        assert np.array_equal(got, want)
-
-
-def test_window_sources_only_for_advanced_sampling_of_a_non_empty_window():
-    g = graph_of([(0, 1), (1, 2)], 4)
-    assert window_sources(SamplingStrategy(SamplingKind.NONE), g) is None
-    assert window_sources(SamplingStrategy(SamplingKind.SIMPLE), g) is None
-    assert window_sources(SamplingStrategy(SamplingKind.ADVANCED, 1.0), graph_of([], 4)) is None
-    cdf = window_sources(SamplingStrategy(SamplingKind.ADVANCED, 1.0), g)  # degrees 1, 2, 1, 0
-    np.testing.assert_array_equal(cdf, [0.25, 0.75, 1.0, 1.0])
+    first = [draw_negatives(strategy, g, np.random.default_rng([seed, draw])) for draw in range(3)]
+    for draw in reversed(range(3)):  # training draws from each window once an epoch
+        assert np.array_equal(draw_negatives(strategy, g, np.random.default_rng([seed, draw])), first[draw])
