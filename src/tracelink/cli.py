@@ -10,7 +10,8 @@ Four subcommands cover the pipeline end to end:
 Every run is fully determined by its master --seed: per-stage generators are
 derived from it, and identical invocations produce byte-identical outputs.
 Exit codes: 0 success, 1 usage/config problem, 2 bad input data, 3 numeric
-or training failure.
+or training failure, or an array too large to allocate (reported as one
+`error: out of memory: ...` line, not a traceback).
 """
 from __future__ import annotations
 
@@ -94,13 +95,7 @@ def _write_text(path: Path, text: str) -> None:
 def _strategy(cfg: RunConfig, kind: str, mean_pos: int = 0, n_nodes: int = 0) -> SamplingStrategy:
     """The regime `kind` names; "auto" picks one from the positive ratio."""
     if kind == "auto":
-        return analyze_sampling(
-            mean_pos,
-            n_nodes,
-            balanced_threshold=cfg.sampling.balanced_threshold,
-            moderate_threshold=cfg.sampling.moderate_threshold,
-            alpha=cfg.sampling.alpha,
-        )
+        return analyze_sampling(mean_pos, n_nodes, alpha=cfg.sampling.alpha)
     return SamplingStrategy(SamplingKind(kind), cfg.sampling.alpha if kind == "advanced" else None)
 
 
@@ -194,7 +189,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             lr=cfg.model.lr,
             seed=cfg.seed,
             snapshot_epochs=cfg.model.snapshot_epochs,
-            retry_factor=cfg.sampling.retry_factor,
         )
 
     out = Path(cfg.out_dir)
@@ -273,14 +267,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     strategy = _strategy(cfg, cfg.sampling.eval_kind)
     with _stage("evaluate"):
-        report = metrics_mod.evaluate_windows(
-            params,
-            test_w,
-            strategy,
-            tau=cfg.model.tau,
-            seed=cfg.seed,
-            retry_factor=cfg.sampling.retry_factor,
-        )
+        report = metrics_mod.evaluate_windows(params, test_w, strategy, tau=cfg.model.tau, seed=cfg.seed)
 
     out = Path(cfg.out_dir)
     with _stage("write"):
@@ -305,11 +292,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for r in report.windows:
             _write_text(out / f"scored_window_{r.window_index:04d}.csv",
                         _csv("src,dst,score,label", r.src, r.dst, r.scores, r.labels))
-        if report.last_attention is not None:
-            span = _attention_range(cfg, params.dims.n_nodes)
-            if span is not None:
-                matrix = metrics_mod.export_attention(report.last_attention, span)
-                _write_text(out / "attention_test.csv", _csv("", *matrix.T))
+        span = _attention_range(cfg, params.dims.n_nodes)
+        if span is not None:
+            matrix = metrics_mod.export_attention(report.last_attention, span)
+            _write_text(out / "attention_test.csv", _csv("", *matrix.T))
 
     pooled = report.pooled.metrics
     print(
@@ -432,6 +418,9 @@ def main(argv=None) -> int:
         return 2
     except TracelinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -21,7 +21,7 @@ from typing import Any, Callable
 from .errors import ConfigError
 from .gat import DEFAULT_SNAPSHOT_EPOCHS
 from .ingest import TraceFormat
-from .sampling import BALANCED_THRESHOLD, DEFAULT_ALPHA, DEFAULT_RETRY_FACTOR, MODERATE_THRESHOLD
+from .sampling import DEFAULT_ALPHA
 from .synth import SynthConfig
 
 
@@ -39,9 +39,6 @@ class ModelSettings:
 class SamplingSettings:
     kind: str = "auto"  # auto | none | simple | advanced
     alpha: float = DEFAULT_ALPHA
-    retry_factor: int = DEFAULT_RETRY_FACTOR
-    balanced_threshold: float = BALANCED_THRESHOLD
-    moderate_threshold: float = MODERATE_THRESHOLD
     eval_kind: str = "advanced"  # simple | advanced: negatives that contrast test positives
 
 
@@ -85,11 +82,6 @@ class RunConfig:
             raise ConfigError(f"eval sampling kind must be simple or advanced, got {self.sampling.eval_kind!r}")
         if not (math.isfinite(self.sampling.alpha) and self.sampling.alpha >= 0):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.sampling.alpha}")
-        if self.sampling.retry_factor < 1:
-            raise ConfigError(f"retry_factor must be at least 1, got {self.sampling.retry_factor}")
-        thresholds = (self.sampling.balanced_threshold, self.sampling.moderate_threshold)
-        if not all(map(math.isfinite, thresholds)):
-            raise ConfigError(f"sampling thresholds must be finite, got {thresholds}")
         self.trace_format.validate()
         if self.attention_lo < 0 or self.attention_hi <= self.attention_lo:
             raise ConfigError(
@@ -139,9 +131,6 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], Any]]] = {
     "model.snapshot_epochs": ("model", "snapshot_epochs", _parse_int_tuple),
     "sampling.kind": ("sampling", "kind", str),
     "sampling.alpha": ("sampling", "alpha", float),
-    "sampling.retry_factor": ("sampling", "retry_factor", int),
-    "sampling.balanced_threshold": ("sampling", "balanced_threshold", float),
-    "sampling.moderate_threshold": ("sampling", "moderate_threshold", float),
     "sampling.eval_kind": ("sampling", "eval_kind", str),
     "synth.n_services": ("synth", "n_services", int),
     "synth.duration": ("synth", "duration", int),

@@ -48,7 +48,7 @@ from .autodiff import Tensor
 from .errors import CheckpointError, LossError, ModelError, TrainingError
 from .graph import WindowedGraph, build_graph
 from .preprocess import TimeWindow
-from .sampling import DEFAULT_RETRY_FACTOR, SamplingStrategy, draw_negatives
+from .sampling import SamplingStrategy, draw_negatives
 from .seeding import derive_rng
 
 LEAKY_SLOPE = 0.2
@@ -435,7 +435,6 @@ def train(
     lr: float = 0.01,
     seed: int = 0,
     snapshot_epochs: Iterable[int] = DEFAULT_SNAPSHOT_EPOCHS,
-    retry_factor: int = DEFAULT_RETRY_FACTOR,
 ) -> TrainArtifacts:
     """Epochs over the non-empty train windows, one Adam step per window.
 
@@ -465,7 +464,7 @@ def train(
     for epoch in range(epochs):
         for window_index, g, pos, counts in prepared:
             rng = derive_rng(seed, "train-sampling", epoch, window_index)
-            neg = draw_negatives(sampling, g, rng, retry_factor)
+            neg = draw_negatives(sampling, g, rng)
             grads, loss, record = compute_gradients(params, g, pos, neg, counts)
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}, window {window_index}")

@@ -19,7 +19,7 @@ from .errors import EvalError, ExportError, UndefinedMetricError
 from .gat import AttentionRecord, GatParams, link_probability, model_forward
 from .graph import build_graph
 from .preprocess import TimeWindow
-from .sampling import DEFAULT_RETRY_FACTOR, SamplingStrategy, draw_negatives
+from .sampling import SamplingStrategy, draw_negatives
 from .seeding import derive_rng
 
 
@@ -215,13 +215,13 @@ class WindowReport(ScoredSet):
 @dataclass
 class EvalReport:
     """Per-window results plus pooled (all scored pairs together) and
-    macro-averaged (mean of per-window values) aggregates."""
+    macro-averaged (mean of per-window values) aggregates, and the attention
+    record of the last scored window."""
 
     windows: list[WindowReport]
     pooled: ScoredSet
     macro: dict[str, float]
-    tau: float
-    last_attention: AttentionRecord | None = None
+    last_attention: AttentionRecord
 
 
 def evaluate_windows(
@@ -230,7 +230,6 @@ def evaluate_windows(
     sampling: SamplingStrategy,
     tau: float = 0.5,
     seed: int = 0,
-    retry_factor: int = DEFAULT_RETRY_FACTOR,
 ) -> EvalReport:
     """Score every non-empty test window.
 
@@ -241,15 +240,13 @@ def evaluate_windows(
     (macro).  Non-finite scores raise EvalError.
     """
     reports: list[WindowReport] = []
-    last_attention: AttentionRecord | None = None
     for window in test_windows:
         if not window.n_events:
             continue
         g = build_graph(window, params.dims.n_nodes)
-        emb, attention = model_forward(params, g)
-        last_attention = attention
+        emb, last_attention = model_forward(params, g)
         rng = derive_rng(seed, "eval-sampling", window.index)
-        neg = draw_negatives(sampling, g, rng, retry_factor)
+        neg = draw_negatives(sampling, g, rng)
         src = np.concatenate([g.edge_src, neg[:, 0]])
         dst = np.concatenate([g.edge_dst, neg[:, 1]])
         scores = link_probability(emb, src, dst)
@@ -270,7 +267,6 @@ def evaluate_windows(
         pooled=summarize(np.concatenate([r.scores for r in reports]),
                          np.concatenate([r.labels for r in reports]), tau),
         macro=macro,
-        tau=tau,
         last_attention=last_attention,
     )
 

@@ -183,6 +183,10 @@ def load_mapping(path: str | Path) -> NodeMapping:
             node_id = int(id_text)
         except ValueError as exc:
             raise DataError(f"bad mapping line {line_no + 1}: {line!r}") from exc
+        if name in mapping.forward:
+            raise DataError(
+                f"mapping line {line_no + 1} repeats service {name!r}, which already has id {mapping.forward[name]}"
+            )
         if node_id != mapping.n_nodes:
             raise DataError(f"mapping ids must be dense and ascending, got {node_id} at line {line_no + 1}")
         mapping.add(name)

@@ -21,9 +21,11 @@ from .errors import ConfigError, SamplingError
 from .graph import WindowedGraph, degree_counts
 
 DEFAULT_ALPHA = 0.1
-DEFAULT_RETRY_FACTOR = 10
+#: The advanced sampler gives each negative at most RETRY_FACTOR * n_nodes attempts.
+RETRY_FACTOR = 10
 #: n_pos/n_neg at or above this counts as balanced: no sampling needed.
 BALANCED_THRESHOLD = 0.8
+#: n_pos/n_neg at or above this (and below BALANCED_THRESHOLD) gets uniform sampling.
 MODERATE_THRESHOLD = 0.01
 
 
@@ -57,29 +59,22 @@ class NegativeEdges:
     pairs: np.ndarray
 
 
-def analyze_sampling(
-    n_pos: int,
-    n_nodes: int,
-    *,
-    balanced_threshold: float = BALANCED_THRESHOLD,
-    moderate_threshold: float = MODERATE_THRESHOLD,
-    alpha: float = DEFAULT_ALPHA,
-) -> SamplingStrategy:
+def analyze_sampling(n_pos: int, n_nodes: int, *, alpha: float = DEFAULT_ALPHA) -> SamplingStrategy:
     """Pick a sampling regime from the positive/implicit-negative ratio.
 
     The implicit negative count is n_nodes*(n_nodes-1) - n_pos (every ordered
-    non-self pair that is not a positive).  Ratios >= balanced_threshold need
-    no sampling; ratios >= moderate_threshold get uniform sampling; rarer
-    positives than that get the degree-weighted sampler.
+    non-self pair that is not a positive).  Ratios >= BALANCED_THRESHOLD need
+    no sampling; ratios >= MODERATE_THRESHOLD get uniform sampling; rarer
+    positives than that get the degree-weighted sampler with `alpha`.
     """
     if n_nodes < 2:
         raise ConfigError(f"need at least 2 nodes to sample pairs, got {n_nodes}")
     if n_pos < 0:
         raise ConfigError(f"positive count cannot be negative, got {n_pos}")
     implicit_neg = n_nodes * (n_nodes - 1) - n_pos
-    if implicit_neg <= 0 or n_pos / implicit_neg >= balanced_threshold:
+    if implicit_neg <= 0 or n_pos / implicit_neg >= BALANCED_THRESHOLD:
         return SamplingStrategy(SamplingKind.NONE)
-    if n_pos / implicit_neg >= moderate_threshold:
+    if n_pos / implicit_neg >= MODERATE_THRESHOLD:
         return SamplingStrategy(SamplingKind.SIMPLE)
     return SamplingStrategy(SamplingKind.ADVANCED, alpha)
 
@@ -139,14 +134,13 @@ def advanced_negative_sample(
     graph: WindowedGraph,
     alpha: float = DEFAULT_ALPHA,
     rng: np.random.Generator | None = None,
-    retry_factor: int = DEFAULT_RETRY_FACTOR,
 ) -> NegativeEdges:
     """One negative per edge instance of `graph`, degree-weighted sources.
 
     Sources follow degree**alpha over the graph's total degrees, destinations
     are uniform; a candidate is rejected when the pair exists, its reverse
     exists, or it is a self-loop.  Each negative gets at most
-    retry_factor * n_nodes attempts before an infeasibility error.
+    RETRY_FACTOR * n_nodes attempts before an infeasibility error.
     """
     if rng is None:
         raise ConfigError("advanced sampling needs an explicit random generator")
@@ -159,7 +153,7 @@ def advanced_negative_sample(
 
     out = np.empty((k, 2), dtype=np.int64)
     filled = 0
-    for _ in range(retry_factor * n):
+    for _ in range(RETRY_FACTOR * n):
         need = k - filled
         if need == 0:
             break
@@ -174,20 +168,15 @@ def advanced_negative_sample(
     if filled < k:
         raise SamplingError(
             f"could not place {k - filled} of {k} negatives within "
-            f"{retry_factor * n} attempts each; the non-edge space is too tight"
+            f"{RETRY_FACTOR * n} attempts each; the non-edge space is too tight"
         )
     return NegativeEdges(out)
 
 
-def draw_negatives(
-    strategy: SamplingStrategy,
-    graph: WindowedGraph,
-    rng: np.random.Generator,
-    retry_factor: int = DEFAULT_RETRY_FACTOR,
-) -> np.ndarray:
+def draw_negatives(strategy: SamplingStrategy, graph: WindowedGraph, rng: np.random.Generator) -> np.ndarray:
     """Dispatch on the strategy; returns a (k, 2) array (k=0 for 'none')."""
     if strategy.kind is SamplingKind.NONE:
         return np.empty((0, 2), dtype=np.int64)
     if strategy.kind is SamplingKind.SIMPLE:
         return simple_negative_sample(graph, graph.n_edges, rng).pairs
-    return advanced_negative_sample(graph, strategy.alpha, rng, retry_factor).pairs
+    return advanced_negative_sample(graph, strategy.alpha, rng).pairs

@@ -285,6 +285,18 @@ def test_diverging_train_exits_3_without_a_checkpoint(workdir, tmp_path, capsys)
     assert not (run / "checkpoint.bin").exists()
 
 
+def test_impossible_array_size_exits_3_without_a_traceback(workdir, tmp_path, capsys):
+    # with at least 2 services the first weight matrix needs over 2**57
+    # bytes, so no allocation can even start
+    run = tmp_path / "run"
+    code = main(["train", "--trace", str(workdir / "trace.csv"), "--out", str(run), *SPAN,
+                 "--hidden", str(10**16), "--epochs", "1", "--seed", "5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and len(err.splitlines()) == 1
+    assert not (run / "checkpoint.bin").exists()
+
+
 def test_non_finite_scores_exit_3(workdir, tmp_path, capsys):
     run = workdir / "run"
     params, digest = load_checkpoint(run / "checkpoint.bin")

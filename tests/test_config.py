@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -164,9 +165,22 @@ def test_bad_quoted_value_is_a_config_error(tmp_path):
 def test_dump_is_sorted_and_complete():
     lines = dump_config(RunConfig()).splitlines()
     keys = [line.split("=", 1)[0] for line in lines]
-    assert keys == sorted(keys)
+    assert keys == sorted(CONFIG_KEYS)
+    assert len(keys) == 32
     assert "model.hidden" in keys and "sampling.alpha" in keys
     assert "synth.seed" not in keys
+
+
+@pytest.mark.parametrize("key", ["sampling.retry_factor", "sampling.balanced_threshold", "sampling.moderate_threshold"])
+def test_fixed_sampler_settings_are_unknown_keys(key, tmp_path):
+    # the attempt cap and the `auto` cut-offs are sampling.py constants; a
+    # config file that still names one is refused like any unknown key
+    with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
+        apply_key(RunConfig(), key, "1")
+    path = tmp_path / "old.cfg"
+    path.write_text(f"sampling.alpha=0.2\n{key}=1\n")
+    with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
+        load_config_file(RunConfig(), path)
 
 
 def test_validate_rejects_misaligned_split():
@@ -194,9 +208,6 @@ def test_validate_rejects_bad_fields():
         ("model.lr", "inf"),
         ("sampling.alpha", "nan"),
         ("sampling.alpha", "inf"),
-        ("sampling.balanced_threshold", "nan"),
-        ("sampling.moderate_threshold", "-inf"),
-        ("sampling.retry_factor", "0"),
         ("trace_format.delimiter", ""),
         ("trace_format.delimiter", "ab"),
     ]

@@ -61,6 +61,15 @@ def test_load_mapping_rejects_gaps(tmp_path):
         load_mapping(path)
 
 
+@pytest.mark.parametrize("text, line", [("0\ta\n1\tb\n2\ta\n", 3), ("0\ta\n1\ta\n2\tb\n", 2)],
+                         ids=["apart", "adjacent"])
+def test_load_mapping_rejects_a_repeated_name(tmp_path, text, line):
+    path = tmp_path / "dup.tsv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"line {line} repeats service 'a', which already has id 0"):
+        load_mapping(path)
+
+
 def test_serialize_is_sorted_by_id():
     mapping = build_node_mapping(ev(("b", "a", 0)))
     assert serialize_mapping(mapping) == b"0\tb\n1\ta\n"

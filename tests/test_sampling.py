@@ -200,8 +200,7 @@ def test_advanced_sampler_gives_up_on_saturated_graph():
     pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
     g = graph_of(pairs, 3)
     with pytest.raises(SamplingError):
-        advanced_negative_sample(g, rng=np.random.default_rng(0),
-                                 retry_factor=2)
+        advanced_negative_sample(g, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
