@@ -27,6 +27,17 @@ with the chain rule written out by hand, as are the head concat, the ELU
 and layer 2's matmul.  The tests check these nodes bit for bit against the
 same model composed one array operation at a time.
 
+A head's softmax, message and backward work runs over the active nodes
+only: those that send or receive some row (`_active_nodes`, listed once
+per forward pass).  A window of a large fleet touches few of them.  Every
+other node has its self-loop alone and gets that result exactly, for
+finite scores: alpha_loop = 1.0, output row w + 0.0, score gradient
+g - g = +0.0, so its g_dst and g_src entries are +0.0 and its gradient row
+is g + 0.0.  The BLAS products w @ a and w.T @ g_dst, w.T @ g_src keep
+their full length, so they sum in the same order as a dense head's.  Adam
+walks each array in blocks of ADAM_BLOCK elements, each element through the
+same operations, so the large arrays of a wide model stay in cache.
+
 The loss reads its pair scores per row, or, for a step that scores many
 rows for its node count (heavy call traffic), from the Gram matrix h h^T;
 `_link_loss` gives the rule.  The two agree up to rounding, and the rule
@@ -65,6 +76,9 @@ GRAM_NODES2_PER_ROW = 32
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+#: `optimizer_step` updates each array in blocks of this many elements, so a
+#: block and its scratch stay in cache across the seven passes.
+ADAM_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -160,47 +174,79 @@ def _attention_record(rows: tuple[np.ndarray, ...], alphas: Sequence[np.ndarray]
     return AttentionRecord(np.concatenate([src, loops]), np.concatenate([dst, loops]), np.stack(alphas, axis=1), n)
 
 
-def _attention_head(wh: Tensor, att: Tensor, rows: tuple[np.ndarray, ...], n: int) -> tuple[Tensor, np.ndarray]:
+def _active_nodes(rows: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nodes, src_local, dst_local): the ascending ids of the nodes that are
+    the source or destination of some row, and each row's endpoints as
+    positions in that list."""
+    src, dst, _ = rows
+    touched = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n) > 0
+    nodes = np.flatnonzero(touched)
+    local = np.cumsum(touched) - 1
+    return nodes, local[src], local[dst]
+
+
+def _attention_head(
+    wh: Tensor, att: Tensor, rows: tuple[np.ndarray, ...], active: tuple[np.ndarray, ...]
+) -> tuple[Tensor, np.ndarray]:
     """One attention head as a single tape node; returns (output, alpha),
     alpha in the record's order: rows, then self-loops.
 
     Output row i is the alpha-weighted sum of wh[j] over the rows j -> i and
     i's self-loop, each weighing count * exp(score) in the softmax.  The
-    self-loops are one dense term per node, added after the rows' segment
-    sums: `segment_sum` adds in input order from zero, so this is the same
+    self-loops are one per-node term, added after the rows' segment sums:
+    `segment_sum` adds in input order from zero, so this is the same
     sequence of additions as a loop row placed after every message row.
     The backward is the chain rule written out by hand: scatters go through
     `segment_sum`, and wh's gradient adds its message, destination-score and
     source-score terms in that order.
+
+    The softmax, message and backward work runs over the `active` nodes
+    only (`_active_nodes`), so a head's cost follows the rows, not n.  Every
+    other node has its self-loop alone, and gets that result exactly, for
+    finite scores: its loop score is its segment max, so alpha_loop is
+    exp(0) / (0 + 1) = 1.0 and its output row is w + 0.0.  Backward, its
+    score gradient is g_alpha_loop - g_alpha_loop = +0.0, so its entries of
+    g_dst and g_src are +0.0 and its gradient row is g + 0.0.  The BLAS
+    products w @ a_dst, w @ a_src, w.T @ g_dst and w.T @ g_src keep their
+    full length, zeros included, so they sum in the same order whatever the
+    active set.
     """
     src, dst, counts = rows
+    nodes, src_l, dst_l = active
+    m = len(nodes)
     w, a = wh.data, att.data
     d = w.shape[1]
     a_dst, a_src = a[:d], a[d:]
     s_dst, s_src = w @ a_dst, w @ a_src
-    z, z_loop = s_dst[dst] + s_src[src], s_dst + s_src
+    w_act = w[nodes]
+    z, z_loop = s_dst[dst] + s_src[src], s_dst[nodes] + s_src[nodes]
     leak, leak_loop = np.where(z > 0, 1.0, LEAKY_SLOPE), np.where(z_loop > 0, 1.0, LEAKY_SLOPE)
     scores, scores_loop = z * leak, z_loop * leak_loop
-    top = np.maximum(ad.segment_max(scores, dst, n), scores_loop)
-    shifted, shifted_loop = np.exp(scores - top[dst]), np.exp(scores_loop - top)
+    top = np.maximum(ad.segment_max(scores, dst_l, m), scores_loop)
+    shifted, shifted_loop = np.exp(scores - top[dst_l]), np.exp(scores_loop - top)
     weights = counts * shifted
-    denom_loop = ad.segment_sum(weights, dst, n) + shifted_loop
-    denom = denom_loop[dst]
-    alpha, alpha_loop = weights / denom, shifted_loop / denom_loop
+    denom_loop = ad.segment_sum(weights, dst_l, m) + shifted_loop
+    denom = denom_loop[dst_l]
+    alpha, alpha_act = weights / denom, shifted_loop / denom_loop
+    alpha_loop = np.ones(len(w))
+    alpha_loop[nodes] = alpha_act
     w_src = w[src]
-    out = ad.segment_sum(w_src * alpha[:, None], dst, n) + w * alpha_loop[:, None]
+    out = w + 0.0
+    out[nodes] = ad.segment_sum(w_src * alpha[:, None], dst_l, m) + w_act * alpha_act[:, None]
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g_msg = g[dst]
-        g_alpha, g_alpha_loop = (g_msg * w_src).sum(axis=1), (g * w).sum(axis=1)
-        g_w = ad.segment_sum(g_msg * alpha[:, None], src, n) + g * alpha_loop[:, None]
-        back = ad.segment_sum(-g_alpha * alpha / denom, dst, n) + -g_alpha_loop * alpha_loop / denom_loop
-        g_z = (g_alpha / denom + back[dst]) * counts * shifted * leak
+        g_msg, g_act = g[dst], g[nodes]
+        g_alpha, g_alpha_loop = (g_msg * w_src).sum(axis=1), (g_act * w_act).sum(axis=1)
+        g_w_act = ad.segment_sum(g_msg * alpha[:, None], src_l, m) + g_act * alpha_act[:, None]
+        back = ad.segment_sum(-g_alpha * alpha / denom, dst_l, m) + -g_alpha_loop * alpha_act / denom_loop
+        g_z = (g_alpha / denom + back[dst_l]) * counts * shifted * leak
         g_z_loop = (g_alpha_loop / denom_loop + back) * shifted_loop * leak_loop
-        g_dst = ad.segment_sum(g_z, dst, n) + g_z_loop
-        g_src = ad.segment_sum(g_z, src, n) + g_z_loop
-        g_w += g_dst[:, None] * a_dst
-        g_w += g_src[:, None] * a_src
+        g_dst_act = ad.segment_sum(g_z, dst_l, m) + g_z_loop
+        g_src_act = ad.segment_sum(g_z, src_l, m) + g_z_loop
+        g_w_act += g_dst_act[:, None] * a_dst
+        g_w_act += g_src_act[:, None] * a_src
+        g_w, g_dst, g_src = g + 0.0, np.zeros(len(w)), np.zeros(len(w))
+        g_w[nodes], g_dst[nodes], g_src[nodes] = g_w_act, g_dst_act, g_src_act
         return g_w, np.concatenate([w.T @ g_dst, w.T @ g_src])
 
     return ad.fused(out, (wh, att), backward), np.concatenate([alpha, alpha_loop])
@@ -216,14 +262,15 @@ def _forward(leaves: list[Tensor], graph: WindowedGraph) -> tuple[Tensor, Attent
     the parameters wrapped as tensors in `_param_arrays` order."""
     n = graph.n_nodes
     rows = _message_rows(graph)
+    active = _active_nodes(rows, n)
     *layer1, w2, a2 = leaves
     heads = len(layer1) // 2
     # With identity input features, layer 1's transformed features are the
     # weight matrices themselves: row j of W is W @ x_j for one-hot x_j.
     pairs = zip(layer1[:heads], layer1[heads:])
-    outs, alphas = zip(*[_attention_head(w, a, rows, n) for w, a in pairs])
+    outs, alphas = zip(*[_attention_head(w, a, rows, active) for w, a in pairs])
     h1 = outs[0] if heads == 1 else ad.concat(outs)
-    h2, _ = _attention_head(ad.matmul(ad.elu(h1, ELU_ALPHA), w2), a2, rows, n)
+    h2, _ = _attention_head(ad.matmul(ad.elu(h1, ELU_ALPHA), w2), a2, rows, active)
     return h2, _attention_record(rows, alphas, n)
 
 
@@ -250,13 +297,14 @@ def attention_coefficients(
     if features.ndim != 2 or features.shape[0] != n:
         raise ModelError(f"features must be ({n}, fan_in), got {features.shape}")
     rows = _message_rows(graph)
+    active = _active_nodes(rows, n)
     alphas = []
     for w, a in zip(layer.weights, layer.att):
         if features.shape[1] != w.shape[0]:
             raise ModelError(
                 f"feature dim {features.shape[1]} does not match weight fan-in {w.shape[0]}"
             )
-        alphas.append(_attention_head(Tensor(features @ w), Tensor(a), rows, n)[1])
+        alphas.append(_attention_head(Tensor(features @ w), Tensor(a), rows, active)[1])
     return _attention_record(rows, alphas, n)
 
 
@@ -406,21 +454,28 @@ def init_adam_state(params: GatParams) -> AdamState:
 
 
 def optimizer_step(params: GatParams, grads: GatParams, state: AdamState, lr: float = 0.01) -> None:
-    """One Adam update, in place, with the standard bias correction."""
+    """One Adam update, in place, with the standard bias correction, over
+    each array in blocks of whole rows: at most ADAM_BLOCK elements, at
+    least one row."""
     state.step += 1
     t = state.step
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    fix1, fix2 = 1.0 - b1**t, 1.0 - b2**t
     for arr, g, m, v in zip(_param_arrays(params), _param_arrays(grads), state.m, state.v):
-        # arr -= lr * m_hat / (sqrt(v_hat) + eps) after the moment updates,
-        # operation for operation, through two scratch arrays.
-        step, denom = np.empty_like(arr), np.empty_like(arr)
-        np.multiply(m, b1, out=m)
-        np.add(m, np.multiply(g, 1.0 - b1, out=step), out=m)
-        np.multiply(v, b2, out=v)
-        np.add(v, np.multiply(np.square(g, out=step), 1.0 - b2, out=step), out=v)
-        np.multiply(np.divide(m, 1.0 - b1**t, out=step), lr, out=step)
-        np.add(np.sqrt(np.divide(v, 1.0 - b2**t, out=denom), out=denom), eps, out=denom)
-        arr -= np.divide(step, denom, out=step)
+        rows = max(1, ADAM_BLOCK // math.prod(arr.shape[1:]))
+        step, denom = np.empty_like(arr[:rows]), np.empty_like(arr[:rows])
+        for lo in range(0, len(arr), rows):
+            # arr -= lr * m_hat / (sqrt(v_hat) + eps) after the moment
+            # updates, operation for operation, through two scratch blocks.
+            p, gb, mb, vb = arr[lo:lo + rows], g[lo:lo + rows], m[lo:lo + rows], v[lo:lo + rows]
+            sb, db = step[:len(p)], denom[:len(p)]
+            np.multiply(mb, b1, out=mb)
+            np.add(mb, np.multiply(gb, 1.0 - b1, out=sb), out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.add(vb, np.multiply(np.square(gb, out=sb), 1.0 - b2, out=sb), out=vb)
+            np.multiply(np.divide(mb, fix1, out=sb), lr, out=sb)
+            np.add(np.sqrt(np.divide(vb, fix2, out=db), out=db), eps, out=db)
+            p -= np.divide(sb, db, out=sb)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tracelink
 from tracelink.cli import _run_config, build_parser, main
 from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
@@ -187,6 +191,30 @@ def test_evaluate_is_deterministic(workdir, tmp_path):
         outs.append(out)
     for name in ("metrics.json", "pr_pooled.csv", "roc_pooled.csv", "attention_test.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+#: train, then evaluate, in one fresh interpreter: argv[1] is the trace,
+#: argv[2] the output root.  numpy.ma costs 13-18 ms to import, and a plain
+#: `np.unique` call is enough to pull it in (numpy's hash path).
+NO_MASKED_ARRAYS_SCRIPT = """
+import sys
+from tracelink.cli import main
+trace, root = sys.argv[1:]
+span = ["--window-size", "100", "--t-train", "700", "--t-max", "1000", "--seed", "5"]
+assert main(["train", "--trace", trace, "--out", root + "/run", "--hidden", "8", "--epochs", "1", *span]) == 0
+assert main(["evaluate", "--checkpoint", root + "/run/checkpoint.bin", "--trace", trace,
+             "--out", root + "/eval", *span]) == 0
+assert "numpy.ma" not in sys.modules, "train or evaluate imported numpy.ma"
+"""
+
+
+def test_train_and_evaluate_never_import_numpy_ma(workdir, tmp_path):
+    src = str(Path(tracelink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS_SCRIPT, str(workdir / "trace.csv"), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "eval" / "metrics.json").exists()
 
 
 def test_evaluate_tau_override(workdir, tmp_path):

@@ -20,6 +20,7 @@ from tracelink import gat
 from tracelink.autodiff import Tensor
 from tracelink.errors import CheckpointError, LossError, ModelError, TracelinkError, TrainingError
 from tracelink.gat import (
+    _active_nodes,
     _link_loss,
     _message_rows,
     _scores_through_gram,
@@ -583,12 +584,15 @@ def flat_grads(grads):
 
 
 #: Graphs the random cases may miss: no message rows at all (every head runs
-#: on self-loops alone), and self-calls u -> u beside the added self-loops,
-#: one row per call and merged.
+#: on self-loops alone), self-calls u -> u beside the added self-loops, one
+#: row per call and merged, and a graph of 8 nodes where node 0 only sends,
+#: node 7 only receives and nodes 1-4 and 6 have no rows (the heads' active
+#: set is 0, 5 and 7).
 EDGE_CASE_PAIRS = {
     "no-rows": [],
     "self-calls": [(0, 0), (1, 2), (2, 2), (0, 0), (3, 1)],
     "merged-self-calls": [(0, 0)] * 7 + [(1, 1)] * 2 + [(2, 0)],
+    "idle-nodes": [(0, 5), (5, 7), (0, 7), (0, 5)],
 }
 
 
@@ -596,8 +600,9 @@ def training_case(case):
     if case not in EDGE_CASE_PAIRS:
         return random_training_case(case)
     rng = np.random.default_rng(99)
-    n = 4
-    g = graph_of(EDGE_CASE_PAIRS[case], n)
+    pairs = EDGE_CASE_PAIRS[case]
+    n = max([4, *(1 + max(pair) for pair in pairs)])
+    g = graph_of(pairs, n)
     params = init_params(n, 3, 2, rng)
     return g, params, g.n_edges > 0, rng.integers(0, n, size=(5, 2))
 
@@ -607,6 +612,8 @@ def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
     g, params, with_pos, neg = training_case(seed)
     if seed == "merged-self-calls":
         assert len(_message_rows(g)[0]) == len(g.pair_codes) < g.n_edges
+    if seed == "idle-nodes":
+        assert np.array_equal(_active_nodes(_message_rows(g), g.n_nodes)[0], [0, 5, 7])
     edges, pos, counts = model_case(g, with_pos)
     grads, loss, _ = compute_gradients(params, g, pos, neg, counts)
     ref_loss, ref_grads, _ = composed_gradients(params, g.n_nodes, edges, pos, counts, neg)
@@ -818,32 +825,37 @@ def test_adam_ten_steps_bit_identical():
 
 def test_adam_matches_the_textbook_update_bitwise():
     rng = np.random.default_rng(19)
-    params = init_params(4, 3, 2, rng)
-    state = init_adam_state(params)
-    arrays = [a.copy() for a in flat_grads(params)]  # the same flat layout for params
-    m = [np.zeros_like(a) for a in arrays]
-    v = [np.zeros_like(a) for a in arrays]
-    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
-    # zero, negative and mixed gradients, then zero again with moments left
-    for t, kind in enumerate(("zero", "negative", "mixed", "mixed", "zero"), start=1):
-        grads = grads_like(params, 0.0)
-        for g in flat_grads(grads):
-            if kind == "negative":
-                g[...] = -np.abs(rng.normal(size=g.shape))
-            elif kind == "mixed":
-                g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-9, 3, size=g.shape)
-        optimizer_step(params, grads, state, lr=lr)
-        for k, g in enumerate(flat_grads(grads)):
-            m[k] = b1 * m[k] + (1.0 - b1) * g
-            v[k] = b2 * v[k] + (1.0 - b2) * g**2
-            m_hat = m[k] / (1.0 - b1**t)
-            v_hat = v[k] / (1.0 - b2**t)
-            arrays[k] = arrays[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-        for want, have, m_want, m_have, v_want, v_have in zip(arrays, flat_grads(params), m, state.m, v, state.v):
-            assert np.array_equal(have, want)
-            assert np.array_equal(m_have, m_want)
-            assert np.array_equal(v_have, v_want)
-    assert state.step == 5
+    # a tiny model, and one whose (n, 8) weights span two full ADAM_BLOCK
+    # blocks and a short last block of 3 rows
+    big = 2 * gat.ADAM_BLOCK // 8 + 3
+    assert big * 8 > gat.ADAM_BLOCK and (big * 8) % gat.ADAM_BLOCK
+    for n, hidden in ((4, 3), (big, 8)):
+        params = init_params(n, hidden, 2, rng)
+        state = init_adam_state(params)
+        arrays = [a.copy() for a in flat_grads(params)]  # the same flat layout for params
+        m = [np.zeros_like(a) for a in arrays]
+        v = [np.zeros_like(a) for a in arrays]
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        # zero, negative and mixed gradients, then zero again with moments left
+        for t, kind in enumerate(("zero", "negative", "mixed", "mixed", "zero"), start=1):
+            grads = grads_like(params, 0.0)
+            for g in flat_grads(grads):
+                if kind == "negative":
+                    g[...] = -np.abs(rng.normal(size=g.shape))
+                elif kind == "mixed":
+                    g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-9, 3, size=g.shape)
+            optimizer_step(params, grads, state, lr=lr)
+            for k, g in enumerate(flat_grads(grads)):
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g**2
+                m_hat = m[k] / (1.0 - b1**t)
+                v_hat = v[k] / (1.0 - b2**t)
+                arrays[k] = arrays[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for want, have, m_want, m_have, v_want, v_have in zip(arrays, flat_grads(params), m, state.m, v, state.v):
+                assert np.array_equal(have, want)
+                assert np.array_equal(m_have, m_want)
+                assert np.array_equal(v_have, v_want)
+        assert state.step == 5
 
 
 def test_adam_state_defaults():
