@@ -99,10 +99,12 @@ def _strategy(cfg: RunConfig, kind: str, mean_pos: int = 0, n_nodes: int = 0) ->
     return SamplingStrategy(SamplingKind(kind), cfg.sampling.alpha if kind == "advanced" else None)
 
 
-def _attention_range(cfg: RunConfig, n_nodes: int) -> tuple[int, int] | None:
-    lo = cfg.attention_lo
-    hi = min(cfg.attention_hi, n_nodes)
-    return (lo, hi) if lo < hi else None
+def _attention_range(cfg: RunConfig, n_nodes: int) -> tuple[int, int]:
+    """The attention export's node span, cut to the model's nodes; a span
+    that starts at or past the last node is a ConfigError."""
+    if cfg.attention_lo >= n_nodes:
+        raise ConfigError(f"attention.lo={cfg.attention_lo} lies past the model's {n_nodes} nodes")
+    return cfg.attention_lo, min(cfg.attention_hi, n_nodes)
 
 
 def _csv(header: str, *columns) -> str:
@@ -173,6 +175,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     n_nodes = mapping.n_nodes
     if n_nodes < 2:
         raise DataError(f"trace has {n_nodes} distinct services; need at least 2")
+    span = _attention_range(cfg, n_nodes)
 
     nonempty = [w for w in train_w if w.n_events]
     with _stage("sampling"):
@@ -198,11 +201,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         gat.save_checkpoint(params, out / "checkpoint.bin", mapping_sha256=digest)
         columns = zip(*((e.epoch, e.window_index, e.loss) for e in artifacts.loss_history))
         _write_text(out / "loss_history.csv", _csv("epoch,window,loss", *columns))
-        span = _attention_range(cfg, n_nodes)
-        if span is not None:
-            for epoch, record in sorted(artifacts.attention_snapshots.items()):
-                matrix = metrics_mod.export_attention(record, span)
-                _write_text(out / f"attention_epoch_{epoch:04d}.csv", _csv("", *matrix.T))
+        for epoch, record in sorted(artifacts.attention_snapshots.items()):
+            matrix = metrics_mod.export_attention(record, span)
+            _write_text(out / f"attention_epoch_{epoch:04d}.csv", _csv("", *matrix.T))
         _write_text(out / "run_config.txt", dump_config(cfg))
         meta = {
             "n_nodes": n_nodes,
@@ -245,6 +246,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     checkpoint_path = Path(args.checkpoint)
     with _stage("checkpoint"):
         params, stored_digest = gat.load_checkpoint(checkpoint_path)
+    span = _attention_range(cfg, params.dims.n_nodes)
     mapping_path = Path(args.mapping) if args.mapping else checkpoint_path.parent / "mapping.tsv"
     with _stage("mapping"):
         if not mapping_path.exists():
@@ -292,10 +294,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for r in report.windows:
             _write_text(out / f"scored_window_{r.window_index:04d}.csv",
                         _csv("src,dst,score,label", r.src, r.dst, r.scores, r.labels))
-        span = _attention_range(cfg, params.dims.n_nodes)
-        if span is not None:
-            matrix = metrics_mod.export_attention(report.last_attention, span)
-            _write_text(out / "attention_test.csv", _csv("", *matrix.T))
+        matrix = metrics_mod.export_attention(report.last_attention, span)
+        _write_text(out / "attention_test.csv", _csv("", *matrix.T))
 
     pooled = report.pooled.metrics
     print(

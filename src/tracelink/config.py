@@ -76,6 +76,8 @@ class RunConfig:
             raise ConfigError("hidden, heads, and epochs must all be positive")
         if not (math.isfinite(self.model.lr) and self.model.lr > 0):
             raise ConfigError(f"learning rate must be finite and positive, got {self.model.lr}")
+        if any(epoch < 0 for epoch in self.model.snapshot_epochs):
+            raise ConfigError(f"snapshot epochs must be >= 0, got {self.model.snapshot_epochs}")
         if self.sampling.kind not in ("auto", "none", "simple", "advanced"):
             raise ConfigError(f"unknown sampling kind {self.sampling.kind!r}")
         if self.sampling.eval_kind not in ("simple", "advanced"):

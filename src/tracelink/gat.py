@@ -27,14 +27,10 @@ with the chain rule written out by hand, as are the head concat, the ELU
 and layer 2's matmul.  The tests check these nodes bit for bit against the
 same model composed one array operation at a time.
 
-A head's softmax, message and backward work runs over the active nodes
-only: those that send or receive some row (`_active_nodes`, listed once
-per forward pass).  A window of a large fleet touches few of them.  Every
-other node has its self-loop alone and gets that result exactly, for
-finite scores: alpha_loop = 1.0, output row w + 0.0, score gradient
-g - g = +0.0, so its g_dst and g_src entries are +0.0 and its gradient row
-is g + 0.0.  The BLAS products w @ a and w.T @ g_dst, w.T @ g_src keep
-their full length, so they sum in the same order as a dense head's.  Adam
+A head runs one softmax over one row set (`_head_rows`): the message rows,
+then a self-loop row per active node, one that sends or receives some row.
+A window of a large fleet touches few of them.  Every other node has its
+self-loop alone and gets that result exactly (`_attention_head`).  Adam
 walks each array in blocks of ADAM_BLOCK elements, each element through the
 same operations, so the large arrays of a wide model stay in cache.
 
@@ -157,99 +153,97 @@ def init_params(n_nodes: int, hidden: int, heads: int, rng: np.random.Generator)
 
 def _message_rows(graph: WindowedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(src, dst, count) rows for attention and the positive loss terms: the
-    distinct pairs with their call counts when that at least halves a head's
-    rows (self-loops included), else one row per call.  Both are one model up
-    to rounding, but long training amplifies rounding, so where merging saves
-    little the per-call arithmetic is kept exactly."""
+    distinct pairs with their call counts when 2 * pairs + n <= calls, that
+    is when merging at least halves a head's rows with all n self-loops
+    counted, else one row per call.  Both are one model up to rounding, but
+    long training amplifies rounding, so where merging saves little the
+    per-call arithmetic is kept exactly.  The rule counts all n loops, not
+    the active nodes' loops a head runs; the latter would merge 38 of the 70
+    seed-0 `--services 2000` training windows and change their bits."""
     if 2 * len(graph.pair_codes) + graph.n_nodes <= graph.n_edges:
         return graph.pair_src, graph.pair_dst, graph.pair_count
     return graph.edge_src, graph.edge_dst, np.ones(graph.n_edges)
 
 
-def _attention_record(rows: tuple[np.ndarray, ...], alphas: Sequence[np.ndarray], n: int) -> AttentionRecord:
-    """The heads' `alphas` over the `_message_rows` `rows`, then one
-    self-loop per node."""
+def _attention_record(
+    rows: tuple[np.ndarray, ...], nodes: np.ndarray, alphas: Sequence[np.ndarray], n: int
+) -> AttentionRecord:
+    """The heads' `alphas` over their `_head_rows`, laid out as the
+    `_message_rows` `rows`, then one self-loop per node: 1.0 for a node
+    outside the active `nodes`, whose loop is its only entry."""
     src, dst, _ = rows
-    loops = np.arange(n, dtype=np.int64)
-    return AttentionRecord(np.concatenate([src, loops]), np.concatenate([dst, loops]), np.stack(alphas, axis=1), n)
+    r, loops = len(src), np.arange(n, dtype=np.int64)
+    stacked, coeffs = np.stack(alphas, axis=1), np.ones((r + n, len(alphas)))
+    coeffs[:r], coeffs[r + nodes] = stacked[:r], stacked[r:]
+    return AttentionRecord(np.concatenate([src, loops]), np.concatenate([dst, loops]), coeffs, n)
 
 
-def _active_nodes(rows: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nodes, src_local, dst_local): the ascending ids of the nodes that are
-    the source or destination of some row, and each row's endpoints as
-    positions in that list."""
-    src, dst, _ = rows
+def _head_rows(rows: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
+    """(nodes, src, dst, counts): the ascending ids of the active nodes,
+    those that send or receive some `_message_rows` row, and the heads' one
+    row set over them: the message rows, then a self-loop row of count 1.0
+    per active node in `nodes` order, each endpoint given as its position
+    in `nodes`."""
+    src, dst, counts = rows
     touched = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n) > 0
     nodes = np.flatnonzero(touched)
-    local = np.cumsum(touched) - 1
-    return nodes, local[src], local[dst]
+    local, loops = np.cumsum(touched) - 1, np.arange(len(nodes))
+    return (
+        nodes, np.concatenate([local[src], loops]), np.concatenate([local[dst], loops]),
+        np.concatenate([counts, np.ones(len(nodes))]),
+    )
 
 
-def _attention_head(
-    wh: Tensor, att: Tensor, rows: tuple[np.ndarray, ...], active: tuple[np.ndarray, ...]
-) -> tuple[Tensor, np.ndarray]:
-    """One attention head as a single tape node; returns (output, alpha),
-    alpha in the record's order: rows, then self-loops.
+def _attention_head(wh: Tensor, att: Tensor, head_rows: tuple[np.ndarray, ...]) -> tuple[Tensor, np.ndarray]:
+    """One attention head as a single tape node over the `_head_rows` row
+    set; returns (output, alpha), alpha per row.
 
-    Output row i is the alpha-weighted sum of wh[j] over the rows j -> i and
-    i's self-loop, each weighing count * exp(score) in the softmax.  The
-    self-loops are one per-node term, added after the rows' segment sums:
-    `segment_sum` adds in input order from zero, so this is the same
-    sequence of additions as a loop row placed after every message row.
-    The backward is the chain rule written out by hand: scatters go through
-    `segment_sum`, and wh's gradient adds its message, destination-score and
-    source-score terms in that order.
+    Output row i is the alpha-weighted sum of wh[j] over the rows j -> i,
+    i's self-loop row last, each weighing count * exp(score) in the
+    softmax.  The backward is the chain rule written out by hand: scatters
+    go through `segment_sum`, and wh's gradient adds its message,
+    destination-score and source-score terms in that order.
 
-    The softmax, message and backward work runs over the `active` nodes
-    only (`_active_nodes`), so a head's cost follows the rows, not n.  Every
-    other node has its self-loop alone, and gets that result exactly, for
-    finite scores: its loop score is its segment max, so alpha_loop is
-    exp(0) / (0 + 1) = 1.0 and its output row is w + 0.0.  Backward, its
-    score gradient is g_alpha_loop - g_alpha_loop = +0.0, so its entries of
-    g_dst and g_src are +0.0 and its gradient row is g + 0.0.  The BLAS
+    The rows span the active nodes only, so a head's cost follows the rows,
+    not n.  Every other node has its self-loop alone, and gets that result
+    exactly, for finite scores: alpha exp(0) / (0 + 1) = 1.0, output row
+    w + 0.0, score gradient +0.0 and gradient row g + 0.0.  The BLAS
     products w @ a_dst, w @ a_src, w.T @ g_dst and w.T @ g_src keep their
     full length, zeros included, so they sum in the same order whatever the
     active set.
     """
-    src, dst, counts = rows
-    nodes, src_l, dst_l = active
+    nodes, src, dst, counts = head_rows
     m = len(nodes)
     w, a = wh.data, att.data
     d = w.shape[1]
     a_dst, a_src = a[:d], a[d:]
     s_dst, s_src = w @ a_dst, w @ a_src
-    w_act = w[nodes]
-    z, z_loop = s_dst[dst] + s_src[src], s_dst[nodes] + s_src[nodes]
-    leak, leak_loop = np.where(z > 0, 1.0, LEAKY_SLOPE), np.where(z_loop > 0, 1.0, LEAKY_SLOPE)
-    scores, scores_loop = z * leak, z_loop * leak_loop
-    top = np.maximum(ad.segment_max(scores, dst_l, m), scores_loop)
-    shifted, shifted_loop = np.exp(scores - top[dst_l]), np.exp(scores_loop - top)
+    src_ids, dst_ids = nodes[src], nodes[dst]
+    w_src = w[src_ids]
+    z = s_dst[dst_ids] + s_src[src_ids]
+    leak = np.where(z > 0, 1.0, LEAKY_SLOPE)
+    scores = z * leak
+    shifted = np.exp(scores - ad.segment_max(scores, dst, m)[dst])
     weights = counts * shifted
-    denom_loop = ad.segment_sum(weights, dst_l, m) + shifted_loop
-    denom = denom_loop[dst_l]
-    alpha, alpha_act = weights / denom, shifted_loop / denom_loop
-    alpha_loop = np.ones(len(w))
-    alpha_loop[nodes] = alpha_act
-    w_src = w[src]
+    denom = ad.segment_sum(weights, dst, m)[dst]
+    alpha = weights / denom
     out = w + 0.0
-    out[nodes] = ad.segment_sum(w_src * alpha[:, None], dst_l, m) + w_act * alpha_act[:, None]
+    out[nodes] = ad.segment_sum(w_src * alpha[:, None], dst, m)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g_msg, g_act = g[dst], g[nodes]
-        g_alpha, g_alpha_loop = (g_msg * w_src).sum(axis=1), (g_act * w_act).sum(axis=1)
-        g_w_act = ad.segment_sum(g_msg * alpha[:, None], src_l, m) + g_act * alpha_act[:, None]
-        back = ad.segment_sum(-g_alpha * alpha / denom, dst_l, m) + -g_alpha_loop * alpha_act / denom_loop
-        g_z = (g_alpha / denom + back[dst_l]) * counts * shifted * leak
-        g_z_loop = (g_alpha_loop / denom_loop + back) * shifted_loop * leak_loop
-        g_dst_act = ad.segment_sum(g_z, dst_l, m) + g_z_loop
-        g_src_act = ad.segment_sum(g_z, src_l, m) + g_z_loop
+        g_msg = g[dst_ids]
+        g_alpha = (g_msg * w_src).sum(axis=1)
+        g_w_act = ad.segment_sum(g_msg * alpha[:, None], src, m)
+        back = ad.segment_sum(-g_alpha * alpha / denom, dst, m)
+        g_z = (g_alpha / denom + back[dst]) * counts * shifted * leak
+        g_dst_act, g_src_act = ad.segment_sum(g_z, dst, m), ad.segment_sum(g_z, src, m)
         g_w_act += g_dst_act[:, None] * a_dst
         g_w_act += g_src_act[:, None] * a_src
         g_w, g_dst, g_src = g + 0.0, np.zeros(len(w)), np.zeros(len(w))
         g_w[nodes], g_dst[nodes], g_src[nodes] = g_w_act, g_dst_act, g_src_act
         return g_w, np.concatenate([w.T @ g_dst, w.T @ g_src])
 
-    return ad.fused(out, (wh, att), backward), np.concatenate([alpha, alpha_loop])
+    return ad.fused(out, (wh, att), backward), alpha
 
 
 def _param_arrays(params: GatParams) -> list[np.ndarray]:
@@ -262,16 +256,16 @@ def _forward(leaves: list[Tensor], graph: WindowedGraph) -> tuple[Tensor, Attent
     the parameters wrapped as tensors in `_param_arrays` order."""
     n = graph.n_nodes
     rows = _message_rows(graph)
-    active = _active_nodes(rows, n)
+    head_rows = _head_rows(rows, n)
     *layer1, w2, a2 = leaves
     heads = len(layer1) // 2
     # With identity input features, layer 1's transformed features are the
     # weight matrices themselves: row j of W is W @ x_j for one-hot x_j.
     pairs = zip(layer1[:heads], layer1[heads:])
-    outs, alphas = zip(*[_attention_head(w, a, rows, active) for w, a in pairs])
+    outs, alphas = zip(*[_attention_head(w, a, head_rows) for w, a in pairs])
     h1 = outs[0] if heads == 1 else ad.concat(outs)
-    h2, _ = _attention_head(ad.matmul(ad.elu(h1, ELU_ALPHA), w2), a2, rows, active)
-    return h2, _attention_record(rows, alphas, n)
+    h2, _ = _attention_head(ad.matmul(ad.elu(h1, ELU_ALPHA), w2), a2, head_rows)
+    return h2, _attention_record(rows, head_rows[0], alphas, n)
 
 
 def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
@@ -297,15 +291,15 @@ def attention_coefficients(
     if features.ndim != 2 or features.shape[0] != n:
         raise ModelError(f"features must be ({n}, fan_in), got {features.shape}")
     rows = _message_rows(graph)
-    active = _active_nodes(rows, n)
+    head_rows = _head_rows(rows, n)
     alphas = []
     for w, a in zip(layer.weights, layer.att):
         if features.shape[1] != w.shape[0]:
             raise ModelError(
                 f"feature dim {features.shape[1]} does not match weight fan-in {w.shape[0]}"
             )
-        alphas.append(_attention_head(Tensor(features @ w), Tensor(a), rows, active)[1])
-    return _attention_record(rows, alphas, n)
+        alphas.append(_attention_head(Tensor(features @ w), Tensor(a), head_rows)[1])
+    return _attention_record(rows, head_rows[0], alphas, n)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +422,7 @@ def compute_gradients(
     emb, record = _forward(leaves, graph)
     loss = _link_loss(emb, pos_edges, counts, neg_edges)
     loss.backward()
-    flat = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in leaves]
+    flat = [t.grad for t in leaves]
     heads = params.dims.heads
     grads = GatParams(
         LayerParams(flat[:heads], flat[heads:-2]), LayerParams(flat[-2:-1], flat[-1:]), params.dims

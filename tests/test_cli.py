@@ -288,6 +288,19 @@ def test_bad_flag_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_attention_range_past_the_fleet_exits_1_naming_the_node_count(workdir, tmp_path, capsys):
+    past = ["--set", "attention.lo", "500", "--set", "attention.hi", "600"]
+    run = tmp_path / "run"
+    assert main(["train", "--trace", str(workdir / "trace.csv"), "--out", str(run), *SPAN, *past]) == 1
+    assert "30 nodes" in capsys.readouterr().err
+    assert not run.exists()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--trace", str(workdir / "trace.csv"), *SPAN, "--out", str(out),
+                 "--checkpoint", str(workdir / "run" / "checkpoint.bin"), *past]) == 1
+    assert "30 nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_trace_exits_2(tmp_path):
     code = main(["train", "--trace", str(tmp_path / "ghost.csv"),
                  "--out", str(tmp_path / "run"), *SPAN])

@@ -199,6 +199,7 @@ def test_validate_rejects_bad_fields():
         ("model.tau", "1.0"),
         ("model.epochs", "0"),
         ("model.lr", "-0.1"),
+        ("model.snapshot_epochs", "-1,0"),
         ("sampling.kind", "fancy"),
         ("sampling.eval_kind", "auto"),  # eval must be concrete
         ("sampling.eval_kind", "none"),  # AUC needs negatives

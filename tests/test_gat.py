@@ -20,7 +20,7 @@ from tracelink import gat
 from tracelink.autodiff import Tensor
 from tracelink.errors import CheckpointError, LossError, ModelError, TracelinkError, TrainingError
 from tracelink.gat import (
-    _active_nodes,
+    _head_rows,
     _link_loss,
     _message_rows,
     _scores_through_gram,
@@ -585,14 +585,17 @@ def flat_grads(grads):
 
 #: Graphs the random cases may miss: no message rows at all (every head runs
 #: on self-loops alone), self-calls u -> u beside the added self-loops, one
-#: row per call and merged, and a graph of 8 nodes where node 0 only sends,
+#: row per call and merged, a graph of 8 nodes where node 0 only sends,
 #: node 7 only receives and nodes 1-4 and 6 have no rows (the heads' active
-#: set is 0, 5 and 7).
+#: set is 0, 5 and 7), and a fleet of 300 nodes whose 12 rows touch 10 of
+#: them, so nearly every node is idle.
 EDGE_CASE_PAIRS = {
     "no-rows": [],
     "self-calls": [(0, 0), (1, 2), (2, 2), (0, 0), (3, 1)],
     "merged-self-calls": [(0, 0)] * 7 + [(1, 1)] * 2 + [(2, 0)],
     "idle-nodes": [(0, 5), (5, 7), (0, 7), (0, 5)],
+    "fleet": [(3, 17), (17, 42), (42, 3), (88, 17), (120, 150), (150, 120), (201, 233),
+              (233, 270), (270, 299), (299, 3), (88, 88), (3, 17)],
 }
 
 
@@ -610,10 +613,19 @@ def training_case(case):
 @pytest.mark.parametrize("seed", [*range(12), *EDGE_CASE_PAIRS])
 def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
     g, params, with_pos, neg = training_case(seed)
+    src, dst, counts = rows = _message_rows(g)
     if seed == "merged-self-calls":
-        assert len(_message_rows(g)[0]) == len(g.pair_codes) < g.n_edges
+        assert len(src) == len(g.pair_codes) < g.n_edges
+    # the heads' rows: the message rows, then one count-1.0 self-loop row per
+    # active node, in ascending node order
+    nodes, head_src, head_dst, head_counts = _head_rows(rows, g.n_nodes)
+    assert np.array_equal(nodes, np.flatnonzero(np.isin(np.arange(g.n_nodes), [*src, *dst])))
+    assert np.array_equal(nodes[head_src], [*src, *nodes]) and np.array_equal(nodes[head_dst], [*dst, *nodes])
+    assert np.array_equal(head_counts, np.concatenate([counts, np.ones(len(nodes))]))
     if seed == "idle-nodes":
-        assert np.array_equal(_active_nodes(_message_rows(g), g.n_nodes)[0], [0, 5, 7])
+        assert np.array_equal(nodes, [0, 5, 7])
+    if seed == "fleet":
+        assert len(nodes) == 10 < 0.05 * g.n_nodes
     edges, pos, counts = model_case(g, with_pos)
     grads, loss, _ = compute_gradients(params, g, pos, neg, counts)
     ref_loss, ref_grads, _ = composed_gradients(params, g.n_nodes, edges, pos, counts, neg)

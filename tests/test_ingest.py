@@ -261,7 +261,7 @@ def test_parse_trace_ends_in_a_table_or_a_typed_error(lines, delimiter, header):
 
 @FUZZ
 @example("timestamp,um,dm\n1,caf\xe9,b\n".encode("latin-1"))  # not UTF-8
-@given(st.binary(max_size=120) | trace_text.map(str.encode))
+@given(st.binary(max_size=120) | trace_text.map(lambda text: text.encode("utf-8", "surrogatepass")))
 def test_parse_trace_file_ends_in_a_table_or_a_typed_error(tmp_path, data):
     (tmp_path / "trace.csv").write_bytes(data)
     with contextlib.suppress(TracelinkError):
