@@ -6,8 +6,8 @@ reverse topological order and accumulates exact gradients into every
 reachable tensor built with ``requires_grad=True``.
 
 The op set is the one the model runs.  `fused` makes a tape node of an op
-whose backward is written by hand: `gat`'s attention heads and link loss,
-and here `matmul` (2-D by 2-D), `concat` (columns) and `elu`.  `sigmoid`,
+whose backward is written by hand: `gat`'s attention heads, layer 2's
+input (head concat, ELU and matmul) and link loss.  `sigmoid`,
 `segment_max` and `segment_sum` work on plain ndarrays inside those nodes.
 The single-array ops that compose the same model one operation at a time
 live in ``tests/tape_reference.py``, the bitwise reference for the fused
@@ -85,40 +85,6 @@ def fused(out: Array, parents: Sequence[Tensor], backward: Callable[[Array], Seq
                 parent._accumulate(grad)
 
     return Tensor(out, True, parents, apply)
-
-
-# ---------------------------------------------------------------------------
-# differentiable ops
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul takes two 2-D tensors, got shapes {a.data.shape} and {b.data.shape}")
-    return fused(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """2-D tensors side by side, column blocks in `parts` order."""
-    cuts = np.cumsum([p.data.shape[1] for p in parts[:-1]])
-    out = np.concatenate([p.data for p in parts], axis=1)
-    return fused(out, parts, lambda g: np.split(g, cuts, axis=1))
-
-
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
-    """x where x > 0, else alpha * (e^x - 1); alpha must be positive.
-
-    Both passes select with max/min and a 0/1 blend rather than np.where,
-    which is several times slower on an array of mixed signs.
-    """
-    x = a.data
-    out = np.maximum(x, 0.0) + np.minimum(alpha * np.expm1(x), 0.0)
-
-    def backward(g: Array) -> tuple[Array]:
-        above = x > 0
-        # 1 where x > 0, else out + alpha (= alpha * e^x).
-        return (g * (above + (np.minimum(out, 0.0) + alpha) * ~above),)
-
-    return fused(out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,21 @@ each call is a row with c = 1, which is the per-call arithmetic exactly.
 The softmax subtracts the per-destination max before exponentiating, which
 changes nothing mathematically and keeps large scores finite.  Gradients
 come from the reverse-mode tape in `autodiff`, so they are exact.  Each
-attention head and the loss are one tape node apiece (`autodiff.fused`),
-with the chain rule written out by hand, as are the head concat, the ELU
-and layer 2's matmul.  The tests check these nodes bit for bit against the
-same model composed one array operation at a time.
+attention head, layer 2's input (head concat, ELU and matmul) and the loss
+are one tape node apiece (`autodiff.fused`), with the chain rule written
+out by hand.  The tests check these nodes bit for bit against the same
+model composed one array operation at a time.
 
 A head runs one softmax over one row set (`_head_rows`): the message rows,
 then a self-loop row per active node, one that sends or receives some row.
 A window of a large fleet touches few of them.  Every other node has its
-self-loop alone and gets that result exactly (`_attention_head`).  Adam
-walks each array in blocks of ADAM_BLOCK elements, each element through the
-same operations, so the large arrays of a wide model stay in cache.
+self-loop alone and gets that result exactly (`_attention_head`).  Layer
+2's input is concatenated and activated only on the rows that reach the
+loss or a score, the active nodes and the scored endpoints, and is zero
+elsewhere (`_layer2_input`); its products keep all n rows, so every row
+read has the bits of the every-row forward.  Adam walks each array in
+blocks of ADAM_BLOCK elements, each element through the same operations,
+so the large arrays of a wide model stay in cache.
 
 The loss reads its pair scores per row, or, for a step that scores many
 rows for its node count (heavy call traffic), from the Gram matrix h h^T;
@@ -251,9 +255,56 @@ def _param_arrays(params: GatParams) -> list[np.ndarray]:
     return [*params.layer1.weights, *params.layer1.att, *params.layer2.weights, *params.layer2.att]
 
 
-def _forward(leaves: list[Tensor], graph: WindowedGraph) -> tuple[Tensor, AttentionRecord]:
+def _layer2_input(outs: Sequence[Tensor], w2: Tensor, used: np.ndarray | None) -> Tensor:
+    """x @ w2, where x is the ELU of the layer-1 `outs` side by side, as one
+    tape node.
+
+    With `used` (ascending node ids) the concat and the ELU run on those rows
+    only, and every other row of x is zero; with None they run on every row,
+    with no zero-fill, scatter or gather.  The products x @ w2, g @ w2.T and
+    x.T @ g keep their full n rows either way.  A zero row of x changes no
+    other row's bits, but BLAS may round a product over a subset of rows
+    differently from the same rows of the full product (OpenBLAS 0.3.31 does
+    for g[used] @ w2.T at <= 9 rows).  The ELU selects with max/min and a
+    0/1 blend rather than np.where, which is several times slower on an
+    array of mixed signs.
+    """
+    parts = [t.data for t in outs]
+    cuts = np.cumsum([p.shape[1] for p in parts[:-1]])
+    h = np.concatenate(parts if used is None else [p[used] for p in parts], axis=1)
+    act = np.maximum(h, 0.0) + np.minimum(ELU_ALPHA * np.expm1(h), 0.0)
+    x = act
+    if used is not None:
+        x = np.zeros((len(parts[0]), h.shape[1]))
+        x[used] = act
+    w = w2.data
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        g_x = g @ w.T
+        above = h > 0
+        # ELU': 1 where h > 0, else act + alpha (= alpha * e^h).
+        g_h = (g_x if used is None else g_x[used]) * (above + (np.minimum(act, 0.0) + ELU_ALPHA) * ~above)
+        if used is not None:
+            g_x.fill(0.0)
+            g_x[used] = g_h
+            g_h = g_x
+        return (*np.split(g_h, cuts, axis=1), x.T @ g)
+
+    return ad.fused(x @ w, (*outs, w2), backward)
+
+
+def _forward(
+    leaves: list[Tensor], graph: WindowedGraph, scored: np.ndarray | None = None
+) -> tuple[Tensor, AttentionRecord]:
     """Identity features -> layer 1 (concat heads) -> ELU -> layer 2, over
-    the parameters wrapped as tensors in `_param_arrays` order."""
+    the parameters wrapped as tensors in `_param_arrays` order.
+
+    A row of layer 2's input reaches its output through the heads' rows,
+    which join active nodes, or as an idle node's own output row.  So with
+    `scored` node ids given, layer 2's input is computed on the active and
+    scored nodes alone (`_layer2_input`): their output rows are exact and
+    every other row is zero.  With None, every row is computed.
+    """
     n = graph.n_nodes
     rows = _message_rows(graph)
     head_rows = _head_rows(rows, n)
@@ -263,8 +314,12 @@ def _forward(leaves: list[Tensor], graph: WindowedGraph) -> tuple[Tensor, Attent
     # weight matrices themselves: row j of W is W @ x_j for one-hot x_j.
     pairs = zip(layer1[:heads], layer1[heads:])
     outs, alphas = zip(*[_attention_head(w, a, head_rows) for w, a in pairs])
-    h1 = outs[0] if heads == 1 else ad.concat(outs)
-    h2, _ = _attention_head(ad.matmul(ad.elu(h1, ELU_ALPHA), w2), a2, head_rows)
+    used = None
+    if scored is not None:
+        mask = np.zeros(n, dtype=bool)
+        mask[head_rows[0]] = mask[scored] = True
+        used = None if mask.all() else np.flatnonzero(mask)
+    h2, _ = _attention_head(_layer2_input(outs, w2, used), a2, head_rows)
     return h2, _attention_record(rows, head_rows[0], alphas, n)
 
 
@@ -275,10 +330,26 @@ def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
         )
 
 
-def model_forward(params: GatParams, graph: WindowedGraph) -> tuple[np.ndarray, AttentionRecord]:
-    """Embeddings for every node, plus the layer-1 attention record."""
+def _check_node_ids(ids: np.ndarray, n: int, what: str) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ModelError(f"{what} must be node ids in [0, {n}), got {ids.min()}..{ids.max()}")
+
+
+def model_forward(
+    params: GatParams, graph: WindowedGraph, scored: np.ndarray | None = None
+) -> tuple[np.ndarray, AttentionRecord]:
+    """Embeddings plus the layer-1 attention record.
+
+    With `scored`, an array of the node ids the caller reads, only those
+    rows (and the window's active nodes) are computed and every other row
+    is zero; without it, every row is.  A computed row has the same bits
+    either way.
+    """
     _check_graph(params, graph)
-    emb, record = _forward([Tensor(a) for a in _param_arrays(params)], graph)
+    if scored is not None:
+        scored = np.asarray(scored, dtype=np.int64)
+        _check_node_ids(scored, graph.n_nodes, "scored nodes")
+    emb, record = _forward([Tensor(a) for a in _param_arrays(params)], graph, scored)
     return emb.data, record
 
 
@@ -411,15 +482,25 @@ def compute_gradients(
     Returns (grads, loss, record) where grads mirrors the GatParams array
     structure and record is the forward pass's layer-1 attention.
     Parameters that cannot influence any scored pair get exact zeros.
+    Before the forward pass, a pair id outside [0, n) raises ModelError, and
+    pos_counts other than one finite, non-negative count per positive row
+    raises LossError, as do pairs that weigh nothing at all.
     """
     _check_graph(params, graph)
     pos_edges = np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2)
     neg_edges = np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)
-    if len(pos_edges) + len(neg_edges) == 0:
-        raise LossError("cannot take a step with no positive and no negative pairs")
+    scored = np.concatenate([pos_edges, neg_edges])
+    _check_node_ids(scored, graph.n_nodes, "scored pairs")
     counts = np.ones(len(pos_edges)) if pos_counts is None else np.asarray(pos_counts, dtype=np.float64)
+    if counts.shape != (len(pos_edges),) or not np.isfinite(counts).all() or (counts < 0).any():
+        raise LossError(
+            f"pos_counts must hold one finite, non-negative count per positive row ({len(pos_edges)}), "
+            f"got shape {counts.shape} with values {counts.ravel()[:4].tolist()}"
+        )
+    if counts.sum() + len(neg_edges) == 0:
+        raise LossError("cannot take a step with no negative pairs and no positive count above zero")
     leaves = [Tensor(a, requires_grad=True) for a in _param_arrays(params)]
-    emb, record = _forward(leaves, graph)
+    emb, record = _forward(leaves, graph, scored)
     loss = _link_loss(emb, pos_edges, counts, neg_edges)
     loss.backward()
     flat = [t.grad for t in leaves]

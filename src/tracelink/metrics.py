@@ -233,22 +233,23 @@ def evaluate_windows(
 ) -> EvalReport:
     """Score every non-empty test window.
 
-    Per window: run the model on that window's own graph, score its edge
-    instances as positives and an equal number of sampled non-edges as
-    negatives, then `summarize` them.  Window scores are pooled and
-    summarized again for the aggregate numbers, and also averaged per window
-    (macro).  Non-finite scores raise EvalError.
+    Per window: draw as many sampled non-edges as the window has edge
+    instances, run the model on the window's own graph for the endpoints of
+    both, score the instances as positives and the non-edges as negatives,
+    then `summarize` them.  Window scores are pooled and summarized again
+    for the aggregate numbers, and also averaged per window (macro).
+    Non-finite scores raise EvalError.
     """
     reports: list[WindowReport] = []
     for window in test_windows:
         if not window.n_events:
             continue
         g = build_graph(window, params.dims.n_nodes)
-        emb, last_attention = model_forward(params, g)
         rng = derive_rng(seed, "eval-sampling", window.index)
         neg = draw_negatives(sampling, g, rng)
         src = np.concatenate([g.edge_src, neg[:, 0]])
         dst = np.concatenate([g.edge_dst, neg[:, 1]])
+        emb, last_attention = model_forward(params, g, np.concatenate([src, dst]))
         scores = link_probability(emb, src, dst)
         if not np.isfinite(scores).all():
             raise EvalError(f"window {window.index} has non-finite scores; the model has diverged")

@@ -1,11 +1,12 @@
 """Single-array tape ops that compose the model one operation at a time.
 
-`test_gat.composed_gradients` builds the heads and the loss from them as the
-bitwise reference for `gat`'s fused nodes, and `test_autodiff` checks each
-against finite differences.  Each op is a node of the production tape: a
-`fused` node, except `gather` and `narrow`, which add into the gradient their
-parent already holds, the summation order the fused nodes reproduce.
-Arithmetic broadcasts like numpy; scalars and ndarrays become constants.
+`test_gat.composed_gradients` builds the heads, layer 2's input and the loss
+from them as the bitwise reference for `gat`'s fused nodes, and
+`test_autodiff` checks each against finite differences.  Each op is a node
+of the production tape: a `fused` node, except `gather` and `narrow`, which
+add into the gradient their parent already holds, the summation order the
+fused nodes reproduce.  Arithmetic broadcasts like numpy; scalars and
+ndarrays become constants.
 """
 from __future__ import annotations
 
@@ -56,13 +57,33 @@ def sub(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b with one 1-D operand; two 2-D operands go to `ad.matmul`."""
+    """a @ b for 2-D operands, or one 2-D and one 1-D."""
     x, y = a.data, b.data
     if y.ndim == 1:
         return ad.fused(x @ y, (a, b), lambda g: (np.outer(g, y), x.T @ g))
     if x.ndim == 1:
         return ad.fused(x @ y, (a, b), lambda g: (g @ y.T, np.outer(x, g)))
-    return ad.matmul(a, b)
+    return ad.fused(x @ y, (a, b), lambda g: (g @ y.T, x.T @ g))
+
+
+def concat(parts) -> Tensor:
+    """2-D tensors side by side, column blocks in `parts` order."""
+    cuts = np.cumsum([p.data.shape[1] for p in parts[:-1]])
+    out = np.concatenate([p.data for p in parts], axis=1)
+    return ad.fused(out, parts, lambda g: np.split(g, cuts, axis=1))
+
+
+def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
+    """x where x > 0, else alpha * (e^x - 1); alpha must be positive."""
+    x = a.data
+    out = np.maximum(x, 0.0) + np.minimum(alpha * np.expm1(x), 0.0)
+
+    def backward(g):
+        above = x > 0
+        # 1 where x > 0, else out + alpha (= alpha * e^x).
+        return (g * (above + (np.minimum(out, 0.0) + alpha) * ~above),)
+
+    return ad.fused(out, (a,), backward)
 
 
 def _adding_into(a: Tensor, out: np.ndarray, add_into) -> Tensor:

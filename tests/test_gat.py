@@ -310,6 +310,27 @@ def test_forward_rejects_wrong_node_count():
         model_forward(params, graph_of([(0, 1)], 6))
 
 
+def test_forward_for_scored_nodes_keeps_their_bits():
+    # Layer 2's input is computed on the scored and the active nodes alone:
+    # those rows keep the bits of the every-row forward and the rest are zero.
+    n = 200
+    params = init_params(n, 64, 2, np.random.default_rng(31))
+    g = graph_of([(0, 1), (1, 2), (2, 0)], n)
+    full, full_record = model_forward(params, g)
+    emb, record = model_forward(params, g, np.array([[5, 150], [7, 0]]))
+    used = [0, 1, 2, 5, 7, 150]
+    assert np.array_equal(emb[used], full[used])
+    assert not np.delete(emb, used, axis=0).any()
+    assert np.array_equal(record.coeffs, full_record.coeffs)
+    every, _ = model_forward(params, g, np.arange(n))
+    assert np.array_equal(every, full)
+    # one row alone: a self-call scored by itself
+    g = graph_of([(4, 4)], n)
+    assert np.array_equal(model_forward(params, g, [4])[0][4], model_forward(params, g)[0][4])
+    with pytest.raises(ModelError, match=r"\[0, 200\)"):
+        model_forward(params, g, [0, n])
+
+
 def test_forward_permutation_equivariance():
     rng = np.random.default_rng(8)
     n = 7
@@ -534,8 +555,8 @@ def composed_gradients(params, n, edges, pos, pos_counts, neg):
     leaves = [Tensor(a, requires_grad=True) for a in flat_grads(params)]
     w1, a1, (w2, a2) = leaves[:heads], leaves[heads:2 * heads], leaves[2 * heads:]
     outs = [head(w, a) for w, a in zip(w1, a1)]
-    h1 = outs[0] if heads == 1 else ad.concat(outs)
-    emb = head(ad.matmul(ad.elu(h1, 1.0), w2), a2)
+    h1 = outs[0] if heads == 1 else ref.concat(outs)
+    emb = head(ref.matmul(ref.elu(h1, 1.0), w2), a2)
     terms = []
     if len(pos):
         terms.append(ref.tsum(ref.mul(pos_counts, ref.softplus(ref.neg(pair_scores(emb, pos))))))
@@ -599,7 +620,24 @@ EDGE_CASE_PAIRS = {
 }
 
 
+#: Cases at the model's real width (hidden 64, 2 heads), as (nodes, calls,
+#: negatives, None for 3 random ones).  In "width-few-rows" 3 calls among 3
+#: of 200 nodes and 3 negatives reach at most 9 rows of layer 2's input, few
+#: enough that BLAS may round a product over those rows alone differently
+#: from the same rows of the full product.  In "width-every-row" the calls
+#: touch nodes 0-5 and the negatives reach 6 and 7, so every row is used.
+WIDTH_CASES = {
+    "width-few-rows": (200, [(0, 1), (1, 2), (2, 0)], None),
+    "width-every-row": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], [(6, 7), (7, 6), (0, 3)]),
+}
+
+
 def training_case(case):
+    if case in WIDTH_CASES:
+        n, pairs, neg = WIDTH_CASES[case]
+        rng = np.random.default_rng(99)
+        params = init_params(n, 64, 2, rng)
+        return graph_of(pairs, n), params, True, rng.integers(0, n, size=(3, 2)) if neg is None else np.array(neg)
     if case not in EDGE_CASE_PAIRS:
         return random_training_case(case)
     rng = np.random.default_rng(99)
@@ -610,7 +648,7 @@ def training_case(case):
     return g, params, g.n_edges > 0, rng.integers(0, n, size=(5, 2))
 
 
-@pytest.mark.parametrize("seed", [*range(12), *EDGE_CASE_PAIRS])
+@pytest.mark.parametrize("seed", [*range(12), *EDGE_CASE_PAIRS, *WIDTH_CASES])
 def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
     g, params, with_pos, neg = training_case(seed)
     src, dst, counts = rows = _message_rows(g)
@@ -627,6 +665,9 @@ def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
     if seed == "fleet":
         assert len(nodes) == 10 < 0.05 * g.n_nodes
     edges, pos, counts = model_case(g, with_pos)
+    if seed in WIDTH_CASES:
+        used = np.union1d(nodes, np.concatenate([pos, neg]))
+        assert len(used) <= 9 if seed == "width-few-rows" else len(used) == g.n_nodes
     grads, loss, _ = compute_gradients(params, g, pos, neg, counts)
     ref_loss, ref_grads, _ = composed_gradients(params, g.n_nodes, edges, pos, counts, neg)
     assert loss == ref_loss
@@ -661,6 +702,43 @@ def test_gradients_need_at_least_one_pair():
     g = graph_of([(0, 1)], 3)
     with pytest.raises(LossError):
         compute_gradients(params, g, np.empty((0, 2)), np.empty((0, 2)))
+    # positives that weigh nothing leave no pair to average over either
+    with pytest.raises(LossError):
+        compute_gradients(params, g, [[0, 1]], np.empty((0, 2)), [0.0])
+    assert np.isfinite(compute_gradients(params, g, [[0, 1]], [[1, 2]], [0.0])[1])
+
+
+def no_forward(monkeypatch):
+    monkeypatch.setattr(gat, "_forward", lambda *args: pytest.fail("the forward pass ran"))
+
+
+@pytest.mark.parametrize("pos, neg", [
+    ([[0, 1]], [[-1, 2]]),
+    ([[0, 3]], [[1, 2]]),
+    ([[0, 1], [1, 2]], [[2, 7]]),
+], ids=["negative", "n", "past-n"])
+def test_gradients_reject_pair_ids_outside_the_fleet(pos, neg, monkeypatch):
+    params = init_params(3, 2, 2, np.random.default_rng(14))
+    g = graph_of([(0, 1)], 3)
+    no_forward(monkeypatch)
+    with pytest.raises(ModelError, match=r"\[0, 3\)"):
+        compute_gradients(params, g, pos, neg)
+
+
+@pytest.mark.parametrize("counts", [
+    [1.0],  # one count for two positives
+    [1.0, 1.0, 1.0],
+    [[1.0, 1.0]],
+    [math.nan, 1.0],
+    [math.inf, 1.0],
+    [-1.0, 2.0],
+])
+def test_gradients_reject_pos_counts_not_one_finite_count_per_positive(counts, monkeypatch):
+    params = init_params(3, 2, 2, np.random.default_rng(14))
+    g = graph_of([(0, 1), (1, 2)], 3)
+    no_forward(monkeypatch)
+    with pytest.raises(LossError, match="pos_counts"):
+        compute_gradients(params, g, [[0, 1], [1, 2]], [[2, 0]], counts)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +825,7 @@ def test_gram_kernel_runs_on_heavy_steps_only(seed, synth, gram):
 
 
 def test_bitwise_reference_cases_use_the_per_row_kernel():
-    for case in [*range(12), *EDGE_CASE_PAIRS]:
+    for case in [*range(12), *EDGE_CASE_PAIRS, *WIDTH_CASES]:
         g, _, with_pos, neg = training_case(case)
         _, pos, _ = model_case(g, with_pos)
         assert not _scores_through_gram(g.n_nodes, len(pos) + len(neg))

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from tracelink import metrics
 from tracelink.errors import EvalError, ExportError, UndefinedMetricError
-from tracelink.gat import AttentionRecord, init_params
+from tracelink.gat import AttentionRecord, init_params, link_probability, model_forward
+from tracelink.graph import build_graph
 from tracelink.metrics import (
     Confusion,
     auc,
@@ -285,6 +286,19 @@ def test_evaluate_pairs_are_one_to_one(small_model):
     assert set(w.labels.tolist()) == {0, 1}
     # positives are the window's edge instances, in order
     assert (w.src[:3].tolist(), w.dst[:3].tolist()) == ([0, 1, 2], [1, 2, 3])
+
+
+def test_evaluate_scores_equal_a_full_forward_bitwise():
+    # evaluate computes layer 2's input on the scored and active rows only; a
+    # model of the real width (hidden 64, 2 heads) on 200 nodes with windows
+    # of 1-3 calls leaves few of them, where BLAS could round a product over
+    # those rows alone differently from the full one
+    params = init_params(200, 64, 2, np.random.default_rng(31))
+    windows = [window_of([(0, 1)], 0), window_of([(3, 4), (4, 5), (5, 3)], 1), window_of([(9, 120)], 2)]
+    report = evaluate_windows(params, windows, SamplingStrategy(SamplingKind.ADVANCED), seed=7)
+    for window, w in zip(windows, report.windows):
+        emb, _ = model_forward(params, build_graph(window, 200))
+        assert np.array_equal(w.scores, link_probability(emb, w.src, w.dst))
 
 
 def test_evaluate_is_deterministic(small_model):
