@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     DataError,
     EvalError,
-    ExportError,
     GraphError,
     LossError,
     MappingError,

@@ -99,14 +99,6 @@ def _strategy(cfg: RunConfig, kind: str, mean_pos: int = 0, n_nodes: int = 0) ->
     return SamplingStrategy(SamplingKind(kind), cfg.sampling.alpha if kind == "advanced" else None)
 
 
-def _attention_range(cfg: RunConfig, n_nodes: int) -> tuple[int, int]:
-    """The attention export's node span, cut to the model's nodes; a span
-    that starts at or past the last node is a ConfigError."""
-    if cfg.attention_lo >= n_nodes:
-        raise ConfigError(f"attention.lo={cfg.attention_lo} lies past the model's {n_nodes} nodes")
-    return cfg.attention_lo, min(cfg.attention_hi, n_nodes)
-
-
 def _csv(header: str, *columns) -> str:
     """CSV text: the `header` line (none if empty), then one line per entry
     of the parallel `columns`, each value as its repr.  Rows are formatted
@@ -128,7 +120,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     comment = (
         f"synthetic trace seed={cfg.seed} services={synth_cfg.n_services} "
-        f"duration={synth_cfg.duration} window_hint={synth_cfg.window_hint}"
+        f"duration={synth_cfg.duration} window_hint={synth_mod.WINDOW_HINT}"
     )
     write_trace(events, out, header_comment=comment)
     print(f"wrote {len(events)} events across {synth_cfg.n_services} services to {out}")
@@ -175,7 +167,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     n_nodes = mapping.n_nodes
     if n_nodes < 2:
         raise DataError(f"trace has {n_nodes} distinct services; need at least 2")
-    span = _attention_range(cfg, n_nodes)
 
     nonempty = [w for w in train_w if w.n_events]
     with _stage("sampling"):
@@ -202,7 +193,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         columns = zip(*((e.epoch, e.window_index, e.loss) for e in artifacts.loss_history))
         _write_text(out / "loss_history.csv", _csv("epoch,window,loss", *columns))
         for epoch, record in sorted(artifacts.attention_snapshots.items()):
-            matrix = metrics_mod.export_attention(record, span)
+            matrix = metrics_mod.export_attention(record)
             _write_text(out / f"attention_epoch_{epoch:04d}.csv", _csv("", *matrix.T))
         _write_text(out / "run_config.txt", dump_config(cfg))
         meta = {
@@ -246,7 +237,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     checkpoint_path = Path(args.checkpoint)
     with _stage("checkpoint"):
         params, stored_digest = gat.load_checkpoint(checkpoint_path)
-    span = _attention_range(cfg, params.dims.n_nodes)
     mapping_path = Path(args.mapping) if args.mapping else checkpoint_path.parent / "mapping.tsv"
     with _stage("mapping"):
         if not mapping_path.exists():
@@ -294,7 +284,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for r in report.windows:
             _write_text(out / f"scored_window_{r.window_index:04d}.csv",
                         _csv("src,dst,score,label", r.src, r.dst, r.scores, r.labels))
-        matrix = metrics_mod.export_attention(report.last_attention, span)
+        matrix = metrics_mod.export_attention(report.last_attention)
         _write_text(out / "attention_test.csv", _csv("", *matrix.T))
 
     pooled = report.pooled.metrics
@@ -370,11 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="trace file to write")
     gen.add_argument("--services", dest="synth.n_services", help="number of services")
     gen.add_argument("--duration", dest="synth.duration", help="trace horizon in ms")
-    gen.add_argument("--window-hint", dest="synth.window_hint", help="load modulation granularity in ms")
     gen.add_argument("--events-mean", dest="synth.events_per_window_mean", help="mean events per window")
-    gen.add_argument("--hub-exponent", dest="synth.hub_exponent", help="callee popularity skew (>1)")
-    gen.add_argument("--tree-depth", dest="synth.tree_depth_mean", help="mean call-tree size (>1)")
-    gen.add_argument("--period", dest="synth.period", help="load modulation period in ms")
     gen.set_defaults(func=cmd_generate)
 
     tr = sub.add_parser("train", help="train a model from a trace")

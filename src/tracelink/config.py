@@ -52,8 +52,6 @@ class RunConfig:
     temporal: bool = True
     seed: int = 0
     strict_mapping: bool = True
-    attention_lo: int = 0
-    attention_hi: int = 100
     model: ModelSettings = field(default_factory=ModelSettings)
     sampling: SamplingSettings = field(default_factory=SamplingSettings)
     synth: SynthConfig = field(default_factory=SynthConfig)
@@ -85,10 +83,6 @@ class RunConfig:
         if not (math.isfinite(self.sampling.alpha) and self.sampling.alpha >= 0):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.sampling.alpha}")
         self.trace_format.validate()
-        if self.attention_lo < 0 or self.attention_hi <= self.attention_lo:
-            raise ConfigError(
-                f"attention range [{self.attention_lo}, {self.attention_hi}) is empty"
-            )
 
 
 def _parse_bool(text: str) -> bool:
@@ -123,8 +117,6 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], Any]]] = {
     "temporal": ("", "temporal", _parse_bool),
     "seed": ("", "seed", int),
     "strict_mapping": ("", "strict_mapping", _parse_bool),
-    "attention.lo": ("", "attention_lo", int),
-    "attention.hi": ("", "attention_hi", int),
     "model.hidden": ("model", "hidden", int),
     "model.heads": ("model", "heads", int),
     "model.epochs": ("model", "epochs", int),
@@ -136,11 +128,7 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], Any]]] = {
     "sampling.eval_kind": ("sampling", "eval_kind", str),
     "synth.n_services": ("synth", "n_services", int),
     "synth.duration": ("synth", "duration", int),
-    "synth.window_hint": ("synth", "window_hint", int),
     "synth.events_per_window_mean": ("synth", "events_per_window_mean", float),
-    "synth.hub_exponent": ("synth", "hub_exponent", float),
-    "synth.tree_depth_mean": ("synth", "tree_depth_mean", float),
-    "synth.period": ("synth", "period", int),
     "trace_format.delimiter": ("trace_format", "delimiter", str),
     "trace_format.header": ("trace_format", "header", _parse_bool),
     "trace_format.columns": ("trace_format", "columns", _parse_str_tuple),

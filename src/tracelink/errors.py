@@ -51,9 +51,5 @@ class UndefinedMetricError(EvalError):
     """A metric needs both classes present and one of them is missing."""
 
 
-class ExportError(EvalError):
-    """An export was asked for an empty or out-of-range node span."""
-
-
 class CheckpointError(TracelinkError):
     """Unreadable, corrupt, or incompatible checkpoint file."""

@@ -330,9 +330,20 @@ def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
         )
 
 
-def _check_node_ids(ids: np.ndarray, n: int, what: str) -> None:
+def _check_node_ids(ids, n: int, what: str) -> np.ndarray:
+    """`ids` as int64 node ids in [0, n); ids outside it, or not integers by
+    value (fractional, NaN, +-inf, bool, str), raise ModelError."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        if ids.dtype.kind == "f":
+            bad = ids[~(np.isfinite(ids) & (ids == np.trunc(ids)))]
+        else:
+            bad = ids.ravel()
+        if bad.size:
+            raise ModelError(f"{what} must be integer node ids, got {bad[:4].tolist()}")
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ModelError(f"{what} must be node ids in [0, {n}), got {ids.min()}..{ids.max()}")
+    return ids.astype(np.int64, copy=False)
 
 
 def model_forward(
@@ -347,8 +358,7 @@ def model_forward(
     """
     _check_graph(params, graph)
     if scored is not None:
-        scored = np.asarray(scored, dtype=np.int64)
-        _check_node_ids(scored, graph.n_nodes, "scored nodes")
+        scored = _check_node_ids(scored, graph.n_nodes, "scored nodes")
     emb, record = _forward([Tensor(a) for a in _param_arrays(params)], graph, scored)
     return emb.data, record
 
@@ -487,10 +497,9 @@ def compute_gradients(
     raises LossError, as do pairs that weigh nothing at all.
     """
     _check_graph(params, graph)
-    pos_edges = np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2)
-    neg_edges = np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)
+    pos_edges = _check_node_ids(pos_edges, graph.n_nodes, "scored pairs").reshape(-1, 2)
+    neg_edges = _check_node_ids(neg_edges, graph.n_nodes, "scored pairs").reshape(-1, 2)
     scored = np.concatenate([pos_edges, neg_edges])
-    _check_node_ids(scored, graph.n_nodes, "scored pairs")
     counts = np.ones(len(pos_edges)) if pos_counts is None else np.asarray(pos_counts, dtype=np.float64)
     if counts.shape != (len(pos_edges),) or not np.isfinite(counts).all() or (counts < 0).any():
         raise LossError(

@@ -3,8 +3,9 @@
 A trace file carries one call event per line.  The physical column layout is
 configurable (delimiter, optional header row, column names); logically every
 event must provide a caller service, a callee service, and a millisecond
-timestamp.  Parsing is forgiving (malformed lines are counted and skipped),
-cleaning is strict (only events satisfying the invariants survive).
+timestamp; blank lines and COMMENT lines carry none.  Parsing is forgiving
+(malformed lines are counted and skipped), cleaning is strict (only events
+satisfying the invariants survive).
 """
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
+#: Prefix of a comment line, in every trace format.
+COMMENT = "#"
+
+
 #: Physical layout of a trace file and the binding of logical columns
 #: (caller / callee / timestamp) to physical column names.
 @dataclass(frozen=True)
@@ -28,14 +33,11 @@ class TraceFormat:
     timestamp: str = "timestamp"
     delimiter: str = ","
     header: bool = True
-    comment: str = "#"
 
     def validate(self) -> None:
-        """csv splits on a one-character delimiter only; a comment is a line prefix, "" for none."""
+        """csv splits on a one-character delimiter only."""
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise ConfigError(f"trace_format.delimiter must be one character, got {self.delimiter!r}")
-        if not isinstance(self.comment, str):
-            raise ConfigError(f"trace_format.comment must be a string, got {self.comment!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +60,11 @@ class EventTable:
         return int(self.ts.shape[0])
 
 
-def _data_lines(lines: Iterable[str], comment: str) -> Iterator[str]:
+def _data_lines(lines: Iterable[str]) -> Iterator[str]:
     for line in lines:
         stripped = line.strip()
-        if not stripped:
-            continue
-        if comment and stripped.startswith(comment):
-            continue
-        yield stripped
+        if stripped and not stripped.startswith(COMMENT):
+            yield stripped
 
 
 def _parsed(callers: list[str], callees: list[str], stamps: list[float]) -> EventTable:
@@ -88,7 +87,7 @@ def parse_trace(lines: Iterable[str], fmt: TraceFormat = TraceFormat()) -> tuple
     """
     fmt.validate()
     try:
-        return _parse_rows(_data_lines(lines, fmt.comment), fmt)
+        return _parse_rows(_data_lines(lines), fmt)
     except csv.Error as exc:
         raise DataError(f"unreadable trace line: {exc}") from None
 
@@ -163,10 +162,6 @@ _ODD[ord('"')] = True
 _ODD[ord("\n")] = False
 
 
-def _plain(char: str) -> bool:
-    return len(char) == 1 and "!" <= char <= "~" and char != '"'
-
-
 def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None:
     """`parse_trace` over the lines of `data`, or None where it may differ.
 
@@ -178,14 +173,14 @@ def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None
     is decoded once, and both name columns share one `str` per service.
 
     Returns None, for `parse_trace` to read the text instead, when the
-    delimiter or comment is not one printable ASCII character other than
-    `"`; when `data` holds a carriage return or a byte >= 0x80 anywhere
-    (universal newlines would split a line there, and a comment must still
-    be valid UTF-8); when a kept line holds any other byte; or when a kept
-    line is longer than csv's field size limit.
+    delimiter is not one printable ASCII character other than `"`; when
+    `data` holds a carriage return or a byte >= 0x80 anywhere (universal
+    newlines would split a line there, and a comment must still be valid
+    UTF-8); when a kept line holds any other byte; or when a kept line is
+    longer than csv's field size limit.
     """
     fmt.validate()
-    if not (_plain(fmt.delimiter) and _plain(fmt.comment)):
+    if not "!" <= fmt.delimiter <= "~" or fmt.delimiter == '"':
         return None
     b = np.frombuffer(data, dtype=np.uint8)
     odd = np.flatnonzero(_ODD[b])
@@ -198,11 +193,11 @@ def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None
     starts[1:] = ends[:-1] + 1
 
     first = b[starts]
-    kept = first != ord(fmt.comment)
+    kept = first != ord(COMMENT)
     # A line led by whitespace or empty may still be blank or a comment.
     for line in np.flatnonzero(_ODD[first] | (first == ord("\n"))).tolist():
         text = data[starts[line]:ends[line]].strip(_SPACE)
-        kept[line] = bool(text) and text[:1] != fmt.comment.encode()
+        kept[line] = bool(text) and text[:1] != COMMENT.encode()
     if kept[np.searchsorted(ends, odd)].any():
         return None
     lines = np.flatnonzero(kept)
@@ -310,7 +305,7 @@ def write_trace(events: EventTable, path: str | Path, header_comment: str | None
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if header_comment:
-            handle.write(f"# {header_comment}\n")
+            handle.write(f"{COMMENT} {header_comment}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("timestamp", "um", "dm"))
         writer.writerows(zip(events.ts.tolist(), events.caller.tolist(), events.callee.tolist()))

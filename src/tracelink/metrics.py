@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EvalError, ExportError, UndefinedMetricError
+from .errors import EvalError, UndefinedMetricError
 from .gat import AttentionRecord, GatParams, link_probability, model_forward
 from .graph import build_graph
 from .preprocess import TimeWindow
@@ -275,22 +275,21 @@ def evaluate_windows(
 # ---------------------------------------------------------------------------
 # attention export
 
-def export_attention(record: AttentionRecord, node_range: tuple[int, int] = (0, 100)) -> np.ndarray:
-    """Dense mean-over-heads attention for node ids in [lo, hi).
+ATTENTION_NODES = 100
 
-    Entry [i, j] is the coefficient with which destination lo+i attends to
-    source lo+j (self-loops included, parallel edges summed); pairs with no
+
+def export_attention(record: AttentionRecord) -> np.ndarray:
+    """Dense mean-over-heads attention for node ids [0, ATTENTION_NODES),
+    cut to the record's nodes.
+
+    Entry [i, j] is the coefficient with which destination i attends to
+    source j (self-loops included, parallel edges summed); pairs with no
     edge stay 0.  A destination whose whole in-neighborhood lies inside the
-    range therefore has a row summing to 1.
+    span therefore has a row summing to 1.
     """
-    lo, hi = node_range
-    if not (0 <= lo < hi <= record.n_nodes):
-        raise ExportError(
-            f"node range [{lo}, {hi}) is empty or outside [0, {record.n_nodes})"
-        )
-    size = hi - lo
+    size = min(ATTENTION_NODES, record.n_nodes)
     mean_coeffs = record.coeffs.mean(axis=1)
-    mask = (record.edge_src >= lo) & (record.edge_src < hi) & (record.edge_dst >= lo) & (record.edge_dst < hi)
+    mask = (record.edge_src < size) & (record.edge_dst < size)
     matrix = np.zeros((size, size), dtype=np.float64)
-    np.add.at(matrix, (record.edge_dst[mask] - lo, record.edge_src[mask] - lo), mean_coeffs[mask])
+    np.add.at(matrix, (record.edge_dst[mask], record.edge_src[mask]), mean_coeffs[mask])
     return matrix

@@ -102,15 +102,15 @@ def _member(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return sorted_codes[idx] == queries
 
 
-def simple_negative_sample(graph: WindowedGraph, k: int, rng: np.random.Generator) -> NegativeEdges:
-    """k uniform draws over ordered pairs that are neither edges of `graph`
-    nor self-loops.  Draws are independent, so duplicates can occur.
+def simple_negative_sample(graph: WindowedGraph, rng: np.random.Generator) -> NegativeEdges:
+    """One uniform draw per edge instance of `graph`, over ordered pairs that
+    are neither edges nor self-loops.  Draws are independent, so duplicates
+    can occur.
     """
     n_nodes = graph.n_nodes
     if n_nodes < 2:
         raise ConfigError(f"need at least 2 nodes to sample pairs, got {n_nodes}")
-    if k < 0:
-        raise ConfigError(f"cannot sample a negative number of pairs ({k})")
+    k = graph.n_edges
     room = n_nodes * (n_nodes - 1) - int(np.count_nonzero(graph.pair_src != graph.pair_dst))
     if k > room:
         raise SamplingError(
@@ -130,11 +130,7 @@ def simple_negative_sample(graph: WindowedGraph, k: int, rng: np.random.Generato
     return NegativeEdges(out)
 
 
-def advanced_negative_sample(
-    graph: WindowedGraph,
-    alpha: float = DEFAULT_ALPHA,
-    rng: np.random.Generator | None = None,
-) -> NegativeEdges:
+def advanced_negative_sample(graph: WindowedGraph, alpha: float, rng: np.random.Generator) -> NegativeEdges:
     """One negative per edge instance of `graph`, degree-weighted sources.
 
     Sources follow degree**alpha over the graph's total degrees, destinations
@@ -142,8 +138,6 @@ def advanced_negative_sample(
     exists, or it is a self-loop.  Each negative gets at most
     RETRY_FACTOR * n_nodes attempts before an infeasibility error.
     """
-    if rng is None:
-        raise ConfigError("advanced sampling needs an explicit random generator")
     n = graph.n_nodes
     k = graph.n_edges
     if k == 0:
@@ -178,5 +172,5 @@ def draw_negatives(strategy: SamplingStrategy, graph: WindowedGraph, rng: np.ran
     if strategy.kind is SamplingKind.NONE:
         return np.empty((0, 2), dtype=np.int64)
     if strategy.kind is SamplingKind.SIMPLE:
-        return simple_negative_sample(graph, graph.n_edges, rng).pairs
+        return simple_negative_sample(graph, rng).pairs
     return advanced_negative_sample(graph, strategy.alpha, rng).pairs

@@ -18,8 +18,9 @@ Keeping the recurring core small is deliberate: the set of services that
 are ever busy at the same time stays stable across windows, which keeps
 the co-activity structure of the trace stationary — creating a dataset
 where a link predictor can separate "these two are both busy" from
-"these two actually call each other".  Per window, event counts follow a
-sinusoid around the configured mean, mimicking a daily load cycle.
+"these two actually call each other".  Per WINDOW_HINT ms, event counts
+follow a sinusoid of period LOAD_PERIOD around the configured mean,
+mimicking a daily load cycle.
 """
 from __future__ import annotations
 
@@ -31,8 +32,16 @@ import numpy as np
 from .errors import ConfigError
 from .ingest import EventTable
 
+#: Granularity of the load modulation in ms: each block draws its own event count.
+WINDOW_HINT = 100
 #: Relative amplitude of the sinusoidal load modulation.
 LOAD_AMPLITUDE = 0.4
+#: Period of the load modulation in ms.
+LOAD_PERIOD = 2_500
+#: Skew of the Zipf popularity rule that picks nested and tail parents.
+HUB_EXPONENT = 2.0
+#: Nesting cap of each gateway's call tree, in levels below the root.
+TREE_DEPTH = 3
 #: Ceiling on how many mid-tier services join the recurring core.
 CORE_SPOKES_CAP = 32
 #: Chance a new core service attaches directly under the tree root
@@ -51,24 +60,16 @@ TAIL_BUDGET_SHARE = 0.2
 class SynthConfig:
     n_services: int = 200
     duration: int = 10_000
-    window_hint: int = 100
     events_per_window_mean: float = 50.0
-    hub_exponent: float = 2.0
-    tree_depth_mean: float = 3.0
-    period: int = 2_500
     seed: int = 0
 
     def validate(self) -> None:
         if self.n_services < 2:
             raise ConfigError(f"need at least 2 services, got {self.n_services}")
-        if self.duration <= 0 or self.window_hint <= 0 or self.period <= 0:
-            raise ConfigError("duration, window_hint, and period must all be positive")
+        if self.duration <= 0:
+            raise ConfigError(f"duration must be positive, got {self.duration}")
         if self.events_per_window_mean <= 0:
             raise ConfigError("events_per_window_mean must be positive; zero events is infeasible")
-        if self.hub_exponent <= 1.0:
-            raise ConfigError(f"hub_exponent must exceed 1, got {self.hub_exponent}")
-        if self.tree_depth_mean <= 1.0:
-            raise ConfigError(f"tree_depth_mean must exceed 1, got {self.tree_depth_mean}")
 
 
 def _service_name(index: int) -> str:
@@ -105,10 +106,10 @@ def _build_structure(cfg: SynthConfig, rng: np.random.Generator) -> _Structure:
     Core services are dealt to the gateways in contiguous blocks and each
     block grows into a tree: a service attaches under the root with
     probability ROOT_ATTACH_BIAS, otherwise under a popularity-weighted
-    earlier service, with nesting capped near tree_depth_mean.  About
+    earlier service, with nesting capped at TREE_DEPTH.  About
     FUNNEL_SHARE of each tree (leaves first) then reports into one
     aggregator.  Tail services pick their single parent from the core by
-    the same Zipf(hub_exponent) popularity rule.
+    the same Zipf(HUB_EXPONENT) popularity rule.
     """
     n = cfg.n_services
     n_gw = _n_gateways(n)
@@ -122,16 +123,15 @@ def _build_structure(cfg: SynthConfig, rng: np.random.Generator) -> _Structure:
     spokes = list(range(n_hub, n_hub + n_spokes))
     tails = list(range(n_hub + n_spokes, n_interior))
 
-    max_depth = max(1, int(round(cfg.tree_depth_mean)))
     trees: list[list[tuple[int, int]]] = []
     for j, root in enumerate(gateways):
         block = spokes[j::n_gw]
         edges: list[tuple[int, int]] = []
         placed: list[tuple[int, int]] = [(root, 0)]  # (service, depth)
         for nid in block:
-            nested = [(p, d) for (p, d) in placed if 1 <= d < max_depth]
+            nested = [(p, d) for (p, d) in placed if 1 <= d < TREE_DEPTH]
             if nested and rng.random() >= ROOT_ATTACH_BIAS:
-                weights = _zipf_weights(len(nested), cfg.hub_exponent)
+                weights = _zipf_weights(len(nested), HUB_EXPONENT)
                 parent, pd = nested[int(rng.choice(len(nested), p=weights))]
             else:
                 parent, pd = root, 0
@@ -148,7 +148,7 @@ def _build_structure(cfg: SynthConfig, rng: np.random.Generator) -> _Structure:
         trees.append(edges)
 
     parent_pool = spokes if spokes else hubs
-    pool_weights = _zipf_weights(len(parent_pool), cfg.hub_exponent)
+    pool_weights = _zipf_weights(len(parent_pool), HUB_EXPONENT)
     tail_parent = {
         t: parent_pool[int(rng.choice(len(parent_pool), p=pool_weights))] for t in tails
     }
@@ -164,7 +164,7 @@ def _tail_schedule(
     halves so it exists on both sides of any train/test cut.  The visit
     budget shrinks when the configured event rate can't afford the default.
     """
-    n_windows = max(1, math.ceil(cfg.duration / cfg.window_hint))
+    n_windows = max(1, math.ceil(cfg.duration / WINDOW_HINT))
     schedule: list[list[tuple[int, int]]] = [[] for _ in range(n_windows)]
     tails = sorted(structure.tail_parent)
     if not tails:
@@ -208,10 +208,10 @@ def generate_trace(cfg: SynthConfig) -> EventTable:
     callees: list[int] = []
     stamps: list[np.ndarray] = []
     window_index = 0
-    for start in range(0, cfg.duration, cfg.window_hint):
-        end = min(start + cfg.window_hint, cfg.duration)
+    for start in range(0, cfg.duration, WINDOW_HINT):
+        end = min(start + WINDOW_HINT, cfg.duration)
         mid = (start + end) / 2.0
-        load = 1.0 + LOAD_AMPLITUDE * math.sin(2.0 * math.pi * mid / cfg.period)
+        load = 1.0 + LOAD_AMPLITUDE * math.sin(2.0 * math.pi * mid / LOAD_PERIOD)
         pairs: list[tuple[int, int]] = []
         rate = core_budget * load / total_core_edges
         for tree in structure.trees:

@@ -288,17 +288,20 @@ def test_bad_flag_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_attention_range_past_the_fleet_exits_1_naming_the_node_count(workdir, tmp_path, capsys):
-    past = ["--set", "attention.lo", "500", "--set", "attention.hi", "600"]
-    run = tmp_path / "run"
-    assert main(["train", "--trace", str(workdir / "trace.csv"), "--out", str(run), *SPAN, *past]) == 1
-    assert "30 nodes" in capsys.readouterr().err
-    assert not run.exists()
-    out = tmp_path / "eval"
-    assert main(["evaluate", "--trace", str(workdir / "trace.csv"), *SPAN, "--out", str(out),
-                 "--checkpoint", str(workdir / "run" / "checkpoint.bin"), *past]) == 1
-    assert "30 nodes" in capsys.readouterr().err
-    assert not out.exists()
+#: generate's flags for settings that are now synth.py constants.
+REMOVED_FLAGS = ["--window-hint", "--hub-exponent", "--tree-depth", "--period"]
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "report"])
+def test_help_renders_and_names_no_removed_flag(command, capsys):
+    # argparse formats help text only for --help, so a stray `%` in a help
+    # string would crash here and nowhere else
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: tracelink {command}")
+    assert not [flag for flag in REMOVED_FLAGS if flag in text]
 
 
 def test_missing_trace_exits_2(tmp_path):
@@ -428,11 +431,7 @@ FLAG_KEYS = [
     ("generate", ["--seed", "3"], "seed", "3", "4", "x"),
     ("generate", ["--services", "30"], "synth.n_services", "30", "40", "many"),
     ("generate", ["--duration", "900"], "synth.duration", "900", "800", "1.5"),
-    ("generate", ["--window-hint", "30"], "synth.window_hint", "30", "20", "x"),
     ("generate", ["--events-mean", "12.5"], "synth.events_per_window_mean", "12.5", "9", "x"),
-    ("generate", ["--hub-exponent", "1.5"], "synth.hub_exponent", "1.5", "2.5", "x"),
-    ("generate", ["--tree-depth", "2"], "synth.tree_depth_mean", "2", "4", "x"),
-    ("generate", ["--period", "300"], "synth.period", "300", "200", "x"),
     ("train", ["--seed", "3"], "seed", "3", "4", "x"),
     ("train", ["--trace", "a.csv"], "trace", "a.csv", "b.csv", None),
     ("train", ["--out", "o"], "out_dir", "o", "p", None),
@@ -482,7 +481,10 @@ def test_flag_sets_its_key_and_overrides_set(row):
     assert _resolved(base + words + ["--set", key, other]) == by_flag
 
 
-BAD_FLAGS = [row for row in FLAG_KEYS if row[5] is not None]
+#: A removed flag is refused whatever its value.
+BAD_FLAGS = [row for row in FLAG_KEYS if row[5] is not None] + [
+    ("generate", [flag], None, None, None, "300") for flag in REMOVED_FLAGS
+]
 
 
 @pytest.mark.parametrize("row", BAD_FLAGS, ids=_flag_id)

@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 import contextlib
-import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from tracelink.cli import main
 from tracelink.config import CONFIG_KEYS, RunConfig, apply_key, dump_config, load_config_file
 from tracelink.errors import ConfigError, TracelinkError
 
@@ -92,7 +92,7 @@ def test_load_config_file_rejects_bad_lines(tmp_path):
 def test_dump_round_trips(tmp_path):
     cfg = RunConfig()
     apply_key(cfg, "model.lr", "0.123")
-    apply_key(cfg, "synth.hub_exponent", "1.75")
+    apply_key(cfg, "synth.events_per_window_mean", "1.75")
     apply_key(cfg, "temporal", "false")
     text = dump_config(cfg)
 
@@ -102,7 +102,7 @@ def test_dump_round_trips(tmp_path):
     load_config_file(reloaded, path)
     assert dump_config(reloaded) == text
     assert reloaded.model.lr == 0.123
-    assert reloaded.synth.hub_exponent == 1.75
+    assert reloaded.synth.events_per_window_mean == 1.75
     assert reloaded.temporal is False
 
 
@@ -166,21 +166,30 @@ def test_dump_is_sorted_and_complete():
     lines = dump_config(RunConfig()).splitlines()
     keys = [line.split("=", 1)[0] for line in lines]
     assert keys == sorted(CONFIG_KEYS)
-    assert len(keys) == 32
+    assert len(keys) == 26
     assert "model.hidden" in keys and "sampling.alpha" in keys
     assert "synth.seed" not in keys
 
 
-@pytest.mark.parametrize("key", ["sampling.retry_factor", "sampling.balanced_threshold", "sampling.moderate_threshold"])
-def test_fixed_sampler_settings_are_unknown_keys(key, tmp_path):
-    # the attempt cap and the `auto` cut-offs are sampling.py constants; a
-    # config file that still names one is refused like any unknown key
-    with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
-        apply_key(RunConfig(), key, "1")
+FIXED_SETTINGS = [
+    "sampling.retry_factor", "sampling.balanced_threshold", "sampling.moderate_threshold",
+    "synth.window_hint", "synth.hub_exponent", "synth.tree_depth_mean", "synth.period",
+    "attention.lo", "attention.hi",
+]
+
+
+@pytest.mark.parametrize("key", FIXED_SETTINGS)
+def test_fixed_settings_are_unknown_keys(key, tmp_path, capsys):
+    # the sampler's attempt cap and `auto` cut-offs, the generator's fleet
+    # shape and the attention export's span are module constants; `--set` or
+    # a config file that still names one is refused like any unknown key
+    trace = tmp_path / "t.csv"
     path = tmp_path / "old.cfg"
     path.write_text(f"sampling.alpha=0.2\n{key}=1\n")
-    with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
-        load_config_file(RunConfig(), path)
+    for source in (["--set", key, "1"], ["--config", str(path)]):
+        assert main(["generate", "--out", str(trace), *source]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+    assert not trace.exists()
 
 
 def test_validate_rejects_misaligned_split():
@@ -204,7 +213,6 @@ def test_validate_rejects_bad_fields():
         ("sampling.eval_kind", "auto"),  # eval must be concrete
         ("sampling.eval_kind", "none"),  # AUC needs negatives
         ("sampling.alpha", "-1"),
-        ("attention.hi", "0"),
         ("model.lr", "nan"),
         ("model.lr", "inf"),
         ("sampling.alpha", "nan"),

@@ -42,7 +42,7 @@ from tracelink.gat import (
 from tracelink.graph import build_graph
 from tracelink.preprocess import TimeWindow, apply_mapping, build_node_mapping, segment_windows
 from tracelink.sampling import SamplingKind, SamplingStrategy
-from tracelink.synth import SynthConfig, generate_trace
+from tracelink.synth import WINDOW_HINT, SynthConfig, generate_trace
 
 import tape_reference as ref
 
@@ -725,6 +725,33 @@ def test_gradients_reject_pair_ids_outside_the_fleet(pos, neg, monkeypatch):
         compute_gradients(params, g, pos, neg)
 
 
+@pytest.mark.parametrize("ids, named", [
+    ([[0.7, 1.9]], r"\[0\.7, 1\.9\]"),
+    ([[0, math.nan]], r"\[nan\]"),
+    ([[math.inf, 1]], r"\[inf\]"),
+    ([[-math.inf, 1]], r"\[-inf\]"),
+    ([[True, False]], r"\[True, False\]"),
+    ([["1", "2"]], r"\['1', '2'\]"),
+    ([[0.0, 2.0]], None),  # an integer-valued float is an id
+    (np.empty((0, 2)), None),
+], ids=["fraction", "nan", "inf", "-inf", "bool", "str", "integral-float", "empty-float"])
+@pytest.mark.parametrize("call", ["compute_gradients", "model_forward"])
+def test_node_ids_must_be_integers_by_value(ids, named, call):
+    params = init_params(3, 2, 2, np.random.default_rng(14))
+    g = graph_of([(0, 1)], 3)
+    if call == "compute_gradients":
+        def run(pairs):
+            return compute_gradients(params, g, pairs, [[1, 2]])[1]
+    else:
+        def run(pairs):
+            return model_forward(params, g, pairs)[0]
+    if named is None:
+        assert np.array_equal(run(ids), run(np.asarray(ids).astype(np.int64)))
+    else:
+        with pytest.raises(ModelError, match=named):
+            run(ids)
+
+
 @pytest.mark.parametrize("counts", [
     [1.0],  # one count for two positives
     [1.0, 1.0, 1.0],
@@ -807,7 +834,7 @@ def generated_step_shapes(seed, **synth):
     cfg = SynthConfig(seed=seed, **synth)
     events = generate_trace(cfg)
     mapping = build_node_mapping(events)
-    for window in segment_windows(apply_mapping(events, mapping), cfg.window_hint, cfg.duration):
+    for window in segment_windows(apply_mapping(events, mapping), WINDOW_HINT, cfg.duration):
         if window.n_events:
             g = build_graph(window, mapping.n_nodes)
             yield g.n_nodes, len(_message_rows(g)[0]) + g.n_edges

@@ -177,12 +177,6 @@ def test_parse_trace_rejects_a_delimiter_csv_cannot_split_on(delimiter):
         parse_trace(["timestamp,um,dm", "0,A,B"], TraceFormat(delimiter=delimiter))
 
 
-@pytest.mark.parametrize("comment", [5, None, b"#"])
-def test_parse_trace_rejects_a_comment_that_is_not_a_string(comment):
-    with pytest.raises(ConfigError, match="comment"):
-        parse_trace(["0,A,B"], TraceFormat(header=False, comment=comment))
-
-
 def test_names_holding_the_delimiter_or_a_quote_round_trip(tmp_path):
     events = [("a,b", 'q"x', 1), ('q"x', "a,b", 2), ("a", "b", 3)]
     path = tmp_path / "trace.csv"
@@ -300,8 +294,7 @@ ODD_CHARS = st.sampled_from(["\r", "\t", "\x00", '"', " ", "\x1c", "\xe9", "\n",
 def trace_files(draw):
     """Trace bytes, mostly plain, with every byte csv or the text layer treats specially."""
     delimiter = draw(st.sampled_from([",", ",", ",", ";", "#", "\t"]))
-    comment = draw(st.sampled_from(["#"] * 5 + [";", "//", ""]))
-    fmt = TraceFormat(delimiter=delimiter, header=draw(st.booleans()), comment=comment)
+    fmt = TraceFormat(delimiter=delimiter, header=draw(st.booleans()))
     plain_row = st.lists(FIELD_TEXT, min_size=3, max_size=3).map(delimiter.join)
     odd_row = st.lists(FIELD_TEXT | st.text(ODD_CHARS | st.sampled_from("ab09."), max_size=4),
                        min_size=1, max_size=4).map(delimiter.join)

@@ -10,6 +10,7 @@ import pytest
 from tracelink.errors import ConfigError
 from tracelink.ingest import clean_trace, parse_trace_file, write_trace
 from tracelink.synth import (
+    WINDOW_HINT,
     SynthConfig,
     backbone_pairs,
     gateway_services,
@@ -17,8 +18,7 @@ from tracelink.synth import (
     hub_services,
 )
 
-SMALL = SynthConfig(n_services=40, duration=2_000, window_hint=100,
-                    events_per_window_mean=30.0, seed=7)
+SMALL = SynthConfig(n_services=40, duration=2_000, events_per_window_mean=30.0, seed=7)
 
 
 Event = namedtuple("Event", "caller callee timestamp")
@@ -78,7 +78,7 @@ def test_round_trips_through_the_ingest_format(tmp_path, small_table, small_trac
 
 
 def test_event_volume_tracks_the_configured_mean(small_trace):
-    n_windows = SMALL.duration // SMALL.window_hint
+    n_windows = SMALL.duration // WINDOW_HINT
     mean = len(small_trace) / n_windows
     # sinusoid averages out over full periods; Poisson noise remains
     assert 0.7 * SMALL.events_per_window_mean < mean < 1.3 * SMALL.events_per_window_mean
@@ -86,13 +86,13 @@ def test_event_volume_tracks_the_configured_mean(small_trace):
 
 def test_default_volume_within_ten_percent(default_trace):
     cfg = SynthConfig()
-    mean = len(default_trace) / (cfg.duration // cfg.window_hint)
+    mean = len(default_trace) / (cfg.duration // WINDOW_HINT)
     assert abs(mean - cfg.events_per_window_mean) <= 0.1 * cfg.events_per_window_mean
 
 
 def test_load_actually_oscillates(small_trace):
-    counts = Counter(e.timestamp // SMALL.window_hint for e in small_trace)
-    per_window = [counts.get(i, 0) for i in range(SMALL.duration // SMALL.window_hint)]
+    counts = Counter(e.timestamp // WINDOW_HINT for e in small_trace)
+    per_window = [counts.get(i, 0) for i in range(SMALL.duration // WINDOW_HINT)]
     # peak windows should clearly exceed trough windows
     assert max(per_window) > 1.5 * max(1, min(per_window))
 
@@ -150,11 +150,7 @@ def test_config_validation():
     bad = [
         {"n_services": 1},
         {"duration": 0},
-        {"window_hint": 0},
         {"events_per_window_mean": 0.0},
-        {"hub_exponent": 1.0},
-        {"tree_depth_mean": 1.0},
-        {"period": 0},
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
@@ -169,8 +165,7 @@ def test_generation_rejects_starved_event_budget():
 
 
 def test_tiny_fleet_still_generates():
-    cfg = SynthConfig(n_services=2, duration=500, window_hint=100,
-                      events_per_window_mean=5.0, seed=1)
+    cfg = SynthConfig(n_services=2, duration=500, events_per_window_mean=5.0, seed=1)
     trace = events(generate_trace(cfg))
     assert trace
     (gw,) = gateway_services(cfg)
