@@ -54,7 +54,6 @@ from .preprocess import (
     split_train_test,
 )
 from .sampling import (
-    NegativeEdges,
     SamplingKind,
     SamplingStrategy,
     advanced_negative_sample,

@@ -1,11 +1,11 @@
 """Per-window directed multigraphs.
 
 Each time window becomes a graph over the full node id space: parallel
-arrays of edge sources, destinations, and timestamps.  Repeated calls stay
-repeated (multigraph), and are also coalesced once into distinct pairs with
-call counts.  Node features are the identity matrix by convention, kept
-implicit: with X = I the first-layer transform XW is just W, so no
-n_nodes x n_nodes array is ever materialized.
+arrays of edge sources and destinations, one row per call.  Repeated calls
+stay repeated (multigraph), and are also coalesced once into distinct pairs
+with call counts, which answer whether a pair is a call.  Node features are
+the identity matrix by convention, kept implicit: with X = I the first-layer
+transform XW is just W, so no n_nodes x n_nodes array is ever materialized.
 """
 from __future__ import annotations
 
@@ -23,30 +23,35 @@ class WindowedGraph:
 
     `edge_*` hold one row per call.  `pair_codes` are the distinct codes
     src * n_nodes + dst, sorted, `pair_src`/`pair_dst`/`pair_count` (float)
-    their pairs and call counts, `reverse_codes` those of the reversed pairs.
+    their pairs and call counts.
     """
 
     n_nodes: int
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    edge_ts: np.ndarray
-    window: tuple[int, int]
     pair_codes: np.ndarray = field(init=False, repr=False)
     pair_count: np.ndarray = field(init=False, repr=False)
     pair_src: np.ndarray = field(init=False, repr=False)
     pair_dst: np.ndarray = field(init=False, repr=False)
-    reverse_codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_nodes
         self.pair_codes, counts = np.unique(self.edge_src * n + self.edge_dst, return_counts=True)
         self.pair_count = counts.astype(np.float64)
         self.pair_src, self.pair_dst = np.divmod(self.pair_codes, n)
-        self.reverse_codes = np.sort(self.pair_dst * n + self.pair_src)
 
     @property
     def n_edges(self) -> int:
         return int(self.edge_src.shape[0])
+
+    def is_call(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Whether each (src, dst) is a call of this window; ids must lie in
+        [0, n_nodes), where codes are unique."""
+        codes = src * self.n_nodes + dst
+        if not self.pair_codes.size:
+            return np.zeros(codes.shape, dtype=bool)
+        idx = np.minimum(np.searchsorted(self.pair_codes, codes), self.pair_codes.size - 1)
+        return self.pair_codes[idx] == codes
 
 
 def build_graph(window: TimeWindow, n_nodes: int) -> WindowedGraph:
@@ -55,7 +60,6 @@ def build_graph(window: TimeWindow, n_nodes: int) -> WindowedGraph:
         raise GraphError(f"graph needs a positive node count, got {n_nodes}")
     src = np.asarray(window.src, dtype=np.int64)
     dst = np.asarray(window.dst, dtype=np.int64)
-    ts = np.asarray(window.ts, dtype=np.int64)
     if src.size:
         low = min(src.min(), dst.min())
         high = max(src.max(), dst.max())
@@ -64,7 +68,7 @@ def build_graph(window: TimeWindow, n_nodes: int) -> WindowedGraph:
             raise GraphError(
                 f"edge references node id {bad} outside the known range [0, {n_nodes})"
             )
-    return WindowedGraph(n_nodes, src, dst, ts, (window.start, window.end))
+    return WindowedGraph(n_nodes, src, dst)
 
 
 def degree_counts(graph: WindowedGraph) -> np.ndarray:

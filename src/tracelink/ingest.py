@@ -61,8 +61,8 @@ class EventTable:
 
 
 def _data_lines(lines: Iterable[str]) -> Iterator[str]:
-    for line in lines:
-        stripped = line.strip()
+    for i, line in enumerate(lines):
+        stripped = (line if i else line.removeprefix("\ufeff")).strip()
         if stripped and not stripped.startswith(COMMENT):
             yield stripped
 
@@ -81,7 +81,8 @@ def parse_trace(lines: Iterable[str], fmt: TraceFormat = TraceFormat()) -> tuple
     Returns (events, skipped) where `skipped` counts malformed lines: wrong
     field count or a timestamp that is unparseable or not finite.  Fractional
     timestamps are truncated toward zero.  With ``fmt.header`` the first data
-    line names the columns and overrides ``fmt.columns``.  Text that csv
+    line names the columns and overrides ``fmt.columns``.  One byte order
+    mark (U+FEFF) leading the first line is dropped.  Text that csv
     cannot split (say, a field over its size limit) is a DataError, and a
     format that fails `TraceFormat.validate` a ConfigError.
     """

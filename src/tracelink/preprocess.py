@@ -94,7 +94,9 @@ def apply_mapping(events: EventTable, mapping: NodeMapping, strict: bool = True)
     return EventTable(events.caller[known], events.callee[known], events.ts[known], src[known], dst[known])
 
 
-def _check_sorted(events: EventTable) -> None:
+def _check_windowable(events: EventTable) -> None:
+    if events.src is None or events.dst is None:
+        raise DataError("events have no node ids (apply_mapping attaches them)")
     if np.any(events.ts[1:] < events.ts[:-1]):
         raise DataError("events must be sorted by timestamp (clean_trace sorts them)")
 
@@ -117,7 +119,7 @@ def segment_windows(events: EventTable, w_size: int, t_max: int) -> list[TimeWin
         raise ConfigError(f"window size must be positive, got {w_size}")
     if t_max <= 0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
-    _check_sorted(events)
+    _check_windowable(events)
     ts = events.ts
     if ts.size and (ts[0] < 0 or ts[-1] >= t_max):
         bad = ts[0] if ts[0] < 0 else ts[-1]
@@ -132,7 +134,7 @@ def span_window(events: EventTable, start: int, end: int, index: int = 0) -> Tim
     """One window covering [start, end) (the non-temporal degenerate case)."""
     if end <= start:
         raise ConfigError(f"empty span [{start}, {end})")
-    _check_sorted(events)
+    _check_windowable(events)
     return _cut(events, index, start, end)
 
 

@@ -52,13 +52,6 @@ class SamplingStrategy:
             raise ConfigError(f"alpha only applies to advanced sampling, not {self.kind.value}")
 
 
-@dataclass(frozen=True)
-class NegativeEdges:
-    """Sampled non-edges: (k, 2) int array of ordered (src, dst) pairs."""
-
-    pairs: np.ndarray
-
-
 def analyze_sampling(n_pos: int, n_nodes: int, *, alpha: float = DEFAULT_ALPHA) -> SamplingStrategy:
     """Pick a sampling regime from the positive/implicit-negative ratio.
 
@@ -94,18 +87,10 @@ def degree_source_distribution(degrees: np.ndarray, alpha: float) -> np.ndarray:
     return weights / total
 
 
-def _member(sorted_codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    if sorted_codes.size == 0:
-        return np.zeros(queries.shape, dtype=bool)
-    idx = np.searchsorted(sorted_codes, queries)
-    idx[idx == sorted_codes.size] = sorted_codes.size - 1
-    return sorted_codes[idx] == queries
-
-
-def simple_negative_sample(graph: WindowedGraph, rng: np.random.Generator) -> NegativeEdges:
-    """One uniform draw per edge instance of `graph`, over ordered pairs that
-    are neither edges nor self-loops.  Draws are independent, so duplicates
-    can occur.
+def simple_negative_sample(graph: WindowedGraph, rng: np.random.Generator) -> np.ndarray:
+    """(k, 2) ordered (src, dst) pairs: one uniform draw per edge instance of
+    `graph`, over ordered pairs that are neither edges nor self-loops.  Draws
+    are independent, so duplicates can occur.
     """
     n_nodes = graph.n_nodes
     if n_nodes < 2:
@@ -122,16 +107,17 @@ def simple_negative_sample(graph: WindowedGraph, rng: np.random.Generator) -> Ne
         need = k - filled
         src = rng.integers(0, n_nodes, size=need)
         dst = rng.integers(0, n_nodes, size=need)
-        ok = (src != dst) & ~_member(graph.pair_codes, src * n_nodes + dst)
+        ok = (src != dst) & ~graph.is_call(src, dst)
         n_ok = int(ok.sum())
         out[filled : filled + n_ok, 0] = src[ok]
         out[filled : filled + n_ok, 1] = dst[ok]
         filled += n_ok
-    return NegativeEdges(out)
+    return out
 
 
-def advanced_negative_sample(graph: WindowedGraph, alpha: float, rng: np.random.Generator) -> NegativeEdges:
-    """One negative per edge instance of `graph`, degree-weighted sources.
+def advanced_negative_sample(graph: WindowedGraph, alpha: float, rng: np.random.Generator) -> np.ndarray:
+    """(k, 2) ordered (src, dst) pairs, one per edge instance of `graph`, with
+    degree-weighted sources.
 
     Sources follow degree**alpha over the graph's total degrees, destinations
     are uniform; a candidate is rejected when the pair exists, its reverse
@@ -141,7 +127,7 @@ def advanced_negative_sample(graph: WindowedGraph, alpha: float, rng: np.random.
     n = graph.n_nodes
     k = graph.n_edges
     if k == 0:
-        return NegativeEdges(np.empty((0, 2), dtype=np.int64))
+        return np.empty((0, 2), dtype=np.int64)
     cum = np.cumsum(degree_source_distribution(degree_counts(graph), alpha))
     cum[-1] = 1.0
 
@@ -153,8 +139,7 @@ def advanced_negative_sample(graph: WindowedGraph, alpha: float, rng: np.random.
             break
         src = np.searchsorted(cum, rng.random(need), side="right")
         dst = rng.integers(0, n, size=need)
-        codes = src * n + dst
-        ok = (src != dst) & ~_member(graph.pair_codes, codes) & ~_member(graph.reverse_codes, codes)
+        ok = (src != dst) & ~graph.is_call(src, dst) & ~graph.is_call(dst, src)
         n_ok = int(ok.sum())
         out[filled : filled + n_ok, 0] = src[ok]
         out[filled : filled + n_ok, 1] = dst[ok]
@@ -164,7 +149,7 @@ def advanced_negative_sample(graph: WindowedGraph, alpha: float, rng: np.random.
             f"could not place {k - filled} of {k} negatives within "
             f"{RETRY_FACTOR * n} attempts each; the non-edge space is too tight"
         )
-    return NegativeEdges(out)
+    return out
 
 
 def draw_negatives(strategy: SamplingStrategy, graph: WindowedGraph, rng: np.random.Generator) -> np.ndarray:
@@ -172,5 +157,5 @@ def draw_negatives(strategy: SamplingStrategy, graph: WindowedGraph, rng: np.ran
     if strategy.kind is SamplingKind.NONE:
         return np.empty((0, 2), dtype=np.int64)
     if strategy.kind is SamplingKind.SIMPLE:
-        return simple_negative_sample(graph, rng).pairs
-    return advanced_negative_sample(graph, strategy.alpha, rng).pairs
+        return simple_negative_sample(graph, rng)
+    return advanced_negative_sample(graph, strategy.alpha, rng)

@@ -40,8 +40,7 @@ def _random_multigraph(rng: np.random.Generator, n: int, m: int) -> WindowedGrap
     src = rng.integers(0, n, size=m)
     shift = rng.integers(1, n, size=m)
     dst = (src + shift) % n  # never a self-loop
-    return WindowedGraph(n, src.astype(np.int64), dst.astype(np.int64),
-                         np.zeros(m, dtype=np.int64), (0, 1))
+    return WindowedGraph(n, src.astype(np.int64), dst.astype(np.int64))
 
 
 # -- 01 ---------------------------------------------------------------------
@@ -126,7 +125,7 @@ def test_03_advanced_negatives_exclude_edges_reverses_and_self_loops():
         g = _random_multigraph(rng, n, m)
         existing = set(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
         neg = advanced_negative_sample(g, alpha=float(rng.uniform(0, 1)),
-                                       rng=rng).pairs
+                                       rng=rng)
         assert neg.shape == (g.n_edges, 2)
         for s, d in neg:
             assert s != d
@@ -146,8 +145,7 @@ def test_04_advanced_source_draws_follow_degree_alpha():
     # ring plus a few extra spokes into low ids -> known, skewed degrees
     src = np.concatenate([np.arange(50), np.arange(10, 40)])
     dst = np.concatenate([(np.arange(50) + 1) % 50, np.arange(30) % 5])
-    g = WindowedGraph(50, src.astype(np.int64), dst.astype(np.int64),
-                      np.zeros(len(src), dtype=np.int64), (0, 1))
+    g = WindowedGraph(50, src.astype(np.int64), dst.astype(np.int64))
     degrees = degree_counts(g)
     n_draws = 100_000
     for alpha in (0.0, 0.1, 1.0):

@@ -24,8 +24,6 @@ def test_build_graph_keeps_parallel_edges():
     assert g.n_edges == 3
     assert g.edge_src.tolist() == [0, 0, 1]
     assert g.edge_dst.tolist() == [1, 1, 2]
-    assert g.edge_ts.tolist() == [5, 9, 12]
-    assert g.window == (0, 100)
 
 
 def test_build_graph_empty_window():
@@ -47,10 +45,9 @@ def test_build_graph_coalesces_duplicates():
     assert g.pair_src.tolist() == [0, 2, 2]
     assert g.pair_dst.tolist() == [1, 0, 2]
     assert g.pair_count.tolist() == [2.0, 1.0, 1.0]
-    assert g.reverse_codes.tolist() == [2, 3, 8]  # (0,2), (1,0), (2,2)
     assert g.n_edges == 4  # instances stay as they were
     empty = build_graph(make_window([]), n_nodes=3)
-    assert empty.pair_codes.size == empty.pair_count.size == empty.reverse_codes.size == 0
+    assert empty.pair_codes.size == empty.pair_count.size == 0
 
 
 def test_degree_counts_sum_to_twice_edges():
@@ -71,8 +68,34 @@ def test_graph_is_plain_dataclass():
         n_nodes=2,
         edge_src=np.array([0], dtype=np.int64),
         edge_dst=np.array([1], dtype=np.int64),
-        edge_ts=np.array([3], dtype=np.int64),
-        window=(0, 10),
     )
     assert g.n_edges == 1
     assert g.pair_src.tolist() == [0] and g.pair_count.tolist() == [1.0]
+
+
+
+# ---------------------------------------------------------------------------
+# is_call against a set of (src, dst) tuples
+
+def assert_is_call_matches_set(calls, n):
+    g = build_graph(make_window([(s, d, 0) for s, d in calls]), n_nodes=n)
+    existing = set(map(tuple, calls))
+    src, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)  # every ordered pair, self-loops too
+    pairs = list(zip(src.tolist(), dst.tolist()))
+    assert g.is_call(src, dst).tolist() == [(s, d) in existing for s, d in pairs]
+    assert g.is_call(dst, src).tolist() == [(d, s) in existing for s, d in pairs]  # the reverses
+
+
+def test_is_call_on_an_empty_graph():
+    assert_is_call_matches_set([], 4)
+
+
+def test_is_call_with_repeats_and_a_self_loop():
+    assert_is_call_matches_set([(2, 0), (0, 1), (0, 1), (2, 2)], 3)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_is_call_matches_a_set_of_pairs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    assert_is_call_matches_set(rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist(), n)

@@ -222,6 +222,16 @@ def test_crlf_trace_parses_to_the_same_table(tmp_path):
     assert crlf_events.ts.tobytes() == events.ts.tobytes()
 
 
+def test_trace_led_by_a_byte_order_mark_parses_to_the_same_table(tmp_path):
+    path = generated_trace_file(tmp_path)  # its first line is a comment, which the mark would hide
+    bom = tmp_path / "trace_bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert outcome(*parse_trace_file(bom)) == outcome(*parse_trace_file(path))
+    no_comment = tmp_path / "no_comment.csv"
+    no_comment.write_bytes(b"\xef\xbb\xbftimestamp,um,dm\n1,a,b\n")
+    assert outcome(*parse_trace_file(no_comment)) == outcome(*parse_trace(["timestamp,um,dm", "1,a,b"]))
+
+
 def test_generated_trace_takes_the_bulk_path(tmp_path, monkeypatch):
     path = generated_trace_file(tmp_path)
     expected = parse_text_file(path, TraceFormat())
@@ -319,6 +329,7 @@ LIMIT = csv.field_size_limit()
 @example((b"x" * (LIMIT + 1), TraceFormat()))  # a header over the limit
 @example((b"#\r,\n0,a,b\n", TraceFormat(header=False)))  # universal newlines split the comment
 @example((b"# caf\xe9\n0,a,b", TraceFormat(header=False)))  # non-UTF-8 comment
+@example((b"\xef\xbb\xbf# c\ntimestamp,um,dm\n1,a,b\n", TraceFormat()))  # a byte order mark
 @example((b"timestamp,um,dm\n\n  \n\x1c# c\n1,,b\n2,a\n3,a,b,c\nnan,a,b\n4.5,a,b", TraceFormat()))
 @given(trace_files())
 def test_parse_trace_file_matches_the_csv_reader(tmp_path, trace):

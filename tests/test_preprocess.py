@@ -134,6 +134,14 @@ def test_windows_reject_unsorted_events():
         span_window(mapped, 0, 300)
 
 
+def test_windows_need_the_node_ids_apply_mapping_attaches():
+    unmapped = ev(("a", "b", 10))
+    with pytest.raises(DataError, match="apply_mapping"):
+        segment_windows(unmapped, w_size=100, t_max=300)
+    with pytest.raises(DataError, match="apply_mapping"):
+        span_window(unmapped, 0, 300)
+
+
 def test_segment_windows_rejects_bad_sizes():
     with pytest.raises(ConfigError):
         segment_windows(EMPTY, w_size=0, t_max=100)

@@ -105,8 +105,8 @@ def test_degree_distribution_rejects_bad_alpha():
 def test_simple_sampler_finds_the_only_missing_pair():
     rng = np.random.default_rng(0)
     out = simple_negative_sample(graph_of([(0, 1)], 2), rng)
-    assert out.pairs.tolist() == [[1, 0]]
-    assert len(out.pairs) == 1
+    assert out.tolist() == [[1, 0]]
+    assert len(out) == 1
 
 
 def test_simple_sampler_raises_when_space_exhausted():
@@ -120,21 +120,21 @@ def test_simple_sampler_self_loops_never_reduce_room():
     # a recorded self-loop is outside the candidate space anyway
     rng = np.random.default_rng(1)
     out = simple_negative_sample(graph_of([(0, 0), (0, 0)], 2), rng)
-    assert sorted(map(tuple, out.pairs.tolist())) == [(0, 1), (1, 0)]
+    assert sorted(map(tuple, out.tolist())) == [(0, 1), (1, 0)]
 
 
 def test_simple_sampler_draws_independently():
     # seed 10 produces the same pair twice out of a 2-candidate space,
     # which sampling without replacement could never do
     rng = np.random.default_rng(10)
-    out = simple_negative_sample(graph_of([(0, 0), (1, 1)], 2), rng).pairs
+    out = simple_negative_sample(graph_of([(0, 0), (1, 1)], 2), rng)
     assert out.tolist() == [[1, 0], [1, 0]]
 
 
 def test_simple_sampler_respects_exclusions_in_bulk():
     rng = np.random.default_rng(7)
     existing = {(0, 1), (1, 2), (2, 3), (3, 0), (4, 4)}
-    out = simple_negative_sample(graph_of(sorted(existing) * 4, 6), rng).pairs
+    out = simple_negative_sample(graph_of(sorted(existing) * 4, 6), rng)
     assert out.shape == (20, 2)
     for s, d in out.tolist():
         assert s != d
@@ -147,13 +147,13 @@ def test_simple_sampler_respects_exclusions_in_bulk():
 def test_advanced_sampler_one_negative_per_edge_instance():
     g = graph_of([(0, 1), (0, 1), (1, 2)], 5)  # parallel edge counts twice
     out = advanced_negative_sample(g, DEFAULT_ALPHA, np.random.default_rng(3))
-    assert out.pairs.shape == (3, 2)
+    assert out.shape == (3, 2)
 
 
 def test_advanced_sampler_empty_graph_yields_empty():
     g = graph_of([], 4)
     out = advanced_negative_sample(g, DEFAULT_ALPHA, np.random.default_rng(0))
-    assert out.pairs.shape == (0, 2)
+    assert out.shape == (0, 2)
 
 
 def test_advanced_sampler_excludes_existing_reverse_and_self():
@@ -164,7 +164,7 @@ def test_advanced_sampler_excludes_existing_reverse_and_self():
     for seed in range(10):
         out = advanced_negative_sample(g, alpha=0.1,
                                        rng=np.random.default_rng(seed))
-        for s, d in out.pairs.tolist():
+        for s, d in out.tolist():
             assert s != d
             assert (s, d) not in existing
             assert (s, d) not in reversed_pairs
@@ -176,8 +176,8 @@ def test_advanced_sampler_never_draws_isolated_sources():
     g = graph_of(pairs * 40, 10)
     out = advanced_negative_sample(g, alpha=0.1,
                                    rng=np.random.default_rng(11))
-    assert out.pairs[:, 0].max() < 5
-    assert out.pairs[:, 1].max() >= 5  # destinations stay uniform over everyone
+    assert out[:, 0].max() < 5
+    assert out[:, 1].max() >= 5  # destinations stay uniform over everyone
 
 
 def test_advanced_sampler_degree_bias_is_visible():
@@ -187,7 +187,7 @@ def test_advanced_sampler_degree_bias_is_visible():
     g = graph_of(pairs, 40)
     out = advanced_negative_sample(g, alpha=1.0,
                                    rng=np.random.default_rng(5))
-    share0 = (out.pairs[:, 0] == 0).mean()
+    share0 = (out[:, 0] == 0).mean()
     assert 0.3 < share0 < 0.6
 
 
@@ -271,7 +271,7 @@ def test_array_samplers_draw_what_the_set_based_ones_did(seed):
     existing = {(int(s), int(d)) for s, d in pairs}
     k = g.n_edges
     if k <= n * (n - 1) - sum(1 for s, d in existing if s != d):
-        simple = simple_negative_sample(g, np.random.default_rng(seed)).pairs
+        simple = simple_negative_sample(g, np.random.default_rng(seed))
         assert np.array_equal(simple, set_simple(existing, n, k, np.random.default_rng(seed)))
     alpha = float(rng.uniform(0, 1))
     want = set_advanced(g, existing, alpha, np.random.default_rng(seed))
@@ -279,7 +279,7 @@ def test_array_samplers_draw_what_the_set_based_ones_did(seed):
         with pytest.raises(SamplingError):
             advanced_negative_sample(g, alpha, np.random.default_rng(seed))
     else:
-        assert np.array_equal(advanced_negative_sample(g, alpha, np.random.default_rng(seed)).pairs, want)
+        assert np.array_equal(advanced_negative_sample(g, alpha, np.random.default_rng(seed)), want)
 
 
 @pytest.mark.parametrize("seed", range(10))
