@@ -99,14 +99,67 @@ def _strategy(cfg: RunConfig, kind: str, mean_pos: int = 0, n_nodes: int = 0) ->
     return SamplingStrategy(SamplingKind(kind), cfg.sampling.alpha if kind == "advanced" else None)
 
 
+def _bits(values: np.ndarray) -> np.ndarray:
+    """Numeric `values` as unsigned integers of the same width.  Equal keys
+    mean equal bits, so -0.0 and 0.0, and NaNs with different payloads,
+    stay apart."""
+    return values.view(f"u{values.itemsize}")
+
+
+def _reprs(column) -> list[str]:
+    """The repr of each entry of a numeric `column`, computed once per
+    distinct value."""
+    values = np.asarray(column)
+    distinct, inverse = np.unique(_bits(values), return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+class _ReprTable:
+    """The repr of each distinct float64 value of `values`, for columns that
+    repeat them: an evaluation's curve thresholds and scored pairs all come
+    from its pooled scores."""
+
+    def __init__(self, values: np.ndarray):
+        keys = np.sort(_bits(np.asarray(values, dtype=np.float64)))
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        self.keys = keys[distinct]  # np.unique here would import numpy.ma (~13 ms)
+        self.texts = np.array(list(map(repr, self.keys.view(np.float64).tolist())), dtype=object)
+
+    def reprs(self, column: np.ndarray) -> list[str]:
+        """`_reprs(column)` for a float64 column; values the table lacks get
+        their own repr."""
+        values = np.asarray(column, dtype=np.float64)
+        keys = _bits(values)
+        at = np.searchsorted(self.keys, keys)
+        hit = at < self.keys.size
+        hit[hit] = self.keys[at[hit]] == keys[hit]
+        texts = np.empty(keys.size, dtype=object)
+        texts[hit] = self.texts[at[hit]]
+        if not hit.all():
+            texts[~hit] = _reprs(values[~hit])
+        return texts.tolist()
+
+
 def _csv(header: str, *columns) -> str:
     """CSV text: the `header` line (none if empty), then one line per entry
-    of the parallel `columns`, each value as its repr.  Rows are formatted
-    lazily, so no whole column of strings is held at once."""
-    lines = [header] if header else []
-    lines += map(",".join, zip(*(map(repr, np.asarray(column).tolist()) for column in columns)))
-    lines.append("")
-    return "\n".join(lines)
+    of the `columns`, each value as its repr.  A column is an array-like of
+    numbers or a list of their texts (`_ReprTable.reprs`); columns of
+    different lengths raise ValueError.  Each column's texts are held as one
+    list, one `str` per distinct value, and joined with the separators in
+    one pass."""
+    head = header + "\n" if header else ""
+    cells = [column if isinstance(column, list) else _reprs(column) for column in columns]
+    if not cells:
+        return head
+    rows = len(cells[0])
+    width = 2 * len(cells)
+    parts = [","] * (width * rows)
+    for j, texts in enumerate(cells):
+        parts[2 * j::width] = texts
+    parts[width - 1::width] = ["\n"] * rows
+    return head + "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +330,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "skipped_unknown_events": skipped_unknown,
         }
         _write_text(out / "metrics.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        # Every threshold and score is one of the pooled scores (the ROC's
+        # inf anchor aside), so each distinct score is printed once.
+        scores = _ReprTable(np.concatenate([r.scores for r in report.windows]))
         scored_sets = [("pooled", report.pooled), *((f"window_{r.window_index:04d}", r) for r in report.windows)]
         for tag, scored in scored_sets:
-            _write_text(out / f"pr_{tag}.csv", _csv("threshold,precision,recall", *scored.pr))
-            _write_text(out / f"roc_{tag}.csv", _csv("threshold,fpr,tpr", *scored.roc))
+            thresholds, precision, recall = scored.pr
+            _write_text(out / f"pr_{tag}.csv",
+                        _csv("threshold,precision,recall", scores.reprs(thresholds), precision, recall))
+            thresholds, fpr, tpr = scored.roc
+            _write_text(out / f"roc_{tag}.csv", _csv("threshold,fpr,tpr", scores.reprs(thresholds), fpr, tpr))
         for r in report.windows:
             _write_text(out / f"scored_window_{r.window_index:04d}.csv",
-                        _csv("src,dst,score,label", r.src, r.dst, r.scores, r.labels))
+                        _csv("src,dst,score,label", r.src, r.dst, scores.reprs(r.scores), r.labels))
         matrix = metrics_mod.export_attention(report.last_attention)
         _write_text(out / "attention_test.csv", _csv("", *matrix.T))
 

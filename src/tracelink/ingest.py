@@ -9,6 +9,7 @@ satisfying the invariants survive).
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass
@@ -138,11 +139,12 @@ def parse_trace_file(path: str | Path, fmt: TraceFormat = TraceFormat()) -> tupl
     """Parse a trace file into what `parse_trace` gives on its UTF-8 text.
 
     The same table and skip count, or the same error.  The file is read
-    once as bytes and split in bulk (`_parse_bytes`).  Where that split
-    cannot be shown to match csv's, the file is read again as text through
-    `parse_trace`, which is the reference.
+    once as bytes and split in bulk (`_parse_bytes`), less one leading
+    UTF-8 byte order mark, which `parse_trace` drops too.  Where that split
+    cannot be shown to match csv's, the whole file is read again as text
+    through `parse_trace`, which is the reference.
     """
-    parsed = _parse_bytes(Path(path).read_bytes(), fmt)
+    parsed = _parse_bytes(Path(path).read_bytes().removeprefix(codecs.BOM_UTF8), fmt)
     if parsed is not None:
         return parsed
     with open(path, "r", encoding="utf-8") as handle:

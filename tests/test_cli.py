@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import csv_reference
 import tracelink
-from tracelink.cli import _run_config, build_parser, main
+from tracelink.cli import _csv, _ReprTable, _run_config, build_parser, main
 from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
 from tracelink.metrics import auc, pr_points, roc_points
@@ -117,6 +120,85 @@ def _read_csv(path, *types):
     rows = [[kind(text) for kind, text in zip(types, line.split(","))] for line in lines]
     assert [",".join(map(repr, row)) for row in rows] == lines
     return header, [list(column) for column in zip(*rows)]
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer against the row-by-row reference
+
+INT64 = np.iinfo(np.int64)
+#: Values whose reprs are easy to get wrong: signed zeros, NaNs with other
+#: payloads and signs, infinities, subnormals, and the edges of exactness.
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+                  2.2250738585072014e-308, 2.225073858507201e-308, 1e16, 9007199254740993.0, 0.1, 1.0]
+floats = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item()),  # any NaN payload
+)
+ints = st.one_of(st.sampled_from([0, -1, 1, INT64.min, INT64.max, INT64.min + 1]), st.integers(INT64.min, INT64.max))
+
+
+@st.composite
+def float_columns(draw, rows):
+    """`rows` float64 values drawn from a few distinct ones, so each
+    repeats; every NaN keeps its sign and gets a random payload."""
+    pool = draw(st.lists(floats, min_size=1, max_size=6))
+    column = np.array([draw(st.sampled_from(pool)) for _ in range(rows)], dtype=np.float64)
+    payloads = draw(st.lists(st.integers(1, 2**51 - 1), min_size=rows, max_size=rows))
+    bits = column.view(np.uint64)
+    nan = np.isnan(column)
+    bits[nan] = (bits[nan] & np.uint64(0xFFF8000000000000)) | np.array(payloads, dtype=np.uint64)[nan]
+    return column
+
+
+@st.composite
+def columns(draw):
+    rows = draw(st.integers(0, 12))
+    drawn = []
+    for kind in draw(st.lists(st.sampled_from(["float64", "float32", "int64", "bool"]), max_size=4)):
+        if kind == "int64":
+            pool = draw(st.lists(ints, min_size=1, max_size=6))
+            drawn.append(np.array([draw(st.sampled_from(pool)) for _ in range(rows)], dtype=np.int64))
+        elif kind == "bool":
+            drawn.append(np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool))
+        else:
+            with np.errstate(over="ignore"):  # float32 rounds large values to inf
+                drawn.append(draw(float_columns(rows)).astype(kind))
+    return drawn
+
+
+@settings(max_examples=300, deadline=None)
+@example([], "")
+@example([np.array([], dtype=np.float64), np.array([], dtype=np.int64)], "src,dst")
+@example([np.array([0.0, -0.0, 5e-324, 1e16, float("nan"), float("inf"), -float("inf")]),
+          np.array([0, INT64.min, INT64.max, 0, -1, 1, 0], dtype=np.int64)], "")
+@given(columns(), st.sampled_from(["", "threshold,fpr,tpr", "x"]))
+def test_csv_matches_the_row_by_row_writer(drawn, header):
+    expected = csv_reference.csv_text(header, *drawn)
+    assert _csv(header, *drawn) == expected
+    assert _csv(header, *(tuple(column.tolist()) for column in drawn)) == expected  # as the loss history
+
+
+@settings(max_examples=300, deadline=None)
+@example(np.array([0.5, 0.25]), np.array([float("inf")]), [0, 1, 1])  # the ROC's inf anchor
+@example(np.array([], dtype=np.float64), np.array([0.0, -0.0]), [])  # an empty table misses all
+@example(np.array([0.0]), np.array([-0.0, -0.0]), [0])  # an equal value with other bits misses
+@given(st.integers(0, 12).flatmap(float_columns), st.integers(0, 6).flatmap(float_columns),
+       st.lists(st.integers(0, 100), max_size=12))
+def test_shared_reprs_match_the_row_by_row_writer(table_values, others, picks):
+    """Texts from a table match each value's repr, whether the table holds
+    the value or not."""
+    held = table_values[[pick % table_values.size for pick in picks]] if table_values.size else []
+    column = np.concatenate([held, others, held])
+    n = np.arange(column.size)
+    table = _ReprTable(table_values)
+    assert _csv("threshold,n", table.reprs(column), n) == csv_reference.csv_text("threshold,n", column, n)
+
+
+def test_csv_rejects_columns_of_different_lengths():
+    for lengths in ((3, 2), (2, 3)):
+        with pytest.raises(ValueError):
+            _csv("a,b", *map(np.zeros, lengths))
 
 
 def test_evaluate_artefacts_agree_exactly(workdir, tmp_path):

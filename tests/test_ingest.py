@@ -1,6 +1,7 @@
 """Parsing and cleaning of delimited trace files."""
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 
@@ -232,18 +233,32 @@ def test_trace_led_by_a_byte_order_mark_parses_to_the_same_table(tmp_path):
     assert outcome(*parse_trace_file(no_comment)) == outcome(*parse_trace(["timestamp,um,dm", "1,a,b"]))
 
 
+def no_fallback(*args):
+    raise AssertionError("parse_trace_file fell back to the csv reader")
+
+
 def test_generated_trace_takes_the_bulk_path(tmp_path, monkeypatch):
     path = generated_trace_file(tmp_path)
     expected = parse_text_file(path, TraceFormat())
-
-    def no_fallback(*args):
-        raise AssertionError("parse_trace_file fell back to the csv reader")
-
     monkeypatch.setattr(ingest, "parse_trace", no_fallback)
     events, skipped = parse_trace_file(path)
     assert outcome(events, skipped) == outcome(*expected)
     names = events.caller.tolist() + events.callee.tolist()
     assert len({id(name) for name in names}) == len(set(names))  # one str per service
+
+
+def test_trace_led_by_a_byte_order_mark_takes_the_bulk_path(tmp_path, monkeypatch):
+    path = generated_trace_file(tmp_path)
+    bom = tmp_path / "trace_bom.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    expected = parse_text_file(bom, TraceFormat())
+    monkeypatch.setattr(ingest, "parse_trace", no_fallback)
+    assert outcome(*parse_trace_file(bom)) == outcome(*expected)
+    # A second mark is text after the first; only the csv reader keeps it.
+    twice = tmp_path / "trace_bom_bom.csv"
+    twice.write_bytes(codecs.BOM_UTF8 + bom.read_bytes())
+    with pytest.raises(AssertionError, match="fell back"):
+        parse_trace_file(twice)
 
 
 # ---------------------------------------------------------------------------
