@@ -186,10 +186,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _load_mapped_windows(cfg: RunConfig, mapping: NodeMapping | None):
     """Ingest + clean + map + window a trace per the run settings.
 
-    Returns (mapping, train_windows, test_windows, n_events, skipped_lines,
-    skipped_unknown).  With a preexisting `mapping`, events naming a service
-    it does not know either fail (strict) or are dropped (lenient), since the
-    model has no parameters for ids it never trained on.
+    Returns (mapping, train_windows, test_windows, n_events, dropped,
+    skipped_unknown), where `dropped` holds the parse's `skipped_lines` and
+    the `clean_trace` counts.  With a preexisting `mapping`, events naming a
+    service it does not know either fail (strict) or are dropped (lenient),
+    since the model has no parameters for ids it never trained on.
     """
     if not cfg.trace:
         raise ConfigError("no trace file given (use --trace or the `trace` config key)")
@@ -197,7 +198,7 @@ def _load_mapped_windows(cfg: RunConfig, mapping: NodeMapping | None):
         raw, skipped_lines = parse_trace_file(cfg.trace, cfg.trace_format)
         # Windows tile [0, t_max), so the horizon's integer timestamps end
         # at t_max - 1.
-        clean = clean_trace(raw, cfg.t_max - 1)
+        clean, dropped = clean_trace(raw, cfg.t_max - 1)
     with _stage("mapping"):
         if mapping is None:
             mapping = build_node_mapping(clean)
@@ -209,14 +210,15 @@ def _load_mapped_windows(cfg: RunConfig, mapping: NodeMapping | None):
         else:
             train_w = [span_window(mapped, 0, cfg.t_train, index=0)]
             test_w = [span_window(mapped, cfg.t_train, cfg.t_max, index=1)]
-    return mapping, train_w, test_w, len(clean), skipped_lines, len(clean) - len(mapped)
+    dropped = {"skipped_lines": skipped_lines, **dropped}
+    return mapping, train_w, test_w, len(clean), dropped, len(clean) - len(mapped)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     cfg.validate()
 
-    mapping, train_w, _, n_events, skipped_lines, _ = _load_mapped_windows(cfg, None)
+    mapping, train_w, _, n_events, dropped, _ = _load_mapped_windows(cfg, None)
     n_nodes = mapping.n_nodes
     if n_nodes < 2:
         raise DataError(f"trace has {n_nodes} distinct services; need at least 2")
@@ -254,7 +256,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "n_events": n_events,
             "n_train_windows": len(train_w),
             "n_nonempty_train_windows": len(nonempty),
-            "skipped_lines": skipped_lines,
+            **dropped,
             "resolved_sampling": strategy.kind.value,
             "alpha": strategy.alpha,
             "mapping_sha256": digest,
@@ -308,7 +310,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"{params.dims.n_nodes}"
             )
 
-    _, _, test_w, _, skipped_lines, skipped_unknown = _load_mapped_windows(cfg, mapping)
+    _, _, test_w, _, dropped, skipped_unknown = _load_mapped_windows(cfg, mapping)
 
     strategy = _strategy(cfg, cfg.sampling.eval_kind)
     with _stage("evaluate"):
@@ -326,7 +328,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 for r in report.windows
             },
             "n_test_windows": len(report.windows),
-            "skipped_lines": skipped_lines,
+            **dropped,
             "skipped_unknown_events": skipped_unknown,
         }
         _write_text(out / "metrics.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")

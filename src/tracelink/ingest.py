@@ -45,12 +45,15 @@ class TraceFormat:
 class EventTable:
     """Call events as parallel columns, one row per call instance.
 
-    `caller` and `callee` are object arrays of service names.  `ts` holds the
+    `names` is an object array of distinct service names, and `caller` and
+    `callee` are int64 codes into it: the name of row i's caller is
+    `names[caller[i]]`.  A name need not be used by any row.  `ts` holds the
     millisecond timestamps: float64, truncated toward zero, as parsed; int64
     once `clean_trace` has range-checked them.  `src` and `dst` are the int64
     node ids of caller and callee, set by `preprocess.apply_mapping`.
     """
 
+    names: np.ndarray
     caller: np.ndarray
     callee: np.ndarray
     ts: np.ndarray
@@ -69,11 +72,14 @@ def _data_lines(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _parsed(callers: list[str], callees: list[str], stamps: list[float]) -> EventTable:
-    return EventTable(
-        np.array(callers, dtype=object),
-        np.array(callees, dtype=object),
-        np.trunc(np.array(stamps, dtype=np.float64)),
-    )
+    codes: dict[str, int] = {}  # one vocabulary for both name columns
+
+    def code_column(names: list[str]) -> np.ndarray:
+        return np.fromiter((codes.setdefault(name, len(codes)) for name in names), dtype=np.int64, count=len(names))
+
+    caller, callee = code_column(callers), code_column(callees)
+    return EventTable(np.array(list(codes), dtype=object), caller, callee,
+                      np.trunc(np.array(stamps, dtype=np.float64)))
 
 
 def parse_trace(lines: Iterable[str], fmt: TraceFormat = TraceFormat()) -> tuple[EventTable, int]:
@@ -156,13 +162,6 @@ def parse_trace_file(path: str | Path, fmt: TraceFormat = TraceFormat()) -> tupl
 
 #: The ASCII characters `str.strip()` removes.
 _SPACE = bytes(i for i in range(128) if chr(i).isspace())
-#: Bytes that keep a line out of the bulk split: all but printable ASCII
-#: (0x21-0x7e, so no space) without csv's quote character.  The line break
-#: is left out, since it ends lines rather than sitting in them.
-_ODD = np.ones(256, dtype=bool)
-_ODD[0x21:0x7F] = False
-_ODD[ord('"')] = True
-_ODD[ord("\n")] = False
 
 
 def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None:
@@ -172,8 +171,9 @@ def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None
     with no `"`, is left as it is by `str.strip()`, and csv splits it at each
     delimiter and nowhere else.  So such lines are split with numpy on the
     whole buffer: line breaks and delimiter positions give each line's field
-    count and field bounds.  Each distinct caller, callee and timestamp text
-    is decoded once, and both name columns share one `str` per service.
+    count and field bounds.  Fields are interned by integer key (`_intern`),
+    both name columns into one vocabulary, so each distinct name and
+    timestamp text is decoded once.
 
     Returns None, for `parse_trace` to read the text instead, when the
     delimiter is not one printable ASCII character other than `"`; when
@@ -186,10 +186,10 @@ def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None
     if not "!" <= fmt.delimiter <= "~" or fmt.delimiter == '"':
         return None
     b = np.frombuffer(data, dtype=np.uint8)
-    odd = np.flatnonzero(_ODD[b])
-    if np.any((b[odd] == ord("\r")) | (b[odd] >= 0x80)):
+    scan = _scan(b)
+    if scan is None:
         return None
-    ends = np.flatnonzero(b == ord("\n"))
+    ends, odd = scan
     if b.size and b[-1] != ord("\n"):
         ends = np.append(ends, b.size)
     starts = np.zeros_like(ends)
@@ -198,7 +198,7 @@ def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None
     first = b[starts]
     kept = first != ord(COMMENT)
     # A line led by whitespace or empty may still be blank or a comment.
-    for line in np.flatnonzero(_ODD[first] | (first == ord("\n"))).tolist():
+    for line in np.flatnonzero(first <= ord(" ")).tolist():
         text = data[starts[line]:ends[line]].strip(_SPACE)
         kept[line] = bool(text) and text[:1] != COMMENT.encode()
     if kept[np.searchsorted(ends, odd)].any():
@@ -227,18 +227,40 @@ def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None
         stop = ends[lines] if j == len(columns) - 1 else delims[first_delim + j]
         return start, stop - start
 
-    stamp_texts, stamp_codes = _intern(data, *field(ts_i))
-    stamps = np.array([_stamp(text) for text in stamp_texts], dtype=np.float64)[stamp_codes]
+    stamps = _stamps(b, field(ts_i))
     finite = np.isfinite(stamps)
     skipped += int(stamps.size - np.count_nonzero(finite))
-    lines, first_delim = lines[finite], first_delim[finite]
-    names: dict[bytes, str] = {}  # one str per service, shared by both columns
+    lines, first_delim, stamps = lines[finite], first_delim[finite], np.trunc(stamps[finite])
+    texts, (caller, callee) = _intern(b, (field(j) for j in (caller_i, callee_i)))
+    names = np.array([text.decode("ascii") for text in texts], dtype=object)
+    return EventTable(names, caller, callee, stamps), skipped
 
-    def name_column(j: int) -> np.ndarray:
-        texts, codes = _intern(data, *field(j))
-        return np.array([names.setdefault(text, text.decode("ascii")) for text in texts], dtype=object)[codes]
 
-    return EventTable(name_column(caller_i), name_column(callee_i), np.trunc(stamps[finite])), skipped
+def _scan(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The positions of the line breaks and of the odd bytes in `b`.
+
+    Odd bytes keep a line out of the bulk split: all but printable ASCII,
+    and csv's quote character.  None if `b` holds a carriage return or a
+    byte >= 0x80.
+    """
+    special = np.flatnonzero(b - np.uint8(ord("#")) > np.uint8(ord("~") - ord("#")))  # bytes outside "#".."~"
+    byte = b[special]
+    line_break = byte == ord("\n")
+    odd = ~line_break & (byte != ord("!"))
+    if np.any((byte[odd] == ord("\r")) | (byte[odd] >= 0x80)):
+        return None
+    return special[line_break], special[odd]
+
+
+def _stamps(b: np.ndarray, field: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The float value of each timestamp field, NaN where it is not a number.
+
+    Apart from `_parse_bytes`, so that the interning's arrays are freed
+    before the name columns are interned (the parse sets a heavy run's peak
+    memory).
+    """
+    texts, (codes,) = _intern(b, [field])
+    return np.array([_stamp(text) for text in texts], dtype=np.float64)[codes]
 
 
 def _stamp(text: bytes) -> float:
@@ -248,47 +270,100 @@ def _stamp(text: bytes) -> float:
         return math.nan
 
 
-def _intern(data: bytes, start: np.ndarray, width: np.ndarray) -> tuple[list[bytes], np.ndarray]:
-    """The distinct byte strings `data[start:start + width]`, and each one's index.
+#: Keys from here up stand for fields over 8 bytes, as this plus the field's
+#: index among them.  A shorter field's key is below: its leading byte is ASCII.
+_WIDE = 1 << 63
 
-    Fields of one width are compared as fixed-width byte strings, gathered
-    through an overlapping strided view of `data`; fields hold no NUL, so
-    numpy's fixed-width bytes lose nothing.
+
+def _intern(b: np.ndarray, fields: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[list[bytes], list[np.ndarray]]:
+    """The distinct byte strings over columns of fields, and each field's index among them.
+
+    `fields` yields each column's field starts and widths in `b`; all the
+    columns share one vocabulary, and each gets its own array of indices.
+    Each column's keys (`_keys`) are sorted on their own, and the columns'
+    distinct keys then once more together, which holds less memory than one
+    sort over every column at once.
     """
-    order = np.argsort(width, kind="stable")
-    sorted_width = width[order]
-    codes = np.empty(width.size, dtype=np.int64)
-    texts: list[bytes] = []
-    for rows in np.split(order, np.flatnonzero(sorted_width[1:] != sorted_width[:-1]) + 1):
-        if not rows.size:
-            continue
-        w = int(width[rows[0]])
-        if w == 0:
-            distinct, inverse = np.array([b""]), np.zeros(rows.size, dtype=np.int64)
-        else:
-            keys = np.ndarray((len(data) - w + 1,), dtype=f"S{w}", buffer=data, strides=(1,))[start[rows]]
-            # With return_inverse numpy sorts; its hash path would import numpy.ma (~13 ms).
-            distinct, inverse = np.unique(keys, return_inverse=True)
-        codes[rows] = inverse + len(texts)
-        texts.extend(distinct.tolist())
+    wide: dict[bytes, int] = {}
+    # With return_inverse numpy sorts; its hash path would import numpy.ma (~13 ms).
+    columns = [np.unique(_keys(b, start, width, wide), return_inverse=True) for start, width in fields]
+    keys, merged = np.unique(np.concatenate([distinct for distinct, _ in columns]), return_inverse=True)
+    offsets = np.cumsum([0] + [distinct.size for distinct, _ in columns]).tolist()
+    codes = [merged[offset:][inverse] for offset, (_, inverse) in zip(offsets, columns)]
+    wide_texts = list(wide)
+    texts = [wide_texts[key - _WIDE] if key >= _WIDE else key.to_bytes((key.bit_length() + 7) // 8, "big")
+             for key in keys.tolist()]
     return texts, codes
 
 
-def clean_trace(events: EventTable, t_max: int) -> EventTable:
+def _keys(b: np.ndarray, start: np.ndarray, width: np.ndarray, wide: dict[bytes, int]) -> np.ndarray:
+    """One uint64 key per field `b[start:start + width]`; fields hold no NUL.
+
+    A field of at most 8 bytes is keyed by its bytes as one integer
+    (`_int_keys`).  Wider fields of one width are compared as fixed-width
+    byte strings, gathered through an overlapping strided view of `b`, which
+    numpy's fixed-width bytes keep whole; each is keyed `_WIDE` plus its
+    index in `wide`, which takes in the texts it does not hold yet.
+    """
+    keys = _int_keys(b, start, np.minimum(width, 8))
+    rows = np.flatnonzero(width > 8)
+    rows = rows[np.argsort(width[rows], kind="stable")]
+    for group in np.split(rows, np.flatnonzero(np.diff(width[rows])) + 1):
+        if not group.size:
+            continue
+        w = int(width[group[0]])
+        texts, inverse = np.unique(np.ndarray((b.size - w + 1,), dtype=f"S{w}", buffer=b, strides=(1,))[start[group]],
+                                   return_inverse=True)
+        ids = np.array([wide.setdefault(text, len(wide)) for text in texts.tolist()], dtype=np.uint64)
+        keys[group] = ids[inverse] + np.uint64(_WIDE)
+    return keys
+
+
+def _int_keys(b: np.ndarray, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Each field `b[start:start + width]` of at most 8 bytes as one integer, its bytes big-endian.
+
+    The 8 bytes from a field's start are read as one unaligned big-endian
+    uint64, through an overlapping strided view of `b`, and the bytes past
+    the field are shifted out.  A field that starts in the last 7 bytes is
+    read from the last 8 bytes and shifted left first, so nothing is read
+    past the end and `b` is not copied.  With no NUL in a field, the key's
+    leading byte is not zero, so a key stands for one field text.  The empty
+    field's key is 0: numpy defines a shift by all 64 bits to give 0.
+    """
+    if b.size < 8:
+        b = np.concatenate([b, np.zeros(8 - b.size, dtype=np.uint8)])
+    last = b.size - 8
+    at = np.minimum(start, last)
+    keys = np.ndarray((last + 1,), dtype=">u8", buffer=b, strides=(1,))[at].astype(np.uint64)
+    near = np.flatnonzero(at < start)
+    keys[near] <<= (8 * (start[near] - last)).astype(np.uint64)
+    keys >>= (8 * (8 - width)).astype(np.uint64)
+    return keys
+
+
+def clean_trace(events: EventTable, t_max: int) -> tuple[EventTable, dict[str, int]]:
     """Keep events with non-empty endpoints and timestamp in [0, t_max].
 
-    The range test runs on the parsed timestamps before the int64 cast, so
-    a stamp too large for int64 is dropped rather than wrapped.  The result
-    is sorted by timestamp with a stable sort, so same-timestamp events keep
-    their input order.  Duplicate events are retained: each call instance
-    matters for the multigraph downstream.
+    Returns (clean, dropped), where `dropped` counts the rows left out by
+    reason: `dropped_empty_endpoint` for a row naming an empty service, then
+    `dropped_out_of_range` for any other row whose timestamp lies outside
+    the range.  The range test runs on the parsed timestamps before the
+    int64 cast, so a stamp too large for int64 is dropped rather than
+    wrapped.  The result shares the input's `names` and is sorted by
+    timestamp with a stable sort, so same-timestamp events keep their input
+    order.  Duplicate events are retained: each call instance matters for
+    the multigraph downstream.
     """
     if t_max <= 0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
+    named = events.names != ""
+    named = named[events.caller] & named[events.callee]
     ts = events.ts
-    keep = np.flatnonzero((events.caller != "") & (events.callee != "") & (ts >= 0) & (ts <= t_max))
+    keep = np.flatnonzero(named & (ts >= 0) & (ts <= t_max))
     rows = keep[np.argsort(ts[keep], kind="stable")]
-    return EventTable(events.caller[rows], events.callee[rows], ts[rows].astype(np.int64))
+    n_named = int(np.count_nonzero(named))
+    dropped = {"dropped_empty_endpoint": len(events) - n_named, "dropped_out_of_range": n_named - keep.size}
+    return EventTable(events.names, events.caller[rows], events.callee[rows], ts[rows].astype(np.int64)), dropped
 
 
 def write_trace(events: EventTable, path: str | Path, header_comment: str | None = None) -> None:
@@ -297,13 +372,17 @@ def write_trace(events: EventTable, path: str | Path, header_comment: str | None
     Rows go through csv, so a name holding the delimiter or a `"` is quoted.
     A name the reader would not give back, one with whitespace at an edge
     (stripped) or a line break (lines split there), is a DataError raised
-    before the file is opened.
+    before the file is opened.  Each name of the vocabulary is checked once;
+    the error names the first row that holds a bad one.
     """
-    for column in (events.caller, events.callee):
-        for name in dict.fromkeys(column.tolist()):
-            if name != name.strip() or "\n" in name or "\r" in name:
-                row = int(np.flatnonzero(column == name)[0])
-                raise DataError(f"row {row}: service name {name!r} would not read back from a trace file")
+    names = events.names.tolist()
+    bad = np.array([name != name.strip() or "\n" in name or "\r" in name for name in names], dtype=bool)
+    if bad.any():
+        rows = np.flatnonzero(bad[events.caller] | bad[events.callee])
+        if rows.size:
+            row = int(rows[0])
+            code = events.caller[row] if bad[events.caller[row]] else events.callee[row]
+            raise DataError(f"row {row}: service name {names[code]!r} would not read back from a trace file")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -311,4 +390,5 @@ def write_trace(events: EventTable, path: str | Path, header_comment: str | None
             handle.write(f"{COMMENT} {header_comment}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("timestamp", "um", "dm"))
-        writer.writerows(zip(events.ts.tolist(), events.caller.tolist(), events.callee.tolist()))
+        writer.writerows(zip(events.ts.tolist(), events.names[events.caller].tolist(),
+                             events.names[events.callee].tolist()))

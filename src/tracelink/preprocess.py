@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -66,32 +66,39 @@ class TimeWindow:
 
 def build_node_mapping(events: EventTable) -> NodeMapping:
     """Ids in first-occurrence order over the caller column, then the callee
-    column (the concatenation of the two name columns, deduplicated)."""
+    column (the concatenation of the two name columns, deduplicated).
+
+    A name that no row uses gets no id.
+    """
+    n = len(events)
+    first = np.full(len(events.names), 2 * n, dtype=np.int64)  # each code's first position
+    np.minimum.at(first, events.caller, np.arange(n))
+    np.minimum.at(first, events.callee, np.arange(n, 2 * n))
+    order = np.argsort(first, kind="stable")[:np.count_nonzero(first < 2 * n)]
     mapping = NodeMapping()
-    for name in dict.fromkeys(chain(events.caller.tolist(), events.callee.tolist())):
+    for name in events.names[order].tolist():
         mapping.add(name)
     return mapping
-
-
-def _ids(names: np.ndarray, forward: dict[str, int]) -> np.ndarray:
-    """Node id per name, -1 where the mapping does not know the name."""
-    return np.fromiter(map(forward.get, names.tolist(), repeat(-1)), dtype=np.int64, count=len(names))
 
 
 def apply_mapping(events: EventTable, mapping: NodeMapping, strict: bool = True) -> EventTable:
     """Attach the `src`/`dst` node id columns.
 
-    Strict mode raises on a name the mapping does not know; lenient mode
-    drops the rows that name one.  The mapping itself never changes.
+    Each name of the vocabulary is looked up once.  Strict mode raises on a
+    name the mapping does not know, the first such row's caller before its
+    callee; lenient mode drops the rows that name one.  The mapping itself
+    never changes.
     """
-    src = _ids(events.caller, mapping.forward)
-    dst = _ids(events.callee, mapping.forward)
+    names = events.names.tolist()
+    lut = np.fromiter(map(mapping.forward.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+    src, dst = lut[events.caller], lut[events.callee]
     known = (src >= 0) & (dst >= 0)
     if strict and not known.all():
         row = int(np.argmin(known))
-        name = events.caller[row] if src[row] < 0 else events.callee[row]
-        raise MappingError(f"unknown service {name!r} has no node id")
-    return EventTable(events.caller[known], events.callee[known], events.ts[known], src[known], dst[known])
+        code = events.caller[row] if src[row] < 0 else events.callee[row]
+        raise MappingError(f"unknown service {names[code]!r} has no node id")
+    return EventTable(events.names, events.caller[known], events.callee[known], events.ts[known],
+                      src[known], dst[known])
 
 
 def _check_windowable(events: EventTable) -> None:

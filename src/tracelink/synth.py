@@ -223,7 +223,8 @@ def generate_trace(cfg: SynthConfig) -> EventTable:
         callees.extend(d for _, d in pairs)
         window_index += 1
     names = np.array([_service_name(i) for i in range(cfg.n_services)], dtype=object)
-    return EventTable(names[callers], names[callees], np.concatenate(stamps).astype(np.int64))
+    return EventTable(names, np.array(callers, dtype=np.int64), np.array(callees, dtype=np.int64),
+                      np.concatenate(stamps).astype(np.int64))
 
 
 def gateway_services(cfg: SynthConfig) -> set[str]:

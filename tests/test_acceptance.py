@@ -193,7 +193,8 @@ Event = namedtuple("Event", "src dst timestamp")
 
 def _mapped_table(events) -> EventTable:
     src, dst, ts = np.array(events, dtype=np.int64).reshape(-1, 3).T
-    return EventTable(src.astype(str).astype(object), dst.astype(str).astype(object), ts, src, dst)
+    names = np.arange(1 + max(src.max(initial=-1), dst.max(initial=-1))).astype(str).astype(object)
+    return EventTable(names, src, dst, ts, src, dst)
 
 
 def _events(window) -> list[Event]:

@@ -101,6 +101,22 @@ def test_non_finite_timestamp_is_a_skipped_line(workdir, tmp_path):
     assert meta["skipped_lines"] == 1
 
 
+def test_dropped_rows_are_counted_by_reason(workdir, tmp_path):
+    trace = tmp_path / "trace.csv"
+    extra = ["5,svc001,", "6,,svc002", "-1,,svc002", "1000,svc001,svc002", "-1,svc001,svc002"]
+    trace.write_text((workdir / "trace.csv").read_text() + "\n".join(extra) + "\n")
+    run = tmp_path / "run"
+    assert main(["train", "--trace", str(trace), "--out", str(run), *SPAN,
+                 "--hidden", "8", "--epochs", "1", "--seed", "5"]) == 0
+    expected = {"skipped_lines": 0, "dropped_empty_endpoint": 3, "dropped_out_of_range": 2}
+    meta = json.loads((run / "train_meta.json").read_text())
+    assert {key: meta[key] for key in expected} == expected
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--trace", str(trace),
+                 "--out", str(tmp_path / "eval"), *SPAN, "--seed", "5"]) == 0
+    doc = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert {key: doc[key] for key in expected} == expected
+
+
 def test_train_is_deterministic(workdir, tmp_path):
     rerun = tmp_path / "rerun"
     code = main([

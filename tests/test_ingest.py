@@ -32,12 +32,13 @@ PLAIN = TraceFormat(
 def table(rows):
     """An event table from (caller, callee, timestamp) rows."""
     callers, callees, stamps = zip(*rows) if rows else ((), (), ())
-    return EventTable(np.array(callers, dtype=object), np.array(callees, dtype=object),
-                      np.array(stamps, dtype=np.float64))
+    names, codes = np.unique(np.array(callers + callees, dtype=object), return_inverse=True)
+    return EventTable(names, codes[:len(callers)], codes[len(callers):], np.array(stamps, dtype=np.float64))
 
 
 def rows(events):
-    return list(zip(events.caller.tolist(), events.callee.tolist(), events.ts.tolist()))
+    names = events.names
+    return list(zip(names[events.caller].tolist(), names[events.callee].tolist(), events.ts.tolist()))
 
 
 def test_two_well_formed_lines():
@@ -110,12 +111,12 @@ def test_empty_input():
 
 def test_clean_drops_empty_endpoint():
     raw = table([("A", "", 5), ("", "B", 6), ("A", "B", 7)])
-    assert rows(clean_trace(raw, 100)) == [("A", "B", 7)]
+    assert rows(clean_trace(raw, 100)[0]) == [("A", "B", 7)]
 
 
 def test_clean_drops_out_of_range_timestamps():
     raw = table([("A", "B", -1), ("A", "B", 10_001), ("A", "B", 10_000), ("A", "B", 1e300)])
-    cleaned = clean_trace(raw, 10_000)
+    cleaned, _ = clean_trace(raw, 10_000)
     assert rows(cleaned) == [("A", "B", 10_000)]
     assert cleaned.ts.dtype == np.int64
 
@@ -126,13 +127,20 @@ def test_clean_sorts_stably():
         ("first", "x", 3),
         ("second", "x", 3),
     ])
-    cleaned = clean_trace(raw, 10)
-    assert cleaned.caller.tolist() == ["first", "second", "late"]
+    cleaned, _ = clean_trace(raw, 10)
+    assert cleaned.names[cleaned.caller].tolist() == ["first", "second", "late"]
+
+
+def test_clean_counts_the_rows_it_drops_by_reason():
+    raw = table([("A", "", 5), ("", "B", -1), ("A", "B", 101), ("A", "B", 7), ("A", "B", -3)])
+    cleaned, dropped = clean_trace(raw, 100)
+    assert rows(cleaned) == [("A", "B", 7)]
+    assert dropped == {"dropped_empty_endpoint": 2, "dropped_out_of_range": 2}  # an empty endpoint counts first
 
 
 def test_clean_retains_duplicates():
     raw = table([("A", "B", 5)] * 3)
-    assert len(clean_trace(raw, 10)) == 3
+    assert len(clean_trace(raw, 10)[0]) == 3
 
 
 def test_clean_rejects_bad_horizon():
@@ -152,8 +160,8 @@ raw_events = st.lists(
 
 @given(raw_events)
 def test_clean_is_idempotent_and_ordered(events):
-    once = rows(clean_trace(table(events), 100))
-    twice = rows(clean_trace(table(once), 100))
+    once = rows(clean_trace(table(events), 100)[0])
+    twice = rows(clean_trace(table(once), 100)[0])
     assert once == twice
     assert all(a[2] <= b[2] for a, b in zip(once, once[1:]))
     assert all(caller and callee and 0 <= ts <= 100 for caller, callee, ts in once)
@@ -165,10 +173,10 @@ def test_clean_is_idempotent_and_ordered(events):
 def test_write_then_parse_round_trip(tmp_path):
     events = [("a", "b", 1), ("b", "c", 2), ("a", "b", 2)]
     path = tmp_path / "trace.csv"
-    write_trace(clean_trace(table(events), 100), path, header_comment="seed=7")
+    write_trace(clean_trace(table(events), 100)[0], path, header_comment="seed=7")
     parsed, skipped = parse_trace_file(path)
     assert skipped == 0
-    assert rows(clean_trace(parsed, 100)) == events
+    assert rows(clean_trace(parsed, 100)[0]) == events
     assert path.read_text().startswith("# seed=7\n")
 
 
@@ -181,7 +189,7 @@ def test_parse_trace_rejects_a_delimiter_csv_cannot_split_on(delimiter):
 def test_names_holding_the_delimiter_or_a_quote_round_trip(tmp_path):
     events = [("a,b", 'q"x', 1), ('q"x', "a,b", 2), ("a", "b", 3)]
     path = tmp_path / "trace.csv"
-    write_trace(clean_trace(table(events), 100), path)
+    write_trace(clean_trace(table(events), 100)[0], path)
     parsed, skipped = parse_trace_file(path)
     assert skipped == 0
     assert rows(parsed) == events
@@ -205,6 +213,17 @@ def test_write_trace_refuses_a_name_it_cannot_give_back(tmp_path, name, readable
     parsed, skipped = parse_trace_file(path)
     assert skipped == 0
     assert rows(parsed) == events
+
+
+def test_write_trace_checks_each_name_once_and_names_the_first_bad_row(tmp_path):
+    # "x\ny" is the callee of row 1 and the caller of row 2; " unused" names no row.
+    names = np.array(["a", "x\ny", " unused"], dtype=object)
+    events = EventTable(names, np.array([0, 0, 1]), np.array([0, 1, 0]), np.array([1, 2, 3]))
+    with pytest.raises(DataError, match=r"row 1: service name 'x\\ny'"):
+        write_trace(events, tmp_path / "trace.csv")
+    clean = EventTable(names, np.array([0, 0]), np.array([0, 0]), np.array([1, 2]))
+    write_trace(clean, tmp_path / "trace.csv")
+    assert rows(parse_trace_file(tmp_path / "trace.csv")[0]) == [("a", "a", 1), ("a", "a", 2)]
 
 
 def generated_trace_file(tmp_path, seed=0):
@@ -243,7 +262,7 @@ def test_generated_trace_takes_the_bulk_path(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "parse_trace", no_fallback)
     events, skipped = parse_trace_file(path)
     assert outcome(events, skipped) == outcome(*expected)
-    names = events.caller.tolist() + events.callee.tolist()
+    names = events.names[events.caller].tolist() + events.names[events.callee].tolist()
     assert len({id(name) for name in names}) == len(set(names))  # one str per service
 
 
@@ -300,7 +319,8 @@ def parse_text_file(path, fmt):
 
 
 def outcome(events, skipped):
-    return (events.caller.tolist(), events.callee.tolist(), events.caller.dtype, events.callee.dtype,
+    names = events.names
+    return (names[events.caller].tolist(), names[events.callee].tolist(), events.caller.dtype, events.callee.dtype,
             events.ts.dtype, events.ts.tobytes(), skipped)
 
 
@@ -352,3 +372,26 @@ def test_parse_trace_file_matches_the_csv_reader(tmp_path, trace):
     path = tmp_path / "trace.csv"
     path.write_bytes(data)
     assert parsed_or_error(parse_trace_file, path, fmt) == parsed_or_error(parse_text_file, path, fmt)
+
+
+# Fields on both sides of the bulk reader's 8-byte integer keys: widths 0, 1,
+# 7, 8, 9 and 16, and names that are prefixes of one another.
+KEY_NAMES = st.sampled_from(["", "s", "s1", "s10", "s100000", "s1000000", "s10000000", "s100000000",
+                             "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnop"])
+KEY_STAMPS = st.sampled_from(["", "0", "7", "1234567", "12345678", "123456789", "1234567890123456",
+                              "12.5", "1e3", "x"])
+KEY_ROWS = st.lists(st.tuples(KEY_STAMPS, KEY_NAMES | st.text(st.sampled_from("s10ab!#~"), max_size=16),
+                              KEY_NAMES), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example([("0", "s", "s100000000"), ("12345678", "s100000000", "s"), ("1", "s1", "s10")], False)
+@example([("7", "abcdefgh", "abcdefghi"), ("1234567", "abcdefghijklmnop", "")], True)
+@example([("1", "", "s")], False)  # a 1-byte field ending the file, which is under 8 bytes long
+@given(KEY_ROWS, st.booleans())
+def test_parse_trace_file_keys_fields_up_to_8_bytes_as_integers(tmp_path, monkeypatch, rows, final_newline):
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(map(",".join, rows)) + ("\n" if final_newline else ""))
+    expected = parse_text_file(path, PLAIN)
+    monkeypatch.setattr(ingest, "parse_trace", no_fallback)
+    assert outcome(*parse_trace_file(path, PLAIN)) == outcome(*expected)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tracelink.errors import ConfigError, DataError, MappingError
-from tracelink.ingest import EventTable
+from tracelink.ingest import EventTable, clean_trace
 from tracelink.preprocess import (
     apply_mapping,
     build_node_mapping,
@@ -23,8 +23,8 @@ from tracelink.preprocess import (
 def ev(*rows):
     """A clean event table from (caller, callee, timestamp) rows."""
     callers, callees, stamps = zip(*rows) if rows else ((), (), ())
-    return EventTable(np.array(callers, dtype=object), np.array(callees, dtype=object),
-                      np.array(stamps, dtype=np.int64))
+    names, codes = np.unique(np.array(callers + callees, dtype=object), return_inverse=True)
+    return EventTable(names, codes[:len(callers)], codes[len(callers):], np.array(stamps, dtype=np.int64))
 
 
 EMPTY = apply_mapping(ev(), build_node_mapping(ev()))
@@ -42,6 +42,20 @@ def test_mapping_ids_follow_caller_column_then_callee_column():
     assert mapping.forward == {"B": 0, "A": 1, "C": 2}
     assert mapping.reverse == ["B", "A", "C"]
     assert mapping.n_nodes == 3
+
+
+def test_a_service_named_only_by_dropped_rows_gets_no_id():
+    clean, _ = clean_trace(ev(("a", "b", 5), ("ghost", "b", 500), ("a", "", 6), ("c", "a", 7)), 100)
+    assert build_node_mapping(clean).reverse == ["a", "c", "b"]
+
+
+def test_mapping_ids_follow_the_sorted_rows_not_the_vocabulary():
+    # The vocabulary lists z, y, x, w; the rows, once sorted by time, name
+    # callers y, x and callees z, y, w.
+    names = np.array(["z", "y", "x", "w"], dtype=object)
+    raw = EventTable(names, np.array([2, 1, 2]), np.array([3, 0, 1]), np.array([9, 3, 5]))
+    clean, _ = clean_trace(raw, 100)
+    assert build_node_mapping(clean).reverse == ["y", "x", "z", "w"]
 
 
 def test_mapping_round_trips_through_disk(tmp_path):
@@ -79,6 +93,26 @@ def test_apply_mapping_strict_raises_on_unknown_service():
     mapping = build_node_mapping(ev(("a", "b", 0)))
     with pytest.raises(MappingError, match="intruder"):
         apply_mapping(ev(("a", "b", 0), ("a", "intruder", 1)), mapping, strict=True)
+
+
+@pytest.mark.parametrize("rows, unknown", [
+    ((("a", "b", 0), ("c1", "d1", 1), ("c2", "b", 2)), "c1"),  # the caller before the callee
+    ((("a", "d1", 0), ("c1", "b", 1)), "d1"),  # the first row before a later one
+])
+def test_apply_mapping_strict_names_the_first_unknown_service(rows, unknown):
+    with pytest.raises(MappingError, match=f"unknown service '{unknown}'"):
+        apply_mapping(ev(*rows), build_node_mapping(ev(("a", "b", 0))), strict=True)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcxy"), st.sampled_from("abcxy"), st.integers(0, 9)), max_size=20))
+def test_apply_mapping_lenient_drops_exactly_the_rows_naming_an_unknown_service(rows):
+    mapping = build_node_mapping(ev(("a", "b", 0), ("c", "a", 1)))
+    mapped = apply_mapping(ev(*rows), mapping, strict=False)
+    kept = [(u, v, t) for u, v, t in rows if u in mapping.forward and v in mapping.forward]
+    assert list(zip(mapped.names[mapped.caller].tolist(), mapped.names[mapped.callee].tolist(),
+                    mapped.ts.tolist())) == kept
+    assert mapped.src.tolist() == [mapping.forward[u] for u, _, _ in kept]
+    assert mapped.dst.tolist() == [mapping.forward[v] for _, v, _ in kept]
 
 
 def test_apply_mapping_lenient_drops_unknown_rows():

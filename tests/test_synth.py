@@ -26,7 +26,8 @@ Event = namedtuple("Event", "caller callee timestamp")
 
 def events(table):
     """The rows of an event table, in order."""
-    return [Event(*row) for row in zip(table.caller.tolist(), table.callee.tolist(), table.ts.tolist())]
+    names = table.names
+    return [Event(*row) for row in zip(names[table.caller].tolist(), names[table.callee].tolist(), table.ts.tolist())]
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ def test_events_are_clean_sorted_and_in_range(small_trace):
 
 
 def test_cleaning_is_identity_on_generated_events(small_table, small_trace):
-    assert events(clean_trace(small_table, SMALL.duration)) == small_trace
+    assert events(clean_trace(small_table, SMALL.duration)[0]) == small_trace
 
 
 def test_round_trips_through_the_ingest_format(tmp_path, small_table, small_trace):
@@ -74,7 +75,7 @@ def test_round_trips_through_the_ingest_format(tmp_path, small_table, small_trac
     write_trace(small_table, path)
     raw, skipped = parse_trace_file(path)
     assert skipped == 0
-    assert events(clean_trace(raw, SMALL.duration)) == small_trace
+    assert events(clean_trace(raw, SMALL.duration)[0]) == small_trace
 
 
 def test_event_volume_tracks_the_configured_mean(small_trace):
