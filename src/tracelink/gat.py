@@ -118,7 +118,11 @@ class GatParams:
 
     layer1: LayerParams
     layer2: LayerParams
-    dims: GatDims
+
+    @property
+    def dims(self) -> GatDims:
+        n_nodes, hidden = self.layer1.weights[0].shape
+        return GatDims(n_nodes, hidden, len(self.layer1.weights))
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,22 +138,42 @@ class TrainArtifacts:
     attention_snapshots: dict[int, AttentionRecord]
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def _layout(dims: GatDims) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter array's checkpoint name and shape, in order: each
+    head's layer-1 weight, each head's layer-1 attention vector, then layer
+    2's weight and attention vector."""
+    n, hidden, heads = dims.n_nodes, dims.hidden, dims.heads
+    return (
+        [(f"layer1.w.{k}", (n, hidden)) for k in range(heads)]
+        + [(f"layer1.a.{k}", (2 * hidden,)) for k in range(heads)]
+        + [("layer2.w", (heads * hidden, hidden)), ("layer2.a", (2 * hidden,))]
+    )
+
+
+def _param_arrays(params: GatParams) -> list[np.ndarray]:
+    """Canonical flat view, in `_layout` order."""
+    return [*params.layer1.weights, *params.layer1.att, *params.layer2.weights, *params.layer2.att]
+
+
+def _from_arrays(flat: list[np.ndarray]) -> GatParams:
+    """Inverse of `_param_arrays`."""
+    heads = (len(flat) - 2) // 2
+    return GatParams(LayerParams(flat[:heads], flat[heads:-2]), LayerParams(flat[-2:-1], flat[-1:]))
 
 
 def init_params(n_nodes: int, hidden: int, heads: int, rng: np.random.Generator) -> GatParams:
-    """Glorot-uniform initialization; draw order is fixed for determinism."""
+    """Glorot-uniform initialization, one draw per array in `_layout` order;
+    a vector of k entries has fan-in k and fan-out 1."""
     if n_nodes < 1 or hidden < 1 or heads < 1:
         raise ModelError(
             f"dimensions must be positive, got n_nodes={n_nodes}, hidden={hidden}, heads={heads}"
         )
-    w1 = [_glorot(rng, n_nodes, hidden, (n_nodes, hidden)) for _ in range(heads)]
-    a1 = [_glorot(rng, 2 * hidden, 1, (2 * hidden,)) for _ in range(heads)]
-    w2 = [_glorot(rng, heads * hidden, hidden, (heads * hidden, hidden))]
-    a2 = [_glorot(rng, 2 * hidden, 1, (2 * hidden,))]
-    return GatParams(LayerParams(w1, a1), LayerParams(w2, a2), GatDims(n_nodes, hidden, heads))
+    flat = []
+    for _, shape in _layout(GatDims(n_nodes, hidden, heads)):
+        fan_in, fan_out = (*shape, 1)[:2]
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        flat.append(rng.uniform(-limit, limit, size=shape))
+    return _from_arrays(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +272,6 @@ def _attention_head(wh: Tensor, att: Tensor, head_rows: tuple[np.ndarray, ...]) 
         return g_w, np.concatenate([w.T @ g_dst, w.T @ g_src])
 
     return ad.fused(out, (wh, att), backward), alpha
-
-
-def _param_arrays(params: GatParams) -> list[np.ndarray]:
-    """Canonical flat view: layer1 weights, layer1 att, layer2 weight, att."""
-    return [*params.layer1.weights, *params.layer1.att, *params.layer2.weights, *params.layer2.att]
 
 
 def _layer2_input(outs: Sequence[Tensor], w2: Tensor, used: np.ndarray | None) -> Tensor:
@@ -512,12 +531,7 @@ def compute_gradients(
     emb, record = _forward(leaves, graph, scored)
     loss = _link_loss(emb, pos_edges, counts, neg_edges)
     loss.backward()
-    flat = [t.grad for t in leaves]
-    heads = params.dims.heads
-    grads = GatParams(
-        LayerParams(flat[:heads], flat[heads:-2]), LayerParams(flat[-2:-1], flat[-1:]), params.dims
-    )
-    return grads, float(loss.data), record
+    return _from_arrays([t.grad for t in leaves]), float(loss.data), record
 
 
 # ---------------------------------------------------------------------------
@@ -617,52 +631,34 @@ def train(
 # ---------------------------------------------------------------------------
 # checkpoint io
 
-def _array_entries(params: GatParams) -> list[tuple[str, np.ndarray]]:
-    entries = [(f"layer1.w.{k}", w) for k, w in enumerate(params.layer1.weights)]
-    entries += [(f"layer1.a.{k}", a) for k, a in enumerate(params.layer1.att)]
-    entries.append(("layer2.w", params.layer2.weights[0]))
-    entries.append(("layer2.a", params.layer2.att[0]))
-    return entries
-
-
 def save_checkpoint(params: GatParams, path: str | Path, mapping_sha256: str = "") -> None:
     """Versioned container: one JSON header line, then raw little-endian
-    float64 array bytes in the header's order."""
-    entries = _array_entries(params)
+    float64 array bytes in the header's order, which is `_layout`'s."""
+    dims, arrays = params.dims, _param_arrays(params)
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "n_nodes": params.dims.n_nodes,
-        "hidden": params.dims.hidden,
-        "heads": params.dims.heads,
+        "n_nodes": dims.n_nodes,
+        "hidden": dims.hidden,
+        "heads": dims.heads,
         "mapping_sha256": mapping_sha256,
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in entries],
+        "arrays": [{"name": name, "shape": list(a.shape)} for (name, _), a in zip(_layout(dims), arrays)],
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         handle.write(b"\n")
-        for _, a in entries:
+        for a in arrays:
             handle.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-def _is_array_entry(entry) -> bool:
-    """A header `arrays` item: {"name": <str>, "shape": [<int >= 0>, ...]}."""
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("shape"), list)
-        and all(_is_count(size) for size in entry["shape"])
-    )
-
-
 def load_checkpoint(path: str | Path) -> tuple[GatParams, str]:
-    """Inverse of save_checkpoint; returns (params, mapping_sha256)."""
+    """Inverse of save_checkpoint; returns (params, mapping_sha256).
+
+    The header's `arrays` must list the `_layout` of its sizes exactly, in
+    that order; any other list is refused, even one that names the same
+    arrays."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -678,34 +674,27 @@ def load_checkpoint(path: str | Path) -> tuple[GatParams, str]:
             raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
         entries = header.get("arrays")
         sizes = [header.get(key) for key in ("n_nodes", "hidden", "heads")]
-        if not (
-            isinstance(entries, list)
-            and all(_is_array_entry(entry) for entry in entries)
-            and all(_is_count(size) and size > 0 for size in sizes)
-        ):
+        if not (isinstance(entries, list) and all(type(size) is int and size > 0 for size in sizes)):
             raise CheckpointError(f"checkpoint {path} has a malformed header")
-        declared = 8 * sum(math.prod(entry["shape"]) for entry in entries)
         payload = os.fstat(handle.fileno()).st_size - handle.tell()
+        # Layer 1 alone holds n_nodes * hidden * heads floats, so a valid
+        # file has no size above its float count; this also keeps the layout
+        # below from growing with a forged head count.
+        if 8 * max(sizes) > payload:
+            raise CheckpointError(f"checkpoint {path} holds {payload} array bytes, too few for its sizes {sizes}")
+        layout = _layout(GatDims(*sizes))
+        declared = 8 * sum(math.prod(shape) for _, shape in layout)
         if declared != payload:
             raise CheckpointError(f"checkpoint {path} holds {payload} array bytes, its header declares {declared}")
-        arrays = {}
-        for entry in entries:
-            buf = handle.read(8 * math.prod(entry["shape"]))
-            try:
-                arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(entry["shape"]).copy()
-            except ValueError:  # an empty array whose other sizes numpy cannot hold
-                raise CheckpointError(f"checkpoint array {entry['name']} has an impossible shape") from None
-    dims = GatDims(*sizes)
-    try:
-        w1 = [arrays[f"layer1.w.{k}"] for k in range(dims.heads)]
-        a1 = [arrays[f"layer1.a.{k}"] for k in range(dims.heads)]
-        layer2 = LayerParams([arrays["layer2.w"]], [arrays["layer2.a"]])
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint {path} is missing array {exc}") from exc
-    params = GatParams(LayerParams(w1, a1), layer2, dims)
-    n, hidden, heads = sizes
-    expect = [(n, hidden)] * heads + [(2 * hidden,)] * heads + [(heads * hidden, hidden), (2 * hidden,)]
-    for (name, a), shape in zip(_array_entries(params), expect):
-        if a.shape != shape:
-            raise CheckpointError(f"checkpoint array {name} has shape {a.shape}, expected {shape}")
-    return params, str(header.get("mapping_sha256", ""))
+        if len(entries) != len(layout):
+            raise CheckpointError(f"checkpoint {path} lists {len(entries)} arrays, expected {len(layout)}")
+        for entry, (name, shape) in zip(entries, layout):
+            want = {"name": name, "shape": list(shape)}
+            if entry != want or any(type(size) is not int for size in entry["shape"]):  # JSON 6.0, true == 6, 1
+                same = isinstance(entry, dict) and entry.keys() == want.keys() and entry["name"] == name
+                if same and isinstance(entry["shape"], list):
+                    raise CheckpointError(f"checkpoint array {name} has shape {tuple(entry['shape'])}, expected {shape}")
+                raise CheckpointError(f"checkpoint {path} lists {json.dumps(entry)} where array {name} belongs")
+        flat = [np.frombuffer(handle.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+                for _, shape in layout]
+    return _from_arrays(flat), str(header.get("mapping_sha256", ""))

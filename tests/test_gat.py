@@ -113,7 +113,6 @@ def grads_like(params, value):
             [np.full_like(params.layer2.weights[0], value)],
             [np.full_like(params.layer2.att[0], value)],
         ),
-        params.dims,
     )
 
 
@@ -1171,3 +1170,53 @@ def test_checkpoint_bytes_load_or_raise_a_typed_error(tmp_path, data):
     (tmp_path / "fuzz.bin").write_bytes(data)
     with contextlib.suppress(TracelinkError):
         load_checkpoint(tmp_path / "fuzz.bin")
+
+
+def test_checkpoint_format_and_init_follow_the_written_layout(tmp_path):
+    # The format and the init draws, written out here independently of the
+    # library: arrays in this order, Glorot limits from (fan_in, fan_out),
+    # with a vector of k entries read as (k, 1).
+    n, hidden, heads = 5, 3, 2
+    layout = (
+        [(f"layer1.w.{k}", (n, hidden)) for k in range(heads)]
+        + [(f"layer1.a.{k}", (2 * hidden,)) for k in range(heads)]
+        + [("layer2.w", (heads * hidden, hidden)), ("layer2.a", (2 * hidden,))]
+    )
+    rng = np.random.default_rng(31)
+    arrays = []
+    for _, shape in layout:
+        fan_in, fan_out = shape if len(shape) == 2 else (shape[0], 1)
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        arrays.append(rng.uniform(-limit, limit, size=shape))
+    params = init_params(n, hidden, heads, np.random.default_rng(31))
+    flat = params.layer1.weights + params.layer1.att + params.layer2.weights + params.layer2.att
+    assert len(flat) == len(arrays) and all(np.array_equal(a, b) for a, b in zip(flat, arrays))
+
+    header = {
+        "format": "tracelink-checkpoint", "version": 1, "n_nodes": n, "hidden": hidden, "heads": heads,
+        "mapping_sha256": "feed", "arrays": [{"name": name, "shape": list(shape)} for name, shape in layout],
+    }
+    data = json.dumps(header).encode("utf-8") + b"\n" + b"".join(a.astype("<f8").tobytes() for a in arrays)
+    path = tmp_path / "hand.bin"
+    path.write_bytes(data)
+    loaded, digest = load_checkpoint(path)
+    assert digest == "feed"
+    assert (loaded.dims.n_nodes, loaded.dims.hidden, loaded.dims.heads) == (n, hidden, heads)
+    flat = loaded.layer1.weights + loaded.layer1.att + loaded.layer2.weights + loaded.layer2.att
+    assert len(flat) == len(arrays) and all(np.array_equal(a, b) for a, b in zip(flat, arrays))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda arrays: arrays[::-1],
+    lambda arrays: arrays + [{"name": "extra", "shape": [0]}],
+    lambda arrays: arrays[:-1] + [{**arrays[-1], "dtype": "<f8"}],
+    lambda arrays: arrays[:-1] + [{**arrays[-1], "shape": [float(size) for size in arrays[-1]["shape"]]}],
+], ids=["reordered", "extra-array", "extra-key", "float-sizes"])
+def test_checkpoint_refuses_an_array_list_other_than_the_layout(tmp_path, edit):
+    header_line, payload = VALID_CHECKPOINT.split(b"\n", 1)
+    header = json.loads(header_line)
+    header["arrays"] = edit(header["arrays"])
+    path = tmp_path / "edited.bin"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
