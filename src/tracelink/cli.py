@@ -106,39 +106,36 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return values.view(f"u{values.itemsize}")
 
 
-def _reprs(column) -> list[str]:
-    """The repr of each entry of a numeric `column`, computed once per
-    distinct value."""
-    values = np.asarray(column)
-    distinct, inverse = np.unique(_bits(values), return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
 class _ReprTable:
-    """The repr of each distinct float64 value of `values`, for columns that
-    repeat them: an evaluation's curve thresholds and scored pairs all come
-    from its pooled scores."""
+    """The repr of each distinct value of a numeric array, computed once.
+    One table can serve several columns that repeat its values: an
+    evaluation's curve thresholds and scored pairs all come from its pooled
+    scores."""
 
-    def __init__(self, values: np.ndarray):
-        keys = np.sort(_bits(np.asarray(values, dtype=np.float64)))
+    def __init__(self, values):
+        values = np.asarray(values)
+        self.dtype = values.dtype
+        keys = np.sort(_bits(values))
         distinct = np.ones(keys.size, dtype=bool)
         distinct[1:] = keys[1:] != keys[:-1]
         self.keys = keys[distinct]  # np.unique here would import numpy.ma (~13 ms)
-        self.texts = np.array(list(map(repr, self.keys.view(np.float64).tolist())), dtype=object)
+        self.texts = np.array(list(map(repr, self.keys.view(self.dtype).tolist())), dtype=object)
 
-    def reprs(self, column: np.ndarray) -> list[str]:
-        """`_reprs(column)` for a float64 column; values the table lacks get
-        their own repr."""
-        values = np.asarray(column, dtype=np.float64)
+    def reprs(self, column) -> list[str]:
+        """The repr of each entry of `column`, read as the table's dtype;
+        values the table lacks get their own repr."""
+        values = np.asarray(column, dtype=self.dtype)
         keys = _bits(values)
-        at = np.searchsorted(self.keys, keys)
+        order = np.argsort(keys)  # searchsorted runs ~3x faster over needles in order
+        at = np.empty(keys.size, dtype=np.intp)
+        at[order] = np.searchsorted(self.keys, keys[order])
         hit = at < self.keys.size
         hit[hit] = self.keys[at[hit]] == keys[hit]
+        if hit.all():
+            return self.texts[at].tolist()
         texts = np.empty(keys.size, dtype=object)
         texts[hit] = self.texts[at[hit]]
-        if not hit.all():
-            texts[~hit] = _reprs(values[~hit])
+        texts[~hit] = list(map(repr, values[~hit].tolist()))
         return texts.tolist()
 
 
@@ -150,7 +147,7 @@ def _csv(header: str, *columns) -> str:
     list, one `str` per distinct value, and joined with the separators in
     one pass."""
     head = header + "\n" if header else ""
-    cells = [column if isinstance(column, list) else _reprs(column) for column in columns]
+    cells = [column if isinstance(column, list) else _ReprTable(column).reprs(column) for column in columns]
     if not cells:
         return head
     rows = len(cells[0])
@@ -245,8 +242,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         digest = mapping_digest(mapping)
         save_mapping(mapping, out / "mapping.tsv")
         gat.save_checkpoint(params, out / "checkpoint.bin", mapping_sha256=digest)
-        columns = zip(*((e.epoch, e.window_index, e.loss) for e in artifacts.loss_history))
-        _write_text(out / "loss_history.csv", _csv("epoch,window,loss", *columns))
+        losses, windows = artifacts.loss_history, artifacts.windows
+        epoch, j = np.divmod(np.arange(losses.size), windows.size)
+        _write_text(out / "loss_history.csv", _csv("epoch,window,loss", epoch, windows[j], losses))
         for epoch, record in sorted(artifacts.attention_snapshots.items()):
             matrix = metrics_mod.export_attention(record)
             _write_text(out / f"attention_epoch_{epoch:04d}.csv", _csv("", *matrix.T))
@@ -263,11 +261,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         }
         _write_text(out / "train_meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
-    by_epoch: dict[int, list[float]] = {}
-    for entry in artifacts.loss_history:
-        by_epoch.setdefault(entry.epoch, []).append(entry.loss)
-    final_epoch = max(by_epoch)
-    final_loss = float(np.mean(by_epoch[final_epoch]))
+    final_loss = float(np.mean(artifacts.loss_history[-artifacts.windows.size:]))
     print(
         f"trained {cfg.model.epochs} epochs over {len(nonempty)} windows "
         f"({strategy.kind.value} sampling); final epoch mean loss {final_loss:.4f}; "

@@ -125,16 +125,15 @@ class GatParams:
         return GatDims(n_nodes, hidden, len(self.layer1.weights))
 
 
-@dataclass(frozen=True, slots=True)
-class LossEntry:
-    epoch: int
-    window_index: int
-    loss: float
-
-
 @dataclass
 class TrainArtifacts:
-    loss_history: list[LossEntry]
+    """What `train` records.  `windows` holds the index of each trained
+    (non-empty) window in training order, and `loss_history` every step's
+    loss: `loss_history[e * len(windows) + j]` is epoch e's loss on window
+    `windows[j]`."""
+
+    loss_history: np.ndarray  # float64, one entry per Adam step
+    windows: np.ndarray  # int64
     attention_snapshots: dict[int, AttentionRecord]
 
 
@@ -612,7 +611,7 @@ def train(
 
     snapshots_at = set(int(e) for e in snapshot_epochs)
     state = init_adam_state(params)
-    history: list[LossEntry] = []
+    history: list[float] = []
     snapshots: dict[int, AttentionRecord] = {}
     for epoch in range(epochs):
         for window_index, g, pos, counts in prepared:
@@ -622,10 +621,10 @@ def train(
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}, window {window_index}")
             optimizer_step(params, grads, state, lr)
-            history.append(LossEntry(epoch, window_index, loss))
+            history.append(loss)
         if epoch in snapshots_at:
             snapshots[epoch] = record
-    return TrainArtifacts(history, snapshots)
+    return TrainArtifacts(np.array(history), np.array([index for index, *_ in prepared]), snapshots)
 
 
 # ---------------------------------------------------------------------------

@@ -373,8 +373,12 @@ def write_trace(events: EventTable, path: str | Path, header_comment: str | None
     A name the reader would not give back, one with whitespace at an edge
     (stripped) or a line break (lines split there), is a DataError raised
     before the file is opened.  Each name of the vocabulary is checked once;
-    the error names the first row that holds a bad one.
+    the error names the first row that holds a bad one.  A `header_comment`
+    holding a line break, whose second line would be read as the header, is
+    a DataError too.
     """
+    if header_comment and ("\n" in header_comment or "\r" in header_comment):
+        raise DataError(f"header comment {header_comment!r} holds a line break")
     names = events.names.tolist()
     bad = np.array([name != name.strip() or "\n" in name or "\r" in name for name in names], dtype=bool)
     if bad.any():

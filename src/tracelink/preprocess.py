@@ -1,14 +1,16 @@
 """Node mapping and time windowing.
 
 Service names become dense integer ids, attached to the event table as its
-`src`/`dst` columns; the trace horizon [0, t_max) is cut into fixed-width
-half-open windows, each a contiguous run of the time-sorted table, which are
-then split into a training prefix and a test suffix.
+`src`/`dst` columns.  The mapping is the names in id order, nothing else: a
+step that looks names up builds its own name -> id dict.  The trace horizon
+[0, t_max) is cut into fixed-width half-open windows, each a contiguous run
+of the time-sorted table, which are then split into a training prefix and a
+test suffix.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -19,25 +21,15 @@ from .errors import ConfigError, DataError, MappingError
 from .ingest import EventTable
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeMapping:
-    """Bijection between service names and dense ids 0..n_nodes-1."""
+    """Distinct service names in id order: node id i is `names[i]`."""
 
-    forward: dict[str, int] = field(default_factory=dict)
-    reverse: list[str] = field(default_factory=list)
+    names: tuple[str, ...]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.reverse)
-
-    def add(self, name: str) -> int:
-        """Assign the next free id to `name` (no-op if already mapped)."""
-        if name in self.forward:
-            return self.forward[name]
-        node_id = len(self.reverse)
-        self.forward[name] = node_id
-        self.reverse.append(name)
-        return node_id
+        return len(self.names)
 
 
 @dataclass
@@ -75,10 +67,7 @@ def build_node_mapping(events: EventTable) -> NodeMapping:
     np.minimum.at(first, events.caller, np.arange(n))
     np.minimum.at(first, events.callee, np.arange(n, 2 * n))
     order = np.argsort(first, kind="stable")[:np.count_nonzero(first < 2 * n)]
-    mapping = NodeMapping()
-    for name in events.names[order].tolist():
-        mapping.add(name)
-    return mapping
+    return NodeMapping(tuple(events.names[order].tolist()))
 
 
 def apply_mapping(events: EventTable, mapping: NodeMapping, strict: bool = True) -> EventTable:
@@ -90,7 +79,8 @@ def apply_mapping(events: EventTable, mapping: NodeMapping, strict: bool = True)
     never changes.
     """
     names = events.names.tolist()
-    lut = np.fromiter(map(mapping.forward.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+    ids = {name: i for i, name in enumerate(mapping.names)}
+    lut = np.fromiter(map(ids.get, names, repeat(-1)), dtype=np.int64, count=len(names))
     src, dst = lut[events.caller], lut[events.callee]
     known = (src >= 0) & (dst >= 0)
     if strict and not known.all():
@@ -174,12 +164,16 @@ def save_mapping(mapping: NodeMapping, path: str | Path) -> None:
 
 
 def serialize_mapping(mapping: NodeMapping) -> bytes:
-    lines = [f"{i}\t{name}\n" for i, name in enumerate(mapping.reverse)]
-    return "".join(lines).encode("utf-8")
+    """The `save_mapping` bytes.  A name holding a line break, which
+    `load_mapping` would split there, is a DataError."""
+    for name in mapping.names:
+        if "\n" in name or "\r" in name:
+            raise DataError(f"service name {name!r} holds a line break; a mapping file cannot store it")
+    return "".join(f"{i}\t{name}\n" for i, name in enumerate(mapping.names)).encode("utf-8")
 
 
 def load_mapping(path: str | Path) -> NodeMapping:
-    mapping = NodeMapping()
+    ids: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -192,14 +186,12 @@ def load_mapping(path: str | Path) -> NodeMapping:
             node_id = int(id_text)
         except ValueError as exc:
             raise DataError(f"bad mapping line {line_no + 1}: {line!r}") from exc
-        if name in mapping.forward:
-            raise DataError(
-                f"mapping line {line_no + 1} repeats service {name!r}, which already has id {mapping.forward[name]}"
-            )
-        if node_id != mapping.n_nodes:
+        if name in ids:
+            raise DataError(f"mapping line {line_no + 1} repeats service {name!r}, which already has id {ids[name]}")
+        if node_id != len(ids):
             raise DataError(f"mapping ids must be dense and ascending, got {node_id} at line {line_no + 1}")
-        mapping.add(name)
-    return mapping
+        ids[name] = node_id
+    return NodeMapping(tuple(ids))
 
 
 def mapping_digest(mapping: NodeMapping) -> str:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import csv_reference
 import tracelink
+from tracelink import gat
 from tracelink.cli import _csv, _ReprTable, _run_config, build_parser, main
 from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
@@ -80,6 +81,27 @@ def test_train_loss_history_layout(workdir):
     # same windows visited every epoch
     per_epoch = {e: [r[1] for r in rows if int(r[0]) == e] for e in epochs}
     assert per_epoch[0] == per_epoch[1] == per_epoch[2]
+
+
+def test_loss_history_row_e_times_w_plus_j_is_epoch_e_on_window_j(workdir, tmp_path, monkeypatch):
+    trained = []
+    real_train = gat.train
+
+    def recording_train(*args, **kwargs):
+        trained.append(real_train(*args, **kwargs))
+        return trained[-1]
+
+    monkeypatch.setattr(gat, "train", recording_train)
+    run = tmp_path / "run"
+    assert main(["train", "--trace", str(workdir / "trace.csv"), "--out", str(run), *SPAN,
+                 "--hidden", "8", "--epochs", "3", "--seed", "5"]) == 0
+    (artifacts,) = trained
+    windows, losses = artifacts.windows.tolist(), artifacts.loss_history.tolist()
+    assert len(losses) == 3 * len(windows)
+    lines = (run / "loss_history.csv").read_text().splitlines()
+    assert lines[0] == "epoch,window,loss"
+    assert lines[1:] == [f"{e},{windows[j]},{losses[e * len(windows) + j]!r}"
+                         for e in range(3) for j in range(len(windows))]
 
 
 def test_train_meta_contents(workdir):

@@ -41,7 +41,8 @@ from tracelink.gat import (
 )
 from tracelink.graph import build_graph
 from tracelink.preprocess import TimeWindow, apply_mapping, build_node_mapping, segment_windows
-from tracelink.sampling import SamplingKind, SamplingStrategy
+from tracelink.sampling import SamplingKind, SamplingStrategy, draw_negatives
+from tracelink.seeding import derive_rng
 from tracelink.synth import WINDOW_HINT, SynthConfig, generate_trace
 
 import tape_reference as ref
@@ -996,9 +997,9 @@ def test_train_single_edge_single_epoch():
         snapshot_epochs=(0,),
     )
     assert len(artifacts.loss_history) == 1
-    entry = artifacts.loss_history[0]
-    assert (entry.epoch, entry.window_index) == (0, 0)
-    assert entry.loss >= 0 and np.isfinite(entry.loss)
+    assert artifacts.windows.tolist() == [0]
+    loss = artifacts.loss_history[0]
+    assert loss >= 0 and np.isfinite(loss)
     assert set(artifacts.attention_snapshots) == {0}
 
 
@@ -1017,8 +1018,30 @@ def test_train_skips_empty_windows():
     params = init_params(3, 2, 2, np.random.default_rng(20))
     windows = [window_of([], index=0), window_of([(0, 1), (1, 2)], index=1)]
     artifacts = train(params, windows, SamplingStrategy(SamplingKind.SIMPLE), epochs=2, seed=1)
-    assert [e.window_index for e in artifacts.loss_history] == [1, 1]
-    assert [e.epoch for e in artifacts.loss_history] == [0, 1]
+    assert artifacts.windows.tolist() == [1]
+    assert len(artifacts.loss_history) == 2
+
+
+def test_train_records_epoch_e_on_window_j_at_step_e_times_w_plus_j():
+    # Replays the loop by hand: per epoch, one Adam step per non-empty window
+    # in order, each with its own (epoch, window) negatives.
+    sampling = SamplingStrategy(SamplingKind.SIMPLE)
+    windows = [window_of([(0, 1), (2, 3)], index=0), window_of([], index=1),
+               window_of([(1, 2), (3, 0), (1, 2)], index=2)]
+    artifacts = train(init_params(4, 3, 2, np.random.default_rng(25)), windows, sampling,
+                      epochs=3, seed=4, snapshot_epochs=())
+    assert artifacts.windows.tolist() == [0, 2]
+    assert len(artifacts.loss_history) == 3 * len(artifacts.windows)
+    params = init_params(4, 3, 2, np.random.default_rng(25))
+    state = init_adam_state(params)
+    for e in range(3):
+        for j, index in enumerate(artifacts.windows.tolist()):
+            g = build_graph(windows[index], 4)
+            src, dst, counts = _message_rows(g)
+            neg = draw_negatives(sampling, g, derive_rng(4, "train-sampling", e, index))
+            grads, loss, _ = compute_gradients(params, g, np.stack([src, dst], axis=1), neg, counts)
+            optimizer_step(params, grads, state, 0.01)
+            assert artifacts.loss_history[e * len(artifacts.windows) + j] == loss
 
 
 def test_train_rejects_all_empty():
@@ -1047,8 +1070,8 @@ def test_train_learns_a_tiny_pattern():
     windows = [window_of([(0, 1), (2, 3)], index=i) for i in range(3)]
     artifacts = train(params, windows, SamplingStrategy(SamplingKind.SIMPLE),
                       epochs=60, seed=3)
-    first = np.mean([e.loss for e in artifacts.loss_history[:3]])
-    last = np.mean([e.loss for e in artifacts.loss_history[-3:]])
+    first = np.mean(artifacts.loss_history[:3])
+    last = np.mean(artifacts.loss_history[-3:])
     assert last < first / 2
 
 

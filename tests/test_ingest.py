@@ -215,6 +215,15 @@ def test_write_trace_refuses_a_name_it_cannot_give_back(tmp_path, name, readable
     assert rows(parsed) == events
 
 
+@pytest.mark.parametrize("comment", ["seed=0\nnote", "seed=0\rnote", "seed=0\r\n"])
+def test_write_trace_refuses_a_header_comment_with_a_line_break(tmp_path, comment):
+    # The comment's second line would be read as the header row.
+    path = tmp_path / "trace.csv"
+    with pytest.raises(DataError, match="header comment"):
+        write_trace(table([("a", "b", 1)]), path, header_comment=comment)
+    assert not path.exists()
+
+
 def test_write_trace_checks_each_name_once_and_names_the_first_bad_row(tmp_path):
     # "x\ny" is the callee of row 1 and the caller of row 2; " unused" names no row.
     names = np.array(["a", "x\ny", " unused"], dtype=object)

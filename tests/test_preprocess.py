@@ -1,13 +1,16 @@
 """Node ids, window segmentation, and the train/test split."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tracelink.errors import ConfigError, DataError, MappingError
 from tracelink.ingest import EventTable, clean_trace
 from tracelink.preprocess import (
+    NodeMapping,
     apply_mapping,
     build_node_mapping,
     load_mapping,
@@ -39,14 +42,13 @@ def test_mapping_ids_follow_caller_column_then_callee_column():
     # it appears on the first line.
     events = ev(("B", "C", 0), ("A", "B", 1))
     mapping = build_node_mapping(events)
-    assert mapping.forward == {"B": 0, "A": 1, "C": 2}
-    assert mapping.reverse == ["B", "A", "C"]
+    assert mapping.names == ("B", "A", "C")
     assert mapping.n_nodes == 3
 
 
 def test_a_service_named_only_by_dropped_rows_gets_no_id():
     clean, _ = clean_trace(ev(("a", "b", 5), ("ghost", "b", 500), ("a", "", 6), ("c", "a", 7)), 100)
-    assert build_node_mapping(clean).reverse == ["a", "c", "b"]
+    assert build_node_mapping(clean).names == ("a", "c", "b")
 
 
 def test_mapping_ids_follow_the_sorted_rows_not_the_vocabulary():
@@ -55,7 +57,7 @@ def test_mapping_ids_follow_the_sorted_rows_not_the_vocabulary():
     names = np.array(["z", "y", "x", "w"], dtype=object)
     raw = EventTable(names, np.array([2, 1, 2]), np.array([3, 0, 1]), np.array([9, 3, 5]))
     clean, _ = clean_trace(raw, 100)
-    assert build_node_mapping(clean).reverse == ["y", "x", "z", "w"]
+    assert build_node_mapping(clean).names == ("y", "x", "z", "w")
 
 
 def test_mapping_round_trips_through_disk(tmp_path):
@@ -63,9 +65,36 @@ def test_mapping_round_trips_through_disk(tmp_path):
     path = tmp_path / "mapping.tsv"
     save_mapping(mapping, path)
     loaded = load_mapping(path)
-    assert loaded.forward == mapping.forward
-    assert loaded.reverse == mapping.reverse
+    assert loaded == mapping
     assert mapping_digest(loaded) == mapping_digest(mapping)
+
+
+def test_node_mapping_is_a_value():
+    mapping = NodeMapping(("a", "b"))
+    assert mapping == NodeMapping(("a", "b")) != NodeMapping(("b", "a"))
+    assert hash(mapping) == hash(NodeMapping(("a", "b")))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mapping.names = ("c",)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.text().filter(lambda name: "\n" not in name and "\r" not in name), unique=True, max_size=6))
+def test_any_mapping_without_line_breaks_loads_back_equal(tmp_path, names):
+    mapping = NodeMapping(tuple(names))
+    path = tmp_path / "mapping.tsv"
+    save_mapping(mapping, path)
+    assert load_mapping(path) == mapping
+
+
+@pytest.mark.parametrize("name", ["x\ny", "x\ry", "x\r\n"])
+def test_a_name_holding_a_line_break_is_refused_before_anything_is_written(tmp_path, name):
+    # load_mapping would split the name's line in two ("x\ry" -> "bad mapping line 3: 'y'").
+    mapping = build_node_mapping(ev(("a", name, 0)))
+    path = tmp_path / "mapping.tsv"
+    for write in (serialize_mapping, mapping_digest, lambda m: save_mapping(m, path)):
+        with pytest.raises(DataError, match="line break"):
+            write(mapping)
+    assert not path.exists()
 
 
 def test_load_mapping_rejects_gaps(tmp_path):
@@ -108,11 +137,12 @@ def test_apply_mapping_strict_names_the_first_unknown_service(rows, unknown):
 def test_apply_mapping_lenient_drops_exactly_the_rows_naming_an_unknown_service(rows):
     mapping = build_node_mapping(ev(("a", "b", 0), ("c", "a", 1)))
     mapped = apply_mapping(ev(*rows), mapping, strict=False)
-    kept = [(u, v, t) for u, v, t in rows if u in mapping.forward and v in mapping.forward]
+    ids = {name: i for i, name in enumerate(mapping.names)}
+    kept = [(u, v, t) for u, v, t in rows if u in ids and v in ids]
     assert list(zip(mapped.names[mapped.caller].tolist(), mapped.names[mapped.callee].tolist(),
                     mapped.ts.tolist())) == kept
-    assert mapped.src.tolist() == [mapping.forward[u] for u, _, _ in kept]
-    assert mapped.dst.tolist() == [mapping.forward[v] for _, v, _ in kept]
+    assert mapped.src.tolist() == [ids[u] for u, _, _ in kept]
+    assert mapped.dst.tolist() == [ids[v] for _, v, _ in kept]
 
 
 def test_apply_mapping_lenient_drops_unknown_rows():
