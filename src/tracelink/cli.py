@@ -21,6 +21,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -139,24 +140,51 @@ class _ReprTable:
         return texts.tolist()
 
 
-def _csv(header: str, *columns) -> str:
-    """CSV text: the `header` line (none if empty), then one line per entry
-    of the `columns`, each value as its repr.  A column is an array-like of
-    numbers or a list of their texts (`_ReprTable.reprs`); columns of
-    different lengths raise ValueError.  Each column's texts are held as one
-    list, one `str` per distinct value, and joined with the separators in
-    one pass."""
-    head = header + "\n" if header else ""
-    cells = [column if isinstance(column, list) else _ReprTable(column).reprs(column) for column in columns]
-    if not cells:
-        return head
-    rows = len(cells[0])
+#: Lines `_csv_blocks` joins into one text at a time.
+_CSV_BLOCK_ROWS = 1 << 13
+
+
+def _csv_blocks(header: str, *columns) -> Iterator[str]:
+    """CSV text in blocks of `_CSV_BLOCK_ROWS` lines: the `header` line
+    (none if empty), then one line per entry of the `columns`, each value as
+    its repr.  A column is an array-like of numbers or a list of their texts
+    (`_ReprTable.reprs`); columns of different lengths raise ValueError
+    before any text is made.  A block's numbers get one `repr` per distinct
+    value of their column (`_ReprTable`), and its texts are joined with the
+    separators in one pass."""
+    cells = [column if isinstance(column, list) else np.asarray(column) for column in columns]
+    rows = len(cells[0]) if cells else 0
+    if any(len(column) != rows for column in cells):
+        raise ValueError(f"CSV columns of different lengths: {[len(column) for column in cells]}")
     width = 2 * len(cells)
-    parts = [","] * (width * rows)
-    for j, texts in enumerate(cells):
-        parts[2 * j::width] = texts
-    parts[width - 1::width] = ["\n"] * rows
-    return head + "".join(parts)
+
+    def blocks() -> Iterator[str]:
+        if header:
+            yield header + "\n"
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            stop = min(rows, start + _CSV_BLOCK_ROWS)
+            parts = [","] * (width * (stop - start))
+            for j, column in enumerate(cells):
+                block = column[start:stop]
+                parts[2 * j::width] = block if isinstance(block, list) else _ReprTable(block).reprs(block)
+            parts[width - 1::width] = ["\n"] * (stop - start)
+            yield "".join(parts)
+
+    return blocks()
+
+
+def _csv(header: str, *columns) -> str:
+    """The text of `_csv_blocks` as one `str`."""
+    return "".join(_csv_blocks(header, *columns))
+
+
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write the text of `_csv_blocks` to `path` block by block, so that
+    neither the whole text nor its encoding is ever held at once."""
+    blocks = _csv_blocks(header, *columns)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +224,7 @@ def _load_mapped_windows(cfg: RunConfig, mapping: NodeMapping | None):
         # Windows tile [0, t_max), so the horizon's integer timestamps end
         # at t_max - 1.
         clean, dropped = clean_trace(raw, cfg.t_max - 1)
+        del raw  # clean_trace copied the rows it keeps, and apply_mapping copies them again
     with _stage("mapping"):
         if mapping is None:
             mapping = build_node_mapping(clean)
@@ -332,15 +361,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         scored_sets = [("pooled", report.pooled), *((f"window_{r.window_index:04d}", r) for r in report.windows)]
         for tag, scored in scored_sets:
             thresholds, precision, recall = scored.pr
-            _write_text(out / f"pr_{tag}.csv",
-                        _csv("threshold,precision,recall", scores.reprs(thresholds), precision, recall))
+            _write_csv(out / f"pr_{tag}.csv", "threshold,precision,recall", scores.reprs(thresholds), precision, recall)
             thresholds, fpr, tpr = scored.roc
-            _write_text(out / f"roc_{tag}.csv", _csv("threshold,fpr,tpr", scores.reprs(thresholds), fpr, tpr))
+            _write_csv(out / f"roc_{tag}.csv", "threshold,fpr,tpr", scores.reprs(thresholds), fpr, tpr)
         for r in report.windows:
-            _write_text(out / f"scored_window_{r.window_index:04d}.csv",
-                        _csv("src,dst,score,label", r.src, r.dst, scores.reprs(r.scores), r.labels))
+            _write_csv(out / f"scored_window_{r.window_index:04d}.csv", "src,dst,score,label",
+                       r.src, r.dst, scores.reprs(r.scores), r.labels)
         matrix = metrics_mod.export_attention(report.last_attention)
-        _write_text(out / "attention_test.csv", _csv("", *matrix.T))
+        _write_csv(out / "attention_test.csv", "", *matrix.T)
 
     pooled = report.pooled.metrics
     print(

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -45,12 +47,13 @@ class TraceFormat:
 class EventTable:
     """Call events as parallel columns, one row per call instance.
 
-    `names` is an object array of distinct service names, and `caller` and
-    `callee` are int64 codes into it: the name of row i's caller is
-    `names[caller[i]]`.  A name need not be used by any row.  `ts` holds the
-    millisecond timestamps: float64, truncated toward zero, as parsed; int64
-    once `clean_trace` has range-checked them.  `src` and `dst` are the int64
-    node ids of caller and callee, set by `preprocess.apply_mapping`.
+    `names` is an object array of distinct service names, in no specified
+    order, and `caller` and `callee` are int64 codes into it: the name of
+    row i's caller is `names[caller[i]]`.  A name need not be used by any
+    row.  `ts` holds the millisecond timestamps: float64, truncated toward
+    zero, as parsed; int64 once `clean_trace` has range-checked them.
+    `src` and `dst` are the int64 node ids of caller and callee, set by
+    `preprocess.apply_mapping`.
     """
 
     names: np.ndarray
@@ -141,21 +144,31 @@ def _bind_columns(columns: tuple[str, ...], fmt: TraceFormat) -> tuple[int, int,
     return columns.index(fmt.caller), columns.index(fmt.callee), columns.index(fmt.timestamp)
 
 
+#: Bytes `parse_trace_file` reads at a time, then on to the next line break.
+#: The bulk split holds one such block of whole lines, so its scratch memory
+#: is set by this, not by the file's size.
+_BLOCK_BYTES = 1 << 18
+
+
 def parse_trace_file(path: str | Path, fmt: TraceFormat = TraceFormat()) -> tuple[EventTable, int]:
     """Parse a trace file into what `parse_trace` gives on its UTF-8 text.
 
-    The same table and skip count, or the same error.  The file is read
-    once as bytes and split in bulk (`_parse_bytes`), less one leading
-    UTF-8 byte order mark, which `parse_trace` drops too.  Where that split
-    cannot be shown to match csv's, the whole file is read again as text
-    through `parse_trace`, which is the reference.
+    The same table and skip count, or the same error.  The file is read as
+    bytes in blocks of whole lines, each split in bulk (`_parse_blocks`),
+    less one UTF-8 byte order mark leading the file, which `parse_trace`
+    drops too.  Where any block's split cannot be shown to match csv's, the
+    whole file is read again as UTF-8 text through `parse_trace`, which is
+    the reference.
     """
-    parsed = _parse_bytes(Path(path).read_bytes().removeprefix(codecs.BOM_UTF8), fmt)
-    if parsed is not None:
-        return parsed
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as raw:
+        # A pipe cannot be read twice, so it is read into memory once.
+        handle = raw if raw.seekable() else io.BytesIO(raw.read())
+        parsed = _parse_blocks(handle, fmt)
+        if parsed is not None:
+            return parsed
+        handle.seek(0)
         try:
-            return parse_trace(handle, fmt)
+            return parse_trace(io.TextIOWrapper(handle, encoding="utf-8"), fmt)
         except UnicodeDecodeError as exc:
             raise DataError(f"trace {path} is not UTF-8 text: {exc.reason}") from None
 
@@ -164,27 +177,77 @@ def parse_trace_file(path: str | Path, fmt: TraceFormat = TraceFormat()) -> tupl
 _SPACE = bytes(i for i in range(128) if chr(i).isspace())
 
 
-def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None:
-    """`parse_trace` over the lines of `data`, or None where it may differ.
+def _parse_blocks(handle: BinaryIO, fmt: TraceFormat) -> tuple[EventTable, int] | None:
+    """`parse_trace` over the lines of the file `handle` reads, or None where it may differ.
 
-    A kept line (neither blank nor a comment) that holds printable ASCII only,
-    with no `"`, is left as it is by `str.strip()`, and csv splits it at each
-    delimiter and nowhere else.  So such lines are split with numpy on the
-    whole buffer: line breaks and delimiter positions give each line's field
-    count and field bounds.  Fields are interned by integer key (`_intern`),
-    both name columns into one vocabulary, so each distinct name and
-    timestamp text is decoded once.
+    The file is read twice.  The first pass counts its line breaks, which
+    bound its rows, so that each output column is allocated once.  The
+    second reads it in blocks of whole lines (`_BLOCK_BYTES`, then on to
+    the next line break) and splits each with numpy (`_kept_lines`,
+    `_block_rows`).  A block's distinct name texts take codes in one
+    running vocabulary, in the order they first come, and its rows' codes
+    and timestamps are written into the columns in place.  The header is
+    the file's first kept line.
 
     Returns None, for `parse_trace` to read the text instead, when the
     delimiter is not one printable ASCII character other than `"`; when
-    `data` holds a carriage return or a byte >= 0x80 anywhere (universal
-    newlines would split a line there, and a comment must still be valid
-    UTF-8); when a kept line holds any other byte; or when a kept line is
-    longer than csv's field size limit.
+    `_kept_lines` refuses any block; when the header's columns do not bind,
+    since the csv reader may yet meet an unreadable line first; or when the
+    file has grown since its line breaks were counted.
     """
     fmt.validate()
     if not "!" <= fmt.delimiter <= "~" or fmt.delimiter == '"':
         return None
+    columns = fmt.columns
+    positions = None if fmt.header else _bind_columns(columns, fmt)
+    capacity = sum(chunk.count(b"\n") for chunk in iter(partial(handle.read, _BLOCK_BYTES), b"")) + 1
+    handle.seek(0)
+    caller, callee = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int64)
+    ts = np.empty(capacity, dtype=np.float64)
+    vocabulary: dict[bytes, int] = {}
+    rows = skipped = 0
+    for i, block in enumerate(iter(lambda: handle.read(_BLOCK_BYTES) + handle.readline(), b"")):
+        data = block.removeprefix(codecs.BOM_UTF8) if i == 0 else block
+        found = _kept_lines(data)
+        if found is None:
+            return None
+        b, starts, ends, lines = found
+        if positions is None:
+            if not lines.size:
+                continue
+            columns = tuple(data[starts[lines[0]]:ends[lines[0]]].decode("ascii").split(fmt.delimiter))
+            lines = lines[1:]
+            try:
+                positions = _bind_columns(columns, fmt)
+            except ConfigError:
+                return None
+        stamps, texts, codes, block_skipped = _block_rows(b, starts, ends, lines, len(columns), positions,
+                                                          fmt.delimiter)
+        n = stamps.size
+        if rows + n > capacity:
+            return None
+        lut = np.fromiter((vocabulary.setdefault(text, len(vocabulary)) for text in texts), dtype=np.int64,
+                          count=len(texts))
+        for column, block_codes in zip((caller, callee), codes):
+            np.take(lut, block_codes, out=column[rows:rows + n])
+        ts[rows:rows + n] = stamps
+        rows += n
+        skipped += block_skipped
+    names = np.array([text.decode("ascii") for text in vocabulary], dtype=object)
+    return EventTable(names, caller[:rows], callee[:rows], ts[:rows]), skipped
+
+
+def _kept_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """`data` as a uint8 array, each line's start and end, and the indices of its kept lines.
+
+    A kept line (neither blank nor a comment) that holds printable ASCII only,
+    with no `"`, is left as it is by `str.strip()`, and csv splits it at each
+    delimiter and nowhere else.  None where the lines hold anything else:
+    when `data` holds a carriage return or a byte >= 0x80 anywhere (universal
+    newlines would split a line there, and a comment must still be valid
+    UTF-8); when a kept line holds any other byte; or when a kept line is
+    longer than csv's field size limit.
+    """
     b = np.frombuffer(data, dtype=np.uint8)
     scan = _scan(b)
     if scan is None:
@@ -206,34 +269,40 @@ def _parse_bytes(data: bytes, fmt: TraceFormat) -> tuple[EventTable, int] | None
     lines = np.flatnonzero(kept)
     if lines.size and np.max(ends[lines] - starts[lines]) > csv.field_size_limit():
         return None
+    return b, starts, ends, lines
 
-    columns = fmt.columns
-    if fmt.header:
-        if not lines.size:
-            return _parsed([], [], []), 0
-        columns = tuple(data[starts[lines[0]]:ends[lines[0]]].decode("ascii").split(fmt.delimiter))
-        lines = lines[1:]
-    caller_i, callee_i, ts_i = _bind_columns(columns, fmt)
 
-    delims = np.flatnonzero(b == ord(fmt.delimiter))
+def _block_rows(b: np.ndarray, starts: np.ndarray, ends: np.ndarray, lines: np.ndarray, n_columns: int,
+                positions: tuple[int, int, int],
+                delimiter: str) -> tuple[np.ndarray, list[bytes], list[np.ndarray], int]:
+    """Split the kept `lines` of `b` (`_kept_lines`) into fields of `n_columns` columns.
+
+    Delimiter positions give each line's field count and field bounds.
+    Returns the finite timestamps, truncated; the distinct caller and callee
+    texts; the caller and callee codes into them (`_intern`, so each
+    distinct name and timestamp text is decoded once); and the count of
+    lines skipped for a wrong field count or a timestamp that is not a
+    finite number.
+    """
+    caller_i, callee_i, ts_i = positions
+    delims = np.flatnonzero(b == ord(delimiter))
     first_delim = np.searchsorted(delims, starts[lines])
-    good = np.searchsorted(delims, ends[lines]) - first_delim == len(columns) - 1
+    good = np.searchsorted(delims, ends[lines]) - first_delim == n_columns - 1
     skipped = int(lines.size - np.count_nonzero(good))
     lines, first_delim = lines[good], first_delim[good]
 
     def field(j: int) -> tuple[np.ndarray, np.ndarray]:
         """Start offset and width of column j in every line of `lines`."""
         start = starts[lines] if j == 0 else delims[first_delim + (j - 1)] + 1
-        stop = ends[lines] if j == len(columns) - 1 else delims[first_delim + j]
+        stop = ends[lines] if j == n_columns - 1 else delims[first_delim + j]
         return start, stop - start
 
     stamps = _stamps(b, field(ts_i))
     finite = np.isfinite(stamps)
     skipped += int(stamps.size - np.count_nonzero(finite))
-    lines, first_delim, stamps = lines[finite], first_delim[finite], np.trunc(stamps[finite])
-    texts, (caller, callee) = _intern(b, (field(j) for j in (caller_i, callee_i)))
-    names = np.array([text.decode("ascii") for text in texts], dtype=object)
-    return EventTable(names, caller, callee, stamps), skipped
+    lines, first_delim = lines[finite], first_delim[finite]
+    texts, codes = _intern(b, (field(j) for j in (caller_i, callee_i)))
+    return np.trunc(stamps[finite]), texts, codes, skipped
 
 
 def _scan(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -255,9 +324,8 @@ def _scan(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def _stamps(b: np.ndarray, field: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The float value of each timestamp field, NaN where it is not a number.
 
-    Apart from `_parse_bytes`, so that the interning's arrays are freed
-    before the name columns are interned (the parse sets a heavy run's peak
-    memory).
+    Apart from `_block_rows`, so that the interning's arrays are freed
+    before the name columns are interned.
     """
     texts, (codes,) = _intern(b, [field])
     return np.array([_stamp(text) for text in texts], dtype=np.float64)[codes]
@@ -366,10 +434,16 @@ def clean_trace(events: EventTable, t_max: int) -> tuple[EventTable, dict[str, i
     return EventTable(events.names, events.caller[rows], events.callee[rows], ts[rows].astype(np.int64)), dropped
 
 
+#: Rows `write_trace` joins into one text at a time.
+_WRITE_ROWS = 1 << 14
+
+
 def write_trace(events: EventTable, path: str | Path, header_comment: str | None = None) -> None:
     """Write a clean table in the default format this module reads (round-trip).
 
-    Rows go through csv, so a name holding the delimiter or a `"` is quoted.
+    Rows are written in blocks of `_WRITE_ROWS`.  A block with a name that
+    holds the delimiter or a `"` goes through csv, which quotes it; any
+    other block is joined in one pass, to the same text.
     A name the reader would not give back, one with whitespace at an edge
     (stripped) or a line break (lines split there), is a DataError raised
     before the file is opened.  Each name of the vocabulary is checked once;
@@ -394,5 +468,16 @@ def write_trace(events: EventTable, path: str | Path, header_comment: str | None
             handle.write(f"{COMMENT} {header_comment}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("timestamp", "um", "dm"))
-        writer.writerows(zip(events.ts.tolist(), events.names[events.caller].tolist(),
-                             events.names[events.callee].tolist()))
+        quoted = np.array(["," in name or '"' in name for name in names], dtype=bool)
+        for start in range(0, len(events), _WRITE_ROWS):
+            stop = min(len(events), start + _WRITE_ROWS)
+            caller, callee = events.caller[start:stop], events.callee[start:stop]
+            stamps = list(map(str, events.ts[start:stop].tolist()))
+            callers, callees = events.names[caller].tolist(), events.names[callee].tolist()
+            if quoted[caller].any() or quoted[callee].any():
+                writer.writerows(zip(stamps, callers, callees))
+                continue
+            parts = [","] * (6 * len(stamps))
+            parts[0::6], parts[2::6], parts[4::6] = stamps, callers, callees
+            parts[5::6] = ["\n"] * len(stamps)
+            handle.write("".join(parts))

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import csv_reference
 import tracelink
-from tracelink import gat
+from tracelink import cli, gat
 from tracelink.cli import _csv, _ReprTable, _run_config, build_parser, main
 from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
@@ -237,6 +237,28 @@ def test_csv_rejects_columns_of_different_lengths():
     for lengths in ((3, 2), (2, 3)):
         with pytest.raises(ValueError):
             _csv("a,b", *map(np.zeros, lengths))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example([], "threshold,fpr,tpr", 1)  # header only
+@example([np.array([], dtype=np.float64), np.array([], dtype=np.int64)], "src,dst", 1)  # zero rows
+@example([np.array([0.5, 0.5, 0.25]), np.array([1, 2, 3])], "", 2)  # a part-filled last block
+@given(columns(), st.sampled_from(["", "threshold,fpr,tpr"]), st.sampled_from([1, 2, 5]))
+def test_csv_written_in_blocks_matches_the_row_by_row_writer(tmp_path, monkeypatch, drawn, header, block_rows):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    expected = csv_reference.csv_text(header, *drawn).encode("utf-8")
+    path = tmp_path / "out.csv"
+    texts = [_ReprTable(column).reprs(column) for column in drawn[:1]]  # as the shared score table gives them
+    for given_columns in (drawn, [tuple(column.tolist()) for column in drawn], texts + drawn[1:]):
+        cli._write_csv(path, header, *given_columns)
+        assert path.read_bytes() == expected
+
+
+def test_csv_writer_checks_column_lengths_before_writing(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError):
+        cli._write_csv(path, "a,b", np.zeros(3), np.zeros(2))
+    assert not path.exists()
 
 
 def test_evaluate_artefacts_agree_exactly(workdir, tmp_path):

@@ -4,6 +4,9 @@ from __future__ import annotations
 import codecs
 import contextlib
 import csv
+import io
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,3 +407,130 @@ def test_parse_trace_file_keys_fields_up_to_8_bytes_as_integers(tmp_path, monkey
     expected = parse_text_file(path, PLAIN)
     monkeypatch.setattr(ingest, "parse_trace", no_fallback)
     assert outcome(*parse_trace_file(path, PLAIN)) == outcome(*expected)
+
+
+# ---------------------------------------------------------------------------
+# the bulk file reader in blocks of a few bytes
+
+#: `ingest._BLOCK_BYTES` values that put block boundaries inside a line, a
+#: byte order mark and a field; a block always runs on to its next line break.
+BLOCK_BYTES = st.sampled_from([1, 2, 3, 5, 8, 16, 64])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example((b"timestamp,um,dm\n1,a,b\n2,c,d\n3,e\rf,g\n", TraceFormat()), 8)  # a \r in a later block only
+@example((b"timestamp,um,dm\n1,a,b\n# caf\xe9\n2,a,b\n", TraceFormat()), 8)  # a later non-UTF-8 comment
+@example((b'timestamp,um,dm\n1,a,b\n2,"x,y",b\n', TraceFormat()), 8)  # a later line csv unquotes
+@example((b"timestamp,um\n1,a\n# \xff\n", TraceFormat()), 8)  # an unbound header, then bytes csv cannot read
+@example((b"timestamp,um,dm\n1,a,b\n2,a," + b"x" * (LIMIT - 3) + b"\n", TraceFormat()), 8)  # later, over the limit
+@example((b"\xef\xbb\xbf# c\ntimestamp,um,dm\n1,a,b\n", TraceFormat()), 1)  # a byte order mark cut by the block
+@example((b"timestamp,um,dm\n\xef\xbb\xbf1,a,b\n", TraceFormat()), 1)  # a mark leading a later block is text
+@example((b"\n\n# c\n\ntimestamp,um,dm\n\n1,a,b\n2,b,a", TraceFormat()), 1)  # the header in a later block
+@given(trace_files(), BLOCK_BYTES)
+def test_parse_trace_file_in_small_blocks_matches_the_csv_reader(tmp_path, monkeypatch, trace, block_bytes):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    data, fmt = trace
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    assert parsed_or_error(parse_trace_file, path, fmt) == parsed_or_error(parse_text_file, path, fmt)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example([("0", "s", "s100000000"), ("1", "s100000000", "s"), ("2", "s1", "s10")], True, 1)
+@given(KEY_ROWS, st.booleans(), BLOCK_BYTES)
+def test_parse_trace_file_in_small_blocks_shares_one_vocabulary(tmp_path, monkeypatch, rows, final_newline,
+                                                               block_bytes):
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(map(",".join, rows)) + ("\n" if final_newline else ""))
+    expected = parse_text_file(path, PLAIN)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(ingest, "parse_trace", no_fallback)
+    events, skipped = parse_trace_file(path, PLAIN)
+    assert outcome(events, skipped) == outcome(*expected)
+    assert len(set(events.names.tolist())) == len(events.names)  # each name coded once across blocks
+
+
+class GrowingFile(io.BytesIO):
+    """A trace still being written: two more lines once its line breaks are counted."""
+
+    def seek(self, *args):
+        self.write(b"9,late,row\n9,later,row\n")  # the count has read to the end
+        return super().seek(*args)
+
+
+def test_a_trace_that_grows_while_read_takes_the_csv_reader():
+    handle = GrowingFile(b"0,a,b\n" * 3)
+    assert ingest._parse_blocks(handle, PLAIN) is None
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_a_trace_read_from_a_pipe_parses_as_the_file_does(monkeypatch, newline):
+    if newline == b"\n":
+        monkeypatch.setattr(ingest, "parse_trace", no_fallback)  # CRLF takes the csv reader
+    read_end, write_end = os.pipe()  # as a shell's <(...) hands one over
+    os.write(write_end, b"timestamp,um,dm\n1,a,b\n2,b,a\n".replace(b"\n", newline))
+    os.close(write_end)
+    try:
+        events, skipped = parse_trace_file(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert (rows(events), skipped) == ([("a", "b", 1), ("b", "a", 2)], 0)
+
+
+def trace_of(rows):
+    return "timestamp,um,dm\n" + "".join(f"{i},svc{i % 97},svc{i % 89}\n" for i in range(rows))
+
+
+def test_parse_scratch_memory_is_set_by_the_block_not_the_file(tmp_path, monkeypatch):
+    # The scratch of a whole-file split is ~7 bytes per byte of trace; in
+    # blocks it is ~16 bytes per byte of one block, whatever the file size.
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
+    allowance = 32 * ingest._BLOCK_BYTES
+    for rows in (5_000, 40_000):
+        path = tmp_path / f"trace_{rows}.csv"
+        path.write_text(trace_of(rows))
+        assert path.stat().st_size >= 4 * ingest._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            events, skipped = parse_trace_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(events), skipped) == (rows, 0)
+        kept = events.caller.nbytes + events.callee.nbytes + events.ts.nbytes
+        assert peak - kept < allowance, (rows, peak - kept)
+
+
+# ---------------------------------------------------------------------------
+# the trace writer against csv.writer
+
+WRITTEN_NAMES = st.text(st.sampled_from('ab,"\xe9 '), max_size=4).filter(lambda name: name == name.strip())
+
+
+@st.composite
+def written_tables(draw):
+    """Tables of int64 or float64 timestamps whose names may need csv's quotes."""
+    rows = draw(st.integers(0, 12))
+    names = draw(st.lists(WRITTEN_NAMES, min_size=1, max_size=5, unique=True))
+    codes = st.lists(st.integers(0, len(names) - 1), min_size=rows, max_size=rows).map(np.array)
+    kind, values = draw(st.sampled_from([(np.int64, st.integers(-2**63, 2**63 - 1)), (np.float64, st.floats())]))
+    stamps = np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=kind)
+    return EventTable(np.array(names, dtype=object), draw(codes).astype(np.int64), draw(codes).astype(np.int64),
+                      stamps)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(table([("a,b", 'q"x', 1), ("a", "b", 2), ("b", "a", 3)]), 1)  # a quoted block, then joined ones
+@example(table([("a", "b", 1), ("a", "b", 2), ('q"x', "b", 3)]), 2)  # a joined block, then a quoted one
+@given(written_tables(), st.sampled_from([1, 2, 5, 1 << 14]))
+def test_write_trace_matches_csv_writer(tmp_path, monkeypatch, events, block_rows):
+    monkeypatch.setattr(ingest, "_WRITE_ROWS", block_rows)
+    expected = io.StringIO()
+    expected.write("# seed=0\n")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("timestamp", "um", "dm"))
+    writer.writerows(zip(events.ts.tolist(), events.names[events.caller].tolist(),
+                         events.names[events.callee].tolist()))
+    path = tmp_path / "trace.csv"
+    write_trace(events, path, header_comment="seed=0")
+    assert path.read_bytes().decode("utf-8") == expected.getvalue()
