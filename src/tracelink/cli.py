@@ -273,10 +273,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         gat.save_checkpoint(params, out / "checkpoint.bin", mapping_sha256=digest)
         losses, windows = artifacts.loss_history, artifacts.windows
         epoch, j = np.divmod(np.arange(losses.size), windows.size)
-        _write_text(out / "loss_history.csv", _csv("epoch,window,loss", epoch, windows[j], losses))
+        _write_csv(out / "loss_history.csv", "epoch,window,loss", epoch, windows[j], losses)
         for epoch, record in sorted(artifacts.attention_snapshots.items()):
             matrix = metrics_mod.export_attention(record)
-            _write_text(out / f"attention_epoch_{epoch:04d}.csv", _csv("", *matrix.T))
+            _write_csv(out / f"attention_epoch_{epoch:04d}.csv", "", *matrix.T)
         _write_text(out / "run_config.txt", dump_config(cfg))
         meta = {
             "n_nodes": n_nodes,

@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -180,18 +179,20 @@ _SPACE = bytes(i for i in range(128) if chr(i).isspace())
 def _parse_blocks(handle: BinaryIO, fmt: TraceFormat) -> tuple[EventTable, int] | None:
     """`parse_trace` over the lines of the file `handle` reads, or None where it may differ.
 
-    The file is read twice.  The first pass counts its line breaks, which
-    bound its rows, so that each output column is allocated once.  The
-    second reads it in blocks of whole lines (`_BLOCK_BYTES`, then on to
-    the next line break) and splits each with numpy (`_kept_lines`,
+    The file is read twice, in blocks of whole lines (`_blocks`).  The
+    first pass counts its line breaks, which bound its rows, so that each
+    output column is allocated once; it also refuses a file that holds a
+    carriage return or a byte >= 0x80 before any block is split.  The
+    second pass splits each block with numpy (`_kept_lines`,
     `_block_rows`).  A block's distinct name texts take codes in one
     running vocabulary, in the order they first come, and its rows' codes
     and timestamps are written into the columns in place.  The header is
     the file's first kept line.
 
     Returns None, for `parse_trace` to read the text instead, when the
-    delimiter is not one printable ASCII character other than `"`; when
-    `_kept_lines` refuses any block; when the header's columns do not bind,
+    delimiter is not one printable ASCII character other than `"`; when the
+    file holds a carriage return or a byte >= 0x80; when `_kept_lines`
+    refuses any block; when the header's columns do not bind,
     since the csv reader may yet meet an unreadable line first; or when the
     file has grown since its line breaks were counted.
     """
@@ -200,14 +201,17 @@ def _parse_blocks(handle: BinaryIO, fmt: TraceFormat) -> tuple[EventTable, int] 
         return None
     columns = fmt.columns
     positions = None if fmt.header else _bind_columns(columns, fmt)
-    capacity = sum(chunk.count(b"\n") for chunk in iter(partial(handle.read, _BLOCK_BYTES), b"")) + 1
+    capacity = 1
+    for data in _blocks(handle):
+        if b"\r" in data or not data.isascii():
+            return None
+        capacity += data.count(b"\n")
     handle.seek(0)
     caller, callee = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int64)
     ts = np.empty(capacity, dtype=np.float64)
     vocabulary: dict[bytes, int] = {}
     rows = skipped = 0
-    for i, block in enumerate(iter(lambda: handle.read(_BLOCK_BYTES) + handle.readline(), b"")):
-        data = block.removeprefix(codecs.BOM_UTF8) if i == 0 else block
+    for data in _blocks(handle):
         found = _kept_lines(data)
         if found is None:
             return None
@@ -235,6 +239,14 @@ def _parse_blocks(handle: BinaryIO, fmt: TraceFormat) -> tuple[EventTable, int] 
         skipped += block_skipped
     names = np.array([text.decode("ascii") for text in vocabulary], dtype=object)
     return EventTable(names, caller[:rows], callee[:rows], ts[:rows]), skipped
+
+
+def _blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """The bytes `handle` reads, in blocks of whole lines: `_BLOCK_BYTES`,
+    then on to the next line break.  One UTF-8 byte order mark leading the
+    first block is dropped."""
+    for i, block in enumerate(iter(lambda: handle.read(_BLOCK_BYTES) + handle.readline(), b"")):
+        yield block.removeprefix(codecs.BOM_UTF8) if i == 0 else block
 
 
 def _kept_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -441,9 +453,9 @@ _WRITE_ROWS = 1 << 14
 def write_trace(events: EventTable, path: str | Path, header_comment: str | None = None) -> None:
     """Write a clean table in the default format this module reads (round-trip).
 
-    Rows are written in blocks of `_WRITE_ROWS`.  A block with a name that
-    holds the delimiter or a `"` goes through csv, which quotes it; any
-    other block is joined in one pass, to the same text.
+    The text is what csv's writer gives: a name that holds the delimiter or
+    a `"` is quoted, with each `"` doubled.  Each name's field text is made
+    once, and rows are joined in blocks of `_WRITE_ROWS`.
     A name the reader would not give back, one with whitespace at an edge
     (stripped) or a line break (lines split there), is a DataError raised
     before the file is opened.  Each name of the vocabulary is checked once;
@@ -461,23 +473,19 @@ def write_trace(events: EventTable, path: str | Path, header_comment: str | None
             row = int(rows[0])
             code = events.caller[row] if bad[events.caller[row]] else events.callee[row]
             raise DataError(f"row {row}: service name {names[code]!r} would not read back from a trace file")
+    fields = np.array(['"' + name.replace('"', '""') + '"' if "," in name or '"' in name else name
+                       for name in names], dtype=object)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if header_comment:
             handle.write(f"{COMMENT} {header_comment}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("timestamp", "um", "dm"))
-        quoted = np.array(["," in name or '"' in name for name in names], dtype=bool)
+        handle.write("timestamp,um,dm\n")
         for start in range(0, len(events), _WRITE_ROWS):
             stop = min(len(events), start + _WRITE_ROWS)
-            caller, callee = events.caller[start:stop], events.callee[start:stop]
-            stamps = list(map(str, events.ts[start:stop].tolist()))
-            callers, callees = events.names[caller].tolist(), events.names[callee].tolist()
-            if quoted[caller].any() or quoted[callee].any():
-                writer.writerows(zip(stamps, callers, callees))
-                continue
-            parts = [","] * (6 * len(stamps))
-            parts[0::6], parts[2::6], parts[4::6] = stamps, callers, callees
-            parts[5::6] = ["\n"] * len(stamps)
+            parts = [","] * (6 * (stop - start))
+            parts[0::6] = map(str, events.ts[start:stop].tolist())
+            parts[2::6] = fields[events.caller[start:stop]].tolist()
+            parts[4::6] = fields[events.callee[start:stop]].tolist()
+            parts[5::6] = ["\n"] * (stop - start)
             handle.write("".join(parts))

@@ -450,6 +450,18 @@ def test_parse_trace_file_in_small_blocks_shares_one_vocabulary(tmp_path, monkey
     assert len(set(events.names.tolist())) == len(events.names)  # each name coded once across blocks
 
 
+@pytest.mark.parametrize("late", [b"3,e\rf,g\n", b"# caf\xe9\n", "# caf\u00e9\n".encode()])
+def test_a_late_byte_the_split_cannot_take_is_refused_before_any_block_is_split(tmp_path, monkeypatch, late):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 8)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\xef\xbb\xbftimestamp,um,dm\n" + b"1,a,b\n" * 50 + late)
+    split = []
+    monkeypatch.setattr(ingest, "_kept_lines", lambda data: split.append(data))
+    fmt = TraceFormat()
+    assert parsed_or_error(parse_trace_file, path, fmt) == parsed_or_error(parse_text_file, path, fmt)
+    assert split == []
+
+
 class GrowingFile(io.BytesIO):
     """A trace still being written: two more lines once its line breaks are counted."""
 
@@ -520,8 +532,8 @@ def written_tables(draw):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example(table([("a,b", 'q"x', 1), ("a", "b", 2), ("b", "a", 3)]), 1)  # a quoted block, then joined ones
-@example(table([("a", "b", 1), ("a", "b", 2), ('q"x', "b", 3)]), 2)  # a joined block, then a quoted one
+@example(table([("a,b", 'q"x', 1), ("a", "b", 2), ("b", "a", 3)]), 1)  # quoted names in the first block only
+@example(table([("a", "b", 1), ("a", "b", 2), ('q"x', "b", 3)]), 2)  # a quoted name in a later block only
 @given(written_tables(), st.sampled_from([1, 2, 5, 1 << 14]))
 def test_write_trace_matches_csv_writer(tmp_path, monkeypatch, events, block_rows):
     monkeypatch.setattr(ingest, "_WRITE_ROWS", block_rows)
