@@ -93,11 +93,12 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _strategy(cfg: RunConfig, kind: str, mean_pos: int = 0, n_nodes: int = 0) -> SamplingStrategy:
-    """The regime `kind` names; "auto" picks one from the positive ratio."""
+def _strategy(kind: str, mean_pos: int = 0, n_nodes: int = 0) -> SamplingStrategy:
+    """The regime `kind` names, advanced with `sampling.DEFAULT_ALPHA`; "auto" picks
+    one from the positive ratio."""
     if kind == "auto":
-        return analyze_sampling(mean_pos, n_nodes, alpha=cfg.sampling.alpha)
-    return SamplingStrategy(SamplingKind(kind), cfg.sampling.alpha if kind == "advanced" else None)
+        return analyze_sampling(mean_pos, n_nodes)
+    return SamplingStrategy(SamplingKind(kind))
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -132,8 +133,6 @@ class _ReprTable:
         at[order] = np.searchsorted(self.keys, keys[order])
         hit = at < self.keys.size
         hit[hit] = self.keys[at[hit]] == keys[hit]
-        if hit.all():
-            return self.texts[at].tolist()
         texts = np.empty(keys.size, dtype=object)
         texts[hit] = self.texts[at[hit]]
         texts[~hit] = list(map(repr, values[~hit].tolist()))
@@ -171,11 +170,6 @@ def _csv_blocks(header: str, *columns) -> Iterator[str]:
             yield "".join(parts)
 
     return blocks()
-
-
-def _csv(header: str, *columns) -> str:
-    """The text of `_csv_blocks` as one `str`."""
-    return "".join(_csv_blocks(header, *columns))
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
@@ -252,9 +246,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     nonempty = [w for w in train_w if w.n_events]
     with _stage("sampling"):
         mean_pos = max(1, round(sum(w.n_events for w in nonempty) / max(1, len(nonempty))))
-        strategy = _strategy(cfg, cfg.sampling.kind, mean_pos, n_nodes)
+        strategy = _strategy(cfg.sampling.kind, mean_pos, n_nodes)
     with _stage("model-init"):
-        params = gat.init_params(n_nodes, cfg.model.hidden, cfg.model.heads, derive_rng(cfg.seed, "init"))
+        params = gat.init_params(n_nodes, cfg.model.hidden, gat.HEADS, derive_rng(cfg.seed, "init"))
     with _stage("train"):
         artifacts = gat.train(
             params,
@@ -335,14 +329,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     _, _, test_w, _, dropped, skipped_unknown = _load_mapped_windows(cfg, mapping)
 
-    strategy = _strategy(cfg, cfg.sampling.eval_kind)
+    strategy = _strategy(cfg.sampling.eval_kind)
     with _stage("evaluate"):
-        report = metrics_mod.evaluate_windows(params, test_w, strategy, tau=cfg.model.tau, seed=cfg.seed)
+        report = metrics_mod.evaluate_windows(params, test_w, strategy, seed=cfg.seed)
 
     out = Path(cfg.out_dir)
     with _stage("write"):
         doc = {
-            "tau": cfg.model.tau,
+            "tau": metrics_mod.TAU,
             "sampling": {"kind": strategy.kind.value, "alpha": strategy.alpha},
             "pooled": _metrics_block(report.pooled),
             "macro": report.macro,
@@ -436,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-max", dest="t_max")
         p.add_argument("--temporal", dest="temporal", action=argparse.BooleanOptionalAction, default=None,
                        help="window the trace (default) or use one static graph per span")
-        p.add_argument("--alpha", dest="sampling.alpha", help="advanced sampler's degree exponent")
 
     gen = sub.add_parser("generate", help="write a synthetic trace")
     add_common(gen)
@@ -449,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a model from a trace")
     add_run(tr)
     tr.add_argument("--hidden", dest="model.hidden")
-    tr.add_argument("--heads", dest="model.heads")
     tr.add_argument("--epochs", dest="model.epochs")
     tr.add_argument("--lr", dest="model.lr")
     tr.add_argument("--sampling", dest="sampling.kind", choices=("auto", "none", "simple", "advanced"))
@@ -461,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_run(ev)
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--mapping", help="mapping file (default: mapping.tsv next to the checkpoint)")
-    ev.add_argument("--tau", dest="model.tau", help="classification threshold (default 0.5)")
     ev.add_argument("--eval-sampling", dest="sampling.eval_kind", choices=("simple", "advanced"),
                     help="how to draw contrast negatives (default advanced)")
     ev.add_argument("--lenient", dest="strict_mapping", action="store_const", const="false",

@@ -21,24 +21,20 @@ from typing import Any, Callable
 from .errors import ConfigError
 from .gat import DEFAULT_SNAPSHOT_EPOCHS
 from .ingest import TraceFormat
-from .sampling import DEFAULT_ALPHA
 from .synth import SynthConfig
 
 
 @dataclass
 class ModelSettings:
     hidden: int = 64
-    heads: int = 2
     epochs: int = 200
     lr: float = 0.01
-    tau: float = 0.5
     snapshot_epochs: tuple[int, ...] = DEFAULT_SNAPSHOT_EPOCHS
 
 
 @dataclass
 class SamplingSettings:
     kind: str = "auto"  # auto | none | simple | advanced
-    alpha: float = DEFAULT_ALPHA
     eval_kind: str = "advanced"  # simple | advanced: negatives that contrast test positives
 
 
@@ -68,10 +64,8 @@ class RunConfig:
             raise ConfigError(
                 f"t_train={self.t_train} must be a multiple of window_size={self.window_size}"
             )
-        if not 0.0 < self.model.tau < 1.0:
-            raise ConfigError(f"tau must lie strictly inside (0, 1), got {self.model.tau}")
-        if self.model.hidden < 1 or self.model.heads < 1 or self.model.epochs < 1:
-            raise ConfigError("hidden, heads, and epochs must all be positive")
+        if self.model.hidden < 1 or self.model.epochs < 1:
+            raise ConfigError("hidden and epochs must both be positive")
         if not (math.isfinite(self.model.lr) and self.model.lr > 0):
             raise ConfigError(f"learning rate must be finite and positive, got {self.model.lr}")
         if any(epoch < 0 for epoch in self.model.snapshot_epochs):
@@ -80,8 +74,6 @@ class RunConfig:
             raise ConfigError(f"unknown sampling kind {self.sampling.kind!r}")
         if self.sampling.eval_kind not in ("simple", "advanced"):
             raise ConfigError(f"eval sampling kind must be simple or advanced, got {self.sampling.eval_kind!r}")
-        if not (math.isfinite(self.sampling.alpha) and self.sampling.alpha >= 0):
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.sampling.alpha}")
         self.trace_format.validate()
 
 
@@ -118,13 +110,10 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], Any]]] = {
     "seed": ("", "seed", int),
     "strict_mapping": ("", "strict_mapping", _parse_bool),
     "model.hidden": ("model", "hidden", int),
-    "model.heads": ("model", "heads", int),
     "model.epochs": ("model", "epochs", int),
     "model.lr": ("model", "lr", float),
-    "model.tau": ("model", "tau", float),
     "model.snapshot_epochs": ("model", "snapshot_epochs", _parse_int_tuple),
     "sampling.kind": ("sampling", "kind", str),
-    "sampling.alpha": ("sampling", "alpha", float),
     "sampling.eval_kind": ("sampling", "eval_kind", str),
     "synth.n_services": ("synth", "n_services", int),
     "synth.duration": ("synth", "duration", int),

@@ -65,6 +65,8 @@ from .seeding import derive_rng
 LEAKY_SLOPE = 0.2
 ELU_ALPHA = 1.0
 PROB_EPS = 1e-7
+#: Layer-1 attention heads of the model `train` builds.
+HEADS = 2
 DEFAULT_SNAPSHOT_EPOCHS = (0, 49, 99, 149, 199)
 CHECKPOINT_FORMAT = "tracelink-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -466,7 +468,6 @@ def _link_loss(
     h = emb.data
     n = h.shape[0]
     groups = ((pos_edges, pos_counts, -1.0), (neg_edges, np.ones(len(neg_edges)), 1.0))
-    groups = [group for group in groups if len(group[0])]
     count = float(sum(counts.sum() for _, counts, _ in groups))
     gram = h @ h.T if _scores_through_gram(n, sum(len(pairs) for pairs, _, _ in groups)) else None
     saved, nll = [], []
@@ -479,7 +480,7 @@ def _link_loss(
             x = sign * gram[pairs[:, 0], pairs[:, 1]]
         nll.append((counts * (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))).sum())
         saved.append((left, right, x))
-    loss = (nll[0] if len(nll) == 1 else nll[0] + nll[1]) / count
+    loss = sum(nll) / count
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         scale = g / count

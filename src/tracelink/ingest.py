@@ -191,8 +191,9 @@ def _parse_blocks(handle: BinaryIO, fmt: TraceFormat) -> tuple[EventTable, int] 
 
     Returns None, for `parse_trace` to read the text instead, when the
     delimiter is not one printable ASCII character other than `"`; when the
-    file holds a carriage return or a byte >= 0x80; when `_kept_lines`
-    refuses any block; when the header's columns do not bind,
+    file holds a carriage return or a byte >= 0x80 (universal newlines would
+    split a line there, and a comment must still be valid UTF-8); when
+    `_kept_lines` refuses any block; when the header's columns do not bind,
     since the csv reader may yet meet an unreadable line first; or when the
     file has grown since its line breaks were counted.
     """
@@ -252,19 +253,15 @@ def _blocks(handle: BinaryIO) -> Iterator[bytes]:
 def _kept_lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """`data` as a uint8 array, each line's start and end, and the indices of its kept lines.
 
-    A kept line (neither blank nor a comment) that holds printable ASCII only,
-    with no `"`, is left as it is by `str.strip()`, and csv splits it at each
-    delimiter and nowhere else.  None where the lines hold anything else:
-    when `data` holds a carriage return or a byte >= 0x80 anywhere (universal
-    newlines would split a line there, and a comment must still be valid
-    UTF-8); when a kept line holds any other byte; or when a kept line is
-    longer than csv's field size limit.
+    `data` holds no carriage return and no byte >= 0x80: `_parse_blocks`
+    refuses such a file before it splits any block.  A kept line (neither
+    blank nor a comment) that holds printable ASCII only, with no `"`, is
+    left as it is by `str.strip()`, and csv splits it at each delimiter and
+    nowhere else.  None where a kept line holds any other byte, or is longer
+    than csv's field size limit.
     """
     b = np.frombuffer(data, dtype=np.uint8)
-    scan = _scan(b)
-    if scan is None:
-        return None
-    ends, odd = scan
+    ends, odd = _scan(b)
     if b.size and b[-1] != ord("\n"):
         ends = np.append(ends, b.size)
     starts = np.zeros_like(ends)
@@ -317,19 +314,16 @@ def _block_rows(b: np.ndarray, starts: np.ndarray, ends: np.ndarray, lines: np.n
     return np.trunc(stamps[finite]), texts, codes, skipped
 
 
-def _scan(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _scan(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the line breaks and of the odd bytes in `b`.
 
     Odd bytes keep a line out of the bulk split: all but printable ASCII,
-    and csv's quote character.  None if `b` holds a carriage return or a
-    byte >= 0x80.
+    and csv's quote character.
     """
     special = np.flatnonzero(b - np.uint8(ord("#")) > np.uint8(ord("~") - ord("#")))  # bytes outside "#".."~"
     byte = b[special]
     line_break = byte == ord("\n")
     odd = ~line_break & (byte != ord("!"))
-    if np.any((byte[odd] == ord("\r")) | (byte[odd] >= 0x80)):
-        return None
     return special[line_break], special[odd]
 
 

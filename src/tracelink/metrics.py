@@ -22,6 +22,9 @@ from .preprocess import TimeWindow
 from .sampling import SamplingStrategy, draw_negatives
 from .seeding import derive_rng
 
+#: The classification threshold: a pair is predicted a link iff its score > TAU.
+TAU = 0.5
+
 
 @dataclass(frozen=True)
 class Confusion:
@@ -73,7 +76,7 @@ def auc(scores, labels) -> float:
     return _sweep_auc(_threshold_sweep(scores, labels), n_pairs)
 
 
-def confusion(scores, labels, tau: float = 0.5) -> Confusion:
+def confusion(scores, labels, tau: float = TAU) -> Confusion:
     """Counts under the strict rule: predicted positive iff score > tau."""
     scores, labels = _as_arrays(scores, labels)
     predicted = scores > tau
@@ -190,7 +193,7 @@ class ScoredSet:
     roc: Curve
 
 
-def summarize(scores, labels, tau: float = 0.5) -> ScoredSet:
+def summarize(scores, labels, tau: float = TAU) -> ScoredSet:
     """AUC, the confusion at `tau`, its threshold metrics, and the PR and
     ROC curves of one scored set, all from a single threshold sweep."""
     scores, labels = _as_arrays(scores, labels)
@@ -228,7 +231,7 @@ def evaluate_windows(
     params: GatParams,
     test_windows: Sequence[TimeWindow],
     sampling: SamplingStrategy,
-    tau: float = 0.5,
+    tau: float = TAU,
     seed: int = 0,
 ) -> EvalReport:
     """Score every non-empty test window.

@@ -1,4 +1,4 @@
-"""The row-by-row CSV writer, kept as the reference for `cli._csv`.
+"""The row-by-row CSV writer, kept as the reference for `cli._csv_blocks`.
 
 It calls `repr` once per cell and joins each row on its own.  The production
 writer formats each distinct value once and joins the whole text in one

@@ -13,11 +13,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import csv_reference
 import tracelink
-from tracelink import cli, gat
-from tracelink.cli import _csv, _ReprTable, _run_config, build_parser, main
+from tracelink import cli, gat, metrics
+from tracelink.cli import _csv_blocks, _ReprTable, _run_config, build_parser, main
 from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
 from tracelink.metrics import auc, pr_points, roc_points
+from tracelink.sampling import DEFAULT_ALPHA
 
 TINY = [
     "--set", "synth.n_services", "30",
@@ -213,8 +214,9 @@ def columns(draw):
 @given(columns(), st.sampled_from(["", "threshold,fpr,tpr", "x"]))
 def test_csv_matches_the_row_by_row_writer(drawn, header):
     expected = csv_reference.csv_text(header, *drawn)
-    assert _csv(header, *drawn) == expected
-    assert _csv(header, *(tuple(column.tolist()) for column in drawn)) == expected  # as the loss history
+    assert "".join(_csv_blocks(header, *drawn)) == expected
+    as_tuples = (tuple(column.tolist()) for column in drawn)  # as the loss history
+    assert "".join(_csv_blocks(header, *as_tuples)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -230,13 +232,14 @@ def test_shared_reprs_match_the_row_by_row_writer(table_values, others, picks):
     column = np.concatenate([held, others, held])
     n = np.arange(column.size)
     table = _ReprTable(table_values)
-    assert _csv("threshold,n", table.reprs(column), n) == csv_reference.csv_text("threshold,n", column, n)
+    expected = csv_reference.csv_text("threshold,n", column, n)
+    assert "".join(_csv_blocks("threshold,n", table.reprs(column), n)) == expected
 
 
 def test_csv_rejects_columns_of_different_lengths():
     for lengths in ((3, 2), (2, 3)):
         with pytest.raises(ValueError):
-            _csv("a,b", *map(np.zeros, lengths))
+            _csv_blocks("a,b", *map(np.zeros, lengths))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -359,17 +362,28 @@ def test_train_and_evaluate_never_import_numpy_ma(workdir, tmp_path):
     assert (tmp_path / "eval" / "metrics.json").exists()
 
 
-def test_evaluate_tau_override(workdir, tmp_path):
-    run = workdir / "run"
-    out = tmp_path / "hi-tau"
-    code = main([
-        "evaluate", "--checkpoint", str(run / "checkpoint.bin"),
-        "--trace", str(workdir / "trace.csv"), "--out", str(out), *SPAN,
-        "--seed", "5", "--tau", "0.9",
-    ])
-    assert code == 0
+def test_fixed_heads_threshold_and_exponent_reach_the_artefacts(workdir, tmp_path):
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert main(["train", "--trace", str(workdir / "trace.csv"), "--out", str(run), *SPAN,
+                 "--hidden", "8", "--epochs", "1", "--seed", "5", "--sampling", "advanced"]) == 0
+    assert load_checkpoint(run / "checkpoint.bin")[0].dims.heads == gat.HEADS
+    meta = json.loads((run / "train_meta.json").read_text())
+    assert (meta["resolved_sampling"], meta["alpha"]) == ("advanced", DEFAULT_ALPHA)
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--trace", str(workdir / "trace.csv"),
+                 "--out", str(out), *SPAN, "--seed", "5"]) == 0
     doc = json.loads((out / "metrics.json").read_text())
-    assert doc["tau"] == 0.9
+    assert doc["tau"] == metrics.TAU
+    assert doc["sampling"] == {"kind": "advanced", "alpha": DEFAULT_ALPHA}
+
+
+def test_a_checkpoint_of_another_head_count_evaluates(workdir, tmp_path):
+    run = workdir / "run"
+    params, digest = load_checkpoint(run / "checkpoint.bin")
+    three = gat.init_params(params.dims.n_nodes, 4, 3, np.random.default_rng(0))
+    save_checkpoint(three, tmp_path / "checkpoint.bin", mapping_sha256=digest)
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "checkpoint.bin"), "--mapping", str(run / "mapping.tsv"),
+                 "--trace", str(workdir / "trace.csv"), "--out", str(tmp_path / "eval"), *SPAN, "--seed", "5"]) == 0
+    assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["n_test_windows"] == 3
 
 
 def test_non_temporal_mode(workdir, tmp_path):
@@ -432,6 +446,10 @@ def test_bad_flag_exits_1(capsys):
 
 #: generate's flags for settings that are now synth.py constants.
 REMOVED_FLAGS = ["--window-hint", "--hub-exponent", "--tree-depth", "--period"]
+#: train's and evaluate's flags for the head count, the threshold and the
+#: sampler's degree exponent, now gat.HEADS, metrics.TAU and
+#: sampling.DEFAULT_ALPHA.
+REMOVED_RUN_FLAGS = ["--heads", "--tau", "--alpha"]
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "report"])
@@ -443,7 +461,7 @@ def test_help_renders_and_names_no_removed_flag(command, capsys):
     assert stop.value.code == 0
     text = capsys.readouterr().out
     assert text.startswith(f"usage: tracelink {command}")
-    assert not [flag for flag in REMOVED_FLAGS if flag in text]
+    assert not [flag for flag in REMOVED_FLAGS + REMOVED_RUN_FLAGS if flag in text]
 
 
 def test_missing_trace_exits_2(tmp_path):
@@ -583,11 +601,9 @@ FLAG_KEYS = [
     ("train", ["--temporal"], "temporal", "true", "false", None),
     ("train", ["--no-temporal"], "temporal", "false", "true", None),
     ("train", ["--hidden", "8"], "model.hidden", "8", "16", "x"),
-    ("train", ["--heads", "3"], "model.heads", "3", "4", "0"),
     ("train", ["--epochs", "7"], "model.epochs", "7", "9", "x"),
     ("train", ["--lr", "0.25"], "model.lr", "0.25", "0.5", "nan"),
     ("train", ["--sampling", "simple"], "sampling.kind", "simple", "none", "fancy"),
-    ("train", ["--alpha", "0.4"], "sampling.alpha", "0.4", "0.2", "inf"),
     ("train", ["--snapshot-epochs", "1,2"], "model.snapshot_epochs", "1,2", "3", "x"),
     ("evaluate", ["--seed", "3"], "seed", "3", "4", "x"),
     ("evaluate", ["--trace", "a.csv"], "trace", "a.csv", "b.csv", None),
@@ -597,9 +613,7 @@ FLAG_KEYS = [
     ("evaluate", ["--t-max", "9000"], "t_max", "9000", "8000", "x"),
     ("evaluate", ["--temporal"], "temporal", "true", "false", None),
     ("evaluate", ["--no-temporal"], "temporal", "false", "true", None),
-    ("evaluate", ["--tau", "0.7"], "model.tau", "0.7", "0.3", "1.5"),
     ("evaluate", ["--eval-sampling", "simple"], "sampling.eval_kind", "simple", "advanced", "auto"),
-    ("evaluate", ["--alpha", "0.4"], "sampling.alpha", "0.4", "0.2", "-1"),
     ("evaluate", ["--lenient"], "strict_mapping", "false", "true", None),
 ]
 
@@ -626,7 +640,7 @@ def test_flag_sets_its_key_and_overrides_set(row):
 #: A removed flag is refused whatever its value.
 BAD_FLAGS = [row for row in FLAG_KEYS if row[5] is not None] + [
     ("generate", [flag], None, None, None, "300") for flag in REMOVED_FLAGS
-]
+] + [(command, [flag], None, None, None, "0.3") for command in ("train", "evaluate") for flag in REMOVED_RUN_FLAGS]
 
 
 @pytest.mark.parametrize("row", BAD_FLAGS, ids=_flag_id)

@@ -166,8 +166,8 @@ def test_dump_is_sorted_and_complete():
     lines = dump_config(RunConfig()).splitlines()
     keys = [line.split("=", 1)[0] for line in lines]
     assert keys == sorted(CONFIG_KEYS)
-    assert len(keys) == 26
-    assert "model.hidden" in keys and "sampling.alpha" in keys
+    assert len(keys) == 23
+    assert "model.hidden" in keys and "sampling.kind" in keys
     assert "synth.seed" not in keys
 
 
@@ -175,17 +175,19 @@ FIXED_SETTINGS = [
     "sampling.retry_factor", "sampling.balanced_threshold", "sampling.moderate_threshold",
     "synth.window_hint", "synth.hub_exponent", "synth.tree_depth_mean", "synth.period",
     "attention.lo", "attention.hi",
+    "model.heads", "model.tau", "sampling.alpha",
 ]
 
 
 @pytest.mark.parametrize("key", FIXED_SETTINGS)
 def test_fixed_settings_are_unknown_keys(key, tmp_path, capsys):
-    # the sampler's attempt cap and `auto` cut-offs, the generator's fleet
-    # shape and the attention export's span are module constants; `--set` or
-    # a config file that still names one is refused like any unknown key
+    # the sampler's attempt cap, `auto` cut-offs and degree exponent, the
+    # generator's fleet shape, the attention export's span, the head count
+    # and the threshold are module constants; `--set` or a config file that
+    # still names one is refused like any unknown key
     trace = tmp_path / "t.csv"
     path = tmp_path / "old.cfg"
-    path.write_text(f"sampling.alpha=0.2\n{key}=1\n")
+    path.write_text(f"model.lr=0.2\n{key}=1\n")
     for source in (["--set", key, "1"], ["--config", str(path)]):
         assert main(["generate", "--out", str(trace), *source]) == 1
         assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
@@ -205,18 +207,14 @@ def test_validate_rejects_bad_fields():
     bad_settings = [
         ("window_size", "0"),
         ("t_max", "500"),  # below t_train
-        ("model.tau", "1.0"),
         ("model.epochs", "0"),
         ("model.lr", "-0.1"),
         ("model.snapshot_epochs", "-1,0"),
         ("sampling.kind", "fancy"),
         ("sampling.eval_kind", "auto"),  # eval must be concrete
         ("sampling.eval_kind", "none"),  # AUC needs negatives
-        ("sampling.alpha", "-1"),
         ("model.lr", "nan"),
         ("model.lr", "inf"),
-        ("sampling.alpha", "nan"),
-        ("sampling.alpha", "inf"),
         ("trace_format.delimiter", ""),
         ("trace_format.delimiter", "ab"),
     ]
