@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -91,6 +92,18 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
+
+
+def _remove_numbered(out: Path, *prefixes: str) -> None:
+    """Delete the files in `out` named `<prefix><digits>.csv` for one of
+    `prefixes`: an earlier run's numbered outputs, which this run may not
+    write again.  Every other file is left alone."""
+    if not out.is_dir():
+        return
+    numbered = re.compile(f"(?:{'|'.join(map(re.escape, prefixes))})[0-9]+\\.csv")
+    for path in out.iterdir():
+        if numbered.fullmatch(path.name) and path.is_file():
+            path.unlink()
 
 
 def _strategy(kind: str, mean_pos: int = 0, n_nodes: int = 0) -> SamplingStrategy:
@@ -262,6 +275,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(cfg.out_dir)
     with _stage("write"):
+        _remove_numbered(out, "attention_epoch_")
         digest = mapping_digest(mapping)
         save_mapping(mapping, out / "mapping.tsv")
         gat.save_checkpoint(params, out / "checkpoint.bin", mapping_sha256=digest)
@@ -335,6 +349,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     out = Path(cfg.out_dir)
     with _stage("write"):
+        _remove_numbered(out, "pr_window_", "roc_window_", "scored_window_")
         doc = {
             "tau": metrics_mod.TAU,
             "sampling": {"kind": strategy.kind.value, "alpha": strategy.alpha},

@@ -6,6 +6,10 @@ exactly the probability that a random positive outscores a random negative.
 Curves are swept over the distinct observed scores, predicting positive at
 `score >= threshold`.  One sort of a scored set gives that sweep, and AUC
 and both curves read from it; `summarize` gives every metric of one set.
+AUC counts every sweep point; the ROC curve keeps only the points where it
+turns (plus its two ends), since the rest lie on straight segments between
+those.  The PR curve keeps every point: precision does not interpolate
+linearly between two of its points.
 """
 from __future__ import annotations
 
@@ -151,12 +155,22 @@ def _sweep_pr(sweep: tuple) -> Curve:
 
 
 def _sweep_roc(sweep: tuple) -> Curve:
+    """The corners of the sweep's ROC: the (inf, 0, 0) anchor, every sweep
+    point where the curve turns, and the last point.  A point whose step in
+    from the previous point is parallel to its step out to the next lies on
+    the segment between them, so it is dropped; the test is exact, on the
+    integer counts, before any division.  Each step is nonzero and points up
+    or right, so parallel steps never turn back."""
     thresholds, tp, fp, n_pos, n_neg = sweep
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"ROC needs both classes, got {n_pos} positives and {n_neg} negatives"
         )
-    return np.append(math.inf, thresholds), np.append(0.0, fp / n_neg), np.append(0.0, tp / n_pos)
+    tp, fp = np.append(0, tp), np.append(0, fp)
+    dtp, dfp = np.diff(tp), np.diff(fp)
+    keep = np.ones(tp.size, dtype=bool)
+    keep[1:-1] = dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:]
+    return np.append(math.inf, thresholds)[keep], fp[keep] / n_neg, tp[keep] / n_pos
 
 
 def pr_points(scores, labels) -> Curve:
@@ -167,9 +181,11 @@ def pr_points(scores, labels) -> Curve:
 
 
 def roc_points(scores, labels) -> Curve:
-    """(threshold, fpr, tpr) arrays over the same sweep, anchored at
-    (inf, 0, 0); the lowest threshold predicts everything positive so the
-    series ends at (1, 1)."""
+    """(threshold, fpr, tpr) arrays at the corners of the same sweep,
+    anchored at (inf, 0, 0); the lowest threshold predicts everything
+    positive so the series ends at (1, 1).  A sweep point between two
+    corners lies on the segment joining them and is left out: interpolating
+    the corners gives it back."""
     return _sweep_roc(_threshold_sweep(scores, labels))
 
 

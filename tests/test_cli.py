@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -336,6 +337,34 @@ def test_evaluate_is_deterministic(workdir, tmp_path):
         outs.append(out)
     for name in ("metrics.json", "pr_pooled.csv", "roc_pooled.csv", "attention_test.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_evaluating_into_a_used_directory_leaves_only_this_runs_window_files(workdir, tmp_path):
+    run, out = workdir / "run", tmp_path / "eval"
+    out.mkdir()
+    bystanders = ("notes.txt", "roc_window_final.csv", "scored_window_0007.csv.bak", "pr_window_0007.tsv")
+    for name in bystanders:
+        (out / name).write_text("kept\n")
+    for t_train in ("700", "800"):  # windows 7-9, then 8-9 only
+        assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--trace", str(workdir / "trace.csv"),
+                     "--out", str(out), *SPAN, "--t-train", t_train, "--seed", "5"]) == 0
+    tags = json.loads((out / "metrics.json").read_text())["windows"]
+    assert sorted(tags) == ["0008", "0009"]
+    per_window = {path.name for pattern in ("pr_window_*.csv", "roc_window_*.csv", "scored_window_*.csv")
+                  for path in out.glob(pattern)} - set(bystanders)
+    assert per_window == {f"{kind}_window_{tag}.csv" for kind in ("pr", "roc", "scored") for tag in tags}
+    for name in bystanders:
+        assert (out / name).read_text() == "kept\n", name
+
+
+def test_training_into_a_used_directory_leaves_only_this_runs_snapshots(workdir, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(workdir / "run", out)  # snapshots of epochs 0 and 2
+    (out / "attention_epoch_notes.csv").write_text("kept\n")
+    assert main(["train", "--trace", str(workdir / "trace.csv"), "--out", str(out), *SPAN,
+                 "--hidden", "8", "--epochs", "1", "--seed", "5", "--snapshot-epochs", "0"]) == 0
+    assert sorted(path.name for path in out.glob("attention_epoch_*.csv")) == [
+        "attention_epoch_0000.csv", "attention_epoch_notes.csv"]
 
 
 #: train, then evaluate, in one fresh interpreter: argv[1] is the trace,

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tracelink import metrics
 from tracelink.errors import EvalError, UndefinedMetricError
@@ -217,6 +217,37 @@ def test_roc_needs_both_classes():
 def test_roc_area_equals_auc(pos, neg):
     pairs = pairs_of([s / 10 for s in pos], [s / 10 for s in neg])
     assert abs(roc_area(roc_points(*pairs)) - auc(*pairs)) < 1e-9
+
+
+@example([3, 3, 3], [3, 3])  # all tied: the anchor and (1, 1) only
+@example([5, 6, 7], [0, 1, 2])  # perfectly separated: the anchor, (0, 1) and (1, 1)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=30),
+    st.lists(st.integers(0, 4), min_size=1, max_size=30),
+)
+def test_roc_keeps_exactly_the_corners_of_the_full_sweep(pos, neg):
+    pairs = pairs_of(pos, neg)
+    thresholds, tp, fp, n_pos, n_neg = metrics._threshold_sweep(*pairs)
+    tp, fp = np.append(0, tp), np.append(0, fp)
+    full = list(zip(np.append(math.inf, thresholds).tolist(), (fp / n_neg).tolist(), (tp / n_pos).tolist()))
+    curve = roc_points(*pairs)
+    kept, at = [], 0
+    for point in zip(*(column.tolist() for column in curve)):
+        at = full.index(point, at)  # in order, each a point of the full sweep
+        kept.append(at)
+        at += 1
+    assert kept[0] == 0 and full[0] == (math.inf, 0.0, 0.0)
+    assert kept[-1] == len(full) - 1 and full[-1][1:] == (1.0, 1.0)
+
+    def cross(a, k, b):  # zero iff point k lies on the segment from a to b (counts only rise)
+        return (fp[k] - fp[a]) * (tp[b] - tp[a]) - (tp[k] - tp[a]) * (fp[b] - fp[a])
+
+    for a, b in zip(kept, kept[1:]):
+        assert all(cross(a, k, b) == 0 for k in range(a + 1, b)), (a, b)
+    for a, k, b in zip(kept, kept[1:], kept[2:]):
+        assert cross(a, k, b) != 0, k
+    _, fpr, tpr = (np.array(column) for column in zip(*full))
+    assert abs(roc_area(curve) - float(np.sum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
