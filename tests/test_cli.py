@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import csv_reference
 import tracelink
 from tracelink import cli, gat, metrics
-from tracelink.cli import _csv_blocks, _ReprTable, _run_config, build_parser, main
+from tracelink.cli import _csv_blocks, _run_config, build_parser, main
 from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
 from tracelink.metrics import auc, pr_points, roc_points
@@ -212,29 +212,16 @@ def columns(draw):
 @example([np.array([], dtype=np.float64), np.array([], dtype=np.int64)], "src,dst")
 @example([np.array([0.0, -0.0, 5e-324, 1e16, float("nan"), float("inf"), -float("inf")]),
           np.array([0, INT64.min, INT64.max, 0, -1, 1, 0], dtype=np.int64)], "")
+@example([np.array([float("inf"), 0.5, 0.25]), np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0])],
+         "threshold,fpr,tpr")  # the ROC's inf anchor
+@example([np.array([0.0, -0.0, -0.0, 0.0])], "x")  # equal values with other bits
+@example([np.array([], dtype=np.float64)], "threshold")  # an empty column
 @given(columns(), st.sampled_from(["", "threshold,fpr,tpr", "x"]))
 def test_csv_matches_the_row_by_row_writer(drawn, header):
     expected = csv_reference.csv_text(header, *drawn)
     assert "".join(_csv_blocks(header, *drawn)) == expected
     as_tuples = (tuple(column.tolist()) for column in drawn)  # as the loss history
     assert "".join(_csv_blocks(header, *as_tuples)) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@example(np.array([0.5, 0.25]), np.array([float("inf")]), [0, 1, 1])  # the ROC's inf anchor
-@example(np.array([], dtype=np.float64), np.array([0.0, -0.0]), [])  # an empty table misses all
-@example(np.array([0.0]), np.array([-0.0, -0.0]), [0])  # an equal value with other bits misses
-@given(st.integers(0, 12).flatmap(float_columns), st.integers(0, 6).flatmap(float_columns),
-       st.lists(st.integers(0, 100), max_size=12))
-def test_shared_reprs_match_the_row_by_row_writer(table_values, others, picks):
-    """Texts from a table match each value's repr, whether the table holds
-    the value or not."""
-    held = table_values[[pick % table_values.size for pick in picks]] if table_values.size else []
-    column = np.concatenate([held, others, held])
-    n = np.arange(column.size)
-    table = _ReprTable(table_values)
-    expected = csv_reference.csv_text("threshold,n", column, n)
-    assert "".join(_csv_blocks("threshold,n", table.reprs(column), n)) == expected
 
 
 def test_csv_rejects_columns_of_different_lengths():
@@ -252,8 +239,7 @@ def test_csv_written_in_blocks_matches_the_row_by_row_writer(tmp_path, monkeypat
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
     expected = csv_reference.csv_text(header, *drawn).encode("utf-8")
     path = tmp_path / "out.csv"
-    texts = [_ReprTable(column).reprs(column) for column in drawn[:1]]  # as the shared score table gives them
-    for given_columns in (drawn, [tuple(column.tolist()) for column in drawn], texts + drawn[1:]):
+    for given_columns in (drawn, [tuple(column.tolist()) for column in drawn]):
         cli._write_csv(path, header, *given_columns)
         assert path.read_bytes() == expected
 
