@@ -207,7 +207,10 @@ def _load_mapped_windows(cfg: RunConfig, mapping: NodeMapping | None):
         # Windows tile [0, t_max), so the horizon's integer timestamps end
         # at t_max - 1.
         clean, dropped = clean_trace(raw, cfg.t_max - 1)
-        del raw  # clean_trace copied the rows it keeps, and apply_mapping copies them again
+        # The parse's float timestamps go; clean_trace copies its name
+        # columns only where it drops or reorders rows, and apply_mapping
+        # only where it drops rows, so those may be the parse's own arrays.
+        del raw
     with _stage("mapping"):
         if mapping is None:
             mapping = build_node_mapping(clean)
@@ -320,12 +323,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _, _, test_w, _, dropped, skipped_unknown = _load_mapped_windows(cfg, mapping)
 
     strategy = _strategy(cfg.sampling.eval_kind)
-    with _stage("evaluate"):
-        report = metrics_mod.evaluate_windows(params, test_w, strategy, seed=cfg.seed)
-
     out = Path(cfg.out_dir)
+    # Each window's files are written as soon as it is scored, so an earlier
+    # run's go first, with its metrics.json: a run that fails part way leaves
+    # no metrics.json naming windows it did not write.
+    _remove_numbered(out, "pr_window_", "roc_window_", "scored_window_")
+    (out / "metrics.json").unlink(missing_ok=True)
+
+    def write_window(r: metrics_mod.WindowReport) -> None:
+        tag = f"window_{r.window_index:04d}"
+        _write_csv(out / f"pr_{tag}.csv", "threshold,precision,recall", *r.pr)
+        _write_csv(out / f"roc_{tag}.csv", "threshold,fpr,tpr", *r.roc)
+        _write_csv(out / f"scored_{tag}.csv", "src,dst,score,label", r.src, r.dst, r.scores, r.labels)
+
+    with _stage("evaluate"):
+        report = metrics_mod.evaluate_windows(params, test_w, strategy, seed=cfg.seed, on_window=write_window)
+
     with _stage("write"):
-        _remove_numbered(out, "pr_window_", "roc_window_", "scored_window_")
         doc = {
             "tau": metrics_mod.TAU,
             "sampling": {"kind": strategy.kind.value, "alpha": strategy.alpha},
@@ -340,13 +354,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "skipped_unknown_events": skipped_unknown,
         }
         _write_text(out / "metrics.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        scored_sets = [("pooled", report.pooled), *((f"window_{r.window_index:04d}", r) for r in report.windows)]
-        for tag, scored in scored_sets:
-            _write_csv(out / f"pr_{tag}.csv", "threshold,precision,recall", *scored.pr)
-            _write_csv(out / f"roc_{tag}.csv", "threshold,fpr,tpr", *scored.roc)
-        for r in report.windows:
-            _write_csv(out / f"scored_window_{r.window_index:04d}.csv", "src,dst,score,label",
-                       r.src, r.dst, r.scores, r.labels)
+        _write_csv(out / "pr_pooled.csv", "threshold,precision,recall", *report.pooled.pr)
+        _write_csv(out / "roc_pooled.csv", "threshold,fpr,tpr", *report.pooled.roc)
         matrix = metrics_mod.export_attention(report.last_attention)
         _write_csv(out / "attention_test.csv", "", *matrix.T)
 

@@ -81,6 +81,8 @@ ADAM_EPS = 1e-8
 #: `optimizer_step` updates each array in blocks of this many elements, so a
 #: block and its scratch stay in cache across the seven passes.
 ADAM_BLOCK = 16384
+#: `link_probability` scores pairs in blocks of this many.
+LINK_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -407,9 +409,18 @@ def attention_coefficients(
 # link scoring and loss
 
 def link_probability(embeddings: np.ndarray, src, dst):
-    """sigmoid(h_src . h_dst); src/dst may be ints or index arrays."""
+    """sigmoid(h_src . h_dst); src/dst may be ints or index arrays.
+
+    The endpoint rows are gathered and multiplied for LINK_BLOCK_ROWS pairs
+    at a time, so the scratch does not grow with the pairs scored; each
+    pair's dot product is its own row's sum, whatever the block.
+    """
     scalar = np.ndim(src) == 0 and np.ndim(dst) == 0
-    scores = np.atleast_1d(np.sum(embeddings[src] * embeddings[dst], axis=-1)).astype(np.float64)
+    src, dst = np.broadcast_arrays(np.atleast_1d(src), np.atleast_1d(dst))
+    scores = np.empty(src.shape, dtype=np.float64)
+    for lo in range(0, len(src), LINK_BLOCK_ROWS):
+        hi = lo + LINK_BLOCK_ROWS
+        scores[lo:hi] = np.sum(embeddings[src[lo:hi]] * embeddings[dst[lo:hi]], axis=-1)
     out = ad.sigmoid(scores)
     return float(out[0]) if scalar else out
 

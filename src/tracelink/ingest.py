@@ -424,17 +424,29 @@ def clean_trace(events: EventTable, t_max: int) -> tuple[EventTable, dict[str, i
     timestamp with a stable sort, so same-timestamp events keep their input
     order.  Duplicate events are retained: each call instance matters for
     the multigraph downstream.
+
+    Only rows that are dropped or reordered cost a copy: when every row is
+    kept and the timestamps are already non-decreasing, the result holds
+    the input's `caller` and `callee` arrays themselves, and only `ts` is
+    cast to a new int64 array.
     """
     if t_max <= 0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
     named = events.names != ""
-    named = named[events.caller] & named[events.callee]
+    keep = named[events.caller] & named[events.callee]
+    n_named = int(np.count_nonzero(keep))
     ts = events.ts
-    keep = np.flatnonzero(named & (ts >= 0) & (ts <= t_max))
-    rows = keep[np.argsort(ts[keep], kind="stable")]
-    n_named = int(np.count_nonzero(named))
-    dropped = {"dropped_empty_endpoint": len(events) - n_named, "dropped_out_of_range": n_named - keep.size}
-    return EventTable(events.names, events.caller[rows], events.callee[rows], ts[rows].astype(np.int64)), dropped
+    keep &= (ts >= 0) & (ts <= t_max)
+    n_kept = int(np.count_nonzero(keep))
+    dropped = {"dropped_empty_endpoint": len(events) - n_named, "dropped_out_of_range": n_named - n_kept}
+    caller, callee = events.caller, events.callee
+    if n_kept < len(events):
+        rows = np.flatnonzero(keep)
+        caller, callee, ts = caller[rows], callee[rows], ts[rows]
+    if np.any(ts[1:] < ts[:-1]):
+        rows = np.argsort(ts, kind="stable")
+        caller, callee, ts = caller[rows], callee[rows], ts[rows]
+    return EventTable(events.names, caller, callee, ts.astype(np.int64)), dropped
 
 
 #: Rows `write_trace` joins into one text at a time.

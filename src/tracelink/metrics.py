@@ -6,6 +6,8 @@ exactly the probability that a random positive outscores a random negative.
 Curves are swept over the distinct observed scores, predicting positive at
 `score >= threshold`.  One sort of a scored set gives that sweep, and AUC
 and both curves read from it; `summarize` gives every metric of one set.
+The sweep of a pool of scored sets is their sweeps merged, so a pool is
+summarized without its scores.
 AUC counts every sweep point; the ROC curve keeps only the points where it
 turns (plus its two ends), since the rest lie on straight segments between
 those.  The PR curve keeps every point: precision does not interpolate
@@ -14,8 +16,8 @@ linearly between two of its points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import astuple, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,10 +63,8 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
-def _auc_pairs(labels: np.ndarray) -> int:
+def _auc_pairs(n_pos: int, n_neg: int) -> int:
     """n_pos * n_neg, the positive-negative comparisons AUC averages over."""
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUC needs both classes, got {n_pos} positives and {n_neg} negatives"
@@ -76,7 +76,7 @@ def auc(scores, labels) -> float:
     """Rank-based AUC over parallel score and label (1=linked) arrays; ties
     between classes count half a win."""
     scores, labels = _as_arrays(scores, labels)
-    n_pairs = _auc_pairs(labels)
+    n_pairs = _auc_pairs(np.count_nonzero(labels == 1), np.count_nonzero(labels == 0))
     return _sweep_auc(_threshold_sweep(scores, labels), n_pairs)
 
 
@@ -125,15 +125,37 @@ def _threshold_sweep(scores, labels) -> tuple:
         raise UndefinedMetricError("cannot sweep thresholds over zero pairs")
     if np.isnan(scores).any():
         raise UndefinedMetricError("cannot rank a NaN score")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    cum_tp = np.cumsum(labels[order] == 1, dtype=np.int64)
+    positive = labels == 1
+    return _sweep(scores, positive, ~positive)
+
+
+def _sweep(values: np.ndarray, tp_steps: np.ndarray, fp_steps: np.ndarray) -> tuple:
+    """The `_threshold_sweep` of pairs given as `tp_steps[i]` positives and
+    `fp_steps[i]` negatives scored `values[i]`.  Entries are stably sorted by
+    value, descending, and each group of equal values ends in one sweep
+    point, whose threshold is the group's last entry."""
+    order = np.argsort(-values, kind="mergesort")
+    sorted_values = values[order]
     # Last index of each tie group = counts with every pair >= that score.
     # (`!=`, not a difference: inf - inf is nan, which would split a tie.)
-    last_idx = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), len(scores) - 1)
-    tp = cum_tp[last_idx]
-    n_pos = int(cum_tp[-1])
-    return sorted_scores[last_idx], tp, last_idx + 1 - tp, n_pos, len(scores) - n_pos
+    last_idx = np.append(np.flatnonzero(sorted_values[1:] != sorted_values[:-1]), len(values) - 1)
+    tp = np.cumsum(tp_steps[order], dtype=np.int64)
+    fp = np.cumsum(fp_steps[order], dtype=np.int64)
+    return sorted_values[last_idx], tp[last_idx], fp[last_idx], int(tp[-1]), int(fp[-1])
+
+
+def _merged_sweep(sweeps: Sequence[tuple]) -> tuple:
+    """The sweep of the pool of the scored sets whose sweeps are `sweeps`.
+
+    Each sweep point becomes a step of the tp and fp it adds; the steps of
+    all the sweeps, in order, are swept again as `_sweep` entries.  Equal
+    thresholds of different sets fall into one group, and a group's
+    threshold is its last set's, so this is the sweep of the concatenated
+    scores, bit for bit.
+    """
+    thresholds = np.concatenate([sweep[0] for sweep in sweeps])
+    tp_steps, fp_steps = (np.concatenate([np.diff(sweep[k], prepend=0) for sweep in sweeps]) for k in (1, 2))
+    return _sweep(thresholds, tp_steps, fp_steps)
 
 
 def _sweep_auc(sweep: tuple, n_pairs: int) -> float:
@@ -212,17 +234,37 @@ class ScoredSet:
 def summarize(scores, labels, tau: float = TAU) -> ScoredSet:
     """AUC, the confusion at `tau`, its threshold metrics, and the PR and
     ROC curves of one scored set, all from a single threshold sweep."""
+    return _summarize(scores, labels, tau)[0]
+
+
+def _summarize(scores, labels, tau: float) -> tuple[ScoredSet, tuple]:
+    """`summarize`, and the threshold sweep it read."""
     scores, labels = _as_arrays(scores, labels)
-    n_pairs = _auc_pairs(labels)
+    n_pairs = _auc_pairs(np.count_nonzero(labels == 1), np.count_nonzero(labels == 0))
     sweep = _threshold_sweep(scores, labels)
-    conf = confusion(scores, labels, tau)
+    return _scored(sweep, n_pairs, confusion(scores, labels, tau)), sweep
+
+
+def _scored(sweep: tuple, n_pairs: int, conf: Confusion) -> ScoredSet:
     return ScoredSet(_sweep_auc(sweep, n_pairs), conf, scalar_metrics(conf), _sweep_pr(sweep), _sweep_roc(sweep))
+
+
+def _pooled(sweeps: Sequence[tuple], confusions: Sequence[Confusion]) -> ScoredSet:
+    """The `summarize` of the concatenated scored sets whose threshold
+    sweeps and confusions are given, from those alone: the sweeps merged
+    (`_merged_sweep`) and the confusions summed.  Bit for bit the same, for
+    labels of 0 and 1."""
+    sweep = _merged_sweep(sweeps)
+    _, _, _, n_pos, n_neg = sweep
+    conf = Confusion(*(sum(counts) for counts in zip(*(astuple(c) for c in confusions))))
+    return _scored(sweep, _auc_pairs(n_pos, n_neg), conf)
 
 
 @dataclass(frozen=True, eq=False)
 class WindowReport(ScoredSet):
-    """One test window's metrics plus every scored pair as parallel arrays:
-    its edge instances (label 1) followed by the sampled negatives (label 0)."""
+    """One test window's `ScoredSet` plus every scored pair as parallel
+    arrays: its edge instances (label 1) followed by the sampled negatives
+    (label 0)."""
 
     window_index: int
     src: np.ndarray
@@ -231,13 +273,24 @@ class WindowReport(ScoredSet):
     labels: np.ndarray
 
 
+@dataclass(frozen=True)
+class WindowMetrics:
+    """The metrics of one test window's `WindowReport`, without its curves
+    and scored pairs."""
+
+    window_index: int
+    auc: float
+    confusion: Confusion
+    metrics: ScalarMetrics
+
+
 @dataclass
 class EvalReport:
-    """Per-window results plus pooled (all scored pairs together) and
+    """Per-window metrics plus pooled (all scored pairs together) and
     macro-averaged (mean of per-window values) aggregates, and the attention
     record of the last scored window."""
 
-    windows: list[WindowReport]
+    windows: list[WindowMetrics]
     pooled: ScoredSet
     macro: dict[str, float]
     last_attention: AttentionRecord
@@ -249,17 +302,22 @@ def evaluate_windows(
     sampling: SamplingStrategy,
     tau: float = TAU,
     seed: int = 0,
+    on_window: Callable[[WindowReport], None] | None = None,
 ) -> EvalReport:
     """Score every non-empty test window.
 
     Per window: draw as many sampled non-edges as the window has edge
     instances, run the model on the window's own graph for the endpoints of
     both, score the instances as positives and the non-edges as negatives,
-    then `summarize` them.  Window scores are pooled and summarized again
-    for the aggregate numbers, and also averaged per window (macro).
-    Non-finite scores raise EvalError.
+    then `summarize` them.  The window's `WindowReport`, with its curves and
+    scored pairs, goes to `on_window` right away; the report returned keeps
+    its `WindowMetrics` only.  The pool of all windows' pairs is summarized
+    from the windows' threshold sweeps and confusions (`_pooled`), and the
+    window metrics are also averaged (macro).  Non-finite scores raise
+    EvalError.
     """
-    reports: list[WindowReport] = []
+    reports: list[WindowMetrics] = []
+    sweeps: list[tuple] = []
     for window in test_windows:
         if not window.n_events:
             continue
@@ -273,10 +331,12 @@ def evaluate_windows(
         if not np.isfinite(scores).all():
             raise EvalError(f"window {window.index} has non-finite scores; the model has diverged")
         labels = np.repeat([1, 0], [g.n_edges, len(neg)])
-        reports.append(WindowReport(
-            **vars(summarize(scores, labels, tau)),
-            window_index=window.index, src=src, dst=dst, scores=scores, labels=labels,
-        ))
+        scored, sweep = _summarize(scores, labels, tau)
+        if on_window is not None:
+            on_window(WindowReport(**vars(scored), window_index=window.index,
+                                   src=src, dst=dst, scores=scores, labels=labels))
+        reports.append(WindowMetrics(window.index, scored.auc, scored.confusion, scored.metrics))
+        sweeps.append(sweep)
     if not reports:
         raise EvalError("every test window is empty; nothing to evaluate")
     macro = {"auc": float(np.mean([r.auc for r in reports]))}
@@ -284,8 +344,7 @@ def evaluate_windows(
         macro[key] = float(np.mean([getattr(r.metrics, key) for r in reports]))
     return EvalReport(
         windows=reports,
-        pooled=summarize(np.concatenate([r.scores for r in reports]),
-                         np.concatenate([r.labels for r in reports]), tau),
+        pooled=_pooled(sweeps, [r.confusion for r in reports]),
         macro=macro,
         last_attention=last_attention,
     )

@@ -76,14 +76,17 @@ def apply_mapping(events: EventTable, mapping: NodeMapping, strict: bool = True)
     Each name of the vocabulary is looked up once.  Strict mode raises on a
     name the mapping does not know, the first such row's caller before its
     callee; lenient mode drops the rows that name one.  The mapping itself
-    never changes.
+    never changes.  When no row is dropped, the result holds the input's
+    `caller`, `callee` and `ts` arrays themselves, plus the new `src`/`dst`.
     """
     names = events.names.tolist()
     ids = {name: i for i, name in enumerate(mapping.names)}
     lut = np.fromiter(map(ids.get, names, repeat(-1)), dtype=np.int64, count=len(names))
     src, dst = lut[events.caller], lut[events.callee]
     known = (src >= 0) & (dst >= 0)
-    if strict and not known.all():
+    if known.all():
+        return EventTable(events.names, events.caller, events.callee, events.ts, src, dst)
+    if strict:
         row = int(np.argmin(known))
         code = events.caller[row] if src[row] < 0 else events.callee[row]
         raise MappingError(f"unknown service {names[code]!r} has no node id")
@@ -173,6 +176,10 @@ def serialize_mapping(mapping: NodeMapping) -> bytes:
 
 
 def load_mapping(path: str | Path) -> NodeMapping:
+    """The mapping a `save_mapping` file holds.  Each id must be written as
+    `save_mapping` writes it, `str(node_id)`: text that `int` reads as the
+    same id, such as `+0`, ` 1` or a non-ASCII digit, is a DataError, since
+    the names alone would give the file the canonical digest."""
     ids: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -184,6 +191,8 @@ def load_mapping(path: str | Path) -> NodeMapping:
         try:
             id_text, name = line.split("\t", 1)
             node_id = int(id_text)
+            if id_text != str(node_id):
+                raise ValueError(f"id {id_text!r} is not written as {str(node_id)!r}")
         except ValueError as exc:
             raise DataError(f"bad mapping line {line_no + 1}: {line!r}") from exc
         if name in ids:

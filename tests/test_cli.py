@@ -522,12 +522,16 @@ def test_non_finite_scores_exit_3(workdir, tmp_path, capsys):
     params.layer2.weights[0][:] = float("nan")
     broken = tmp_path / "checkpoint.bin"
     save_checkpoint(params, broken, mapping_sha256=digest)
-    code = main([
-        "evaluate", "--checkpoint", str(broken), "--mapping", str(run / "mapping.tsv"),
-        "--trace", str(workdir / "trace.csv"), "--out", str(tmp_path / "o"), *SPAN, "--seed", "5",
-    ])
-    assert code == 3
+    out = tmp_path / "o"
+    for checkpoint, want in ((run / "checkpoint.bin", 0), (broken, 3)):  # the second into a used directory
+        code = main([
+            "evaluate", "--checkpoint", str(checkpoint), "--mapping", str(run / "mapping.tsv"),
+            "--trace", str(workdir / "trace.csv"), "--out", str(out), *SPAN, "--seed", "5",
+        ])
+        assert code == want
     assert "non-finite scores" in capsys.readouterr().err
+    # the failed run removed the earlier run's metrics.json with its window files
+    assert sorted(path.name for path in out.iterdir()) == ["attention_test.csv", "pr_pooled.csv", "roc_pooled.csv"]
 
 
 def test_mapping_digest_mismatch(workdir, tmp_path, capsys):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import loader_reference
 from tracelink import ingest
 from tracelink.errors import ConfigError, DataError, TracelinkError
 from tracelink.ingest import (
@@ -159,6 +160,39 @@ raw_events = st.lists(
     ),
     max_size=40,
 )
+
+
+#: Rows over a few names, the empty one among them, with timestamps on both
+#: sides of a horizon of 10, so that rows tie, and fall in and out of range.
+loader_rows = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", ""]), st.sampled_from(["a", "b", "c", ""]), st.integers(-3, 13)),
+    max_size=30,
+)
+
+
+@example([("a", "b", 1e300), ("b", "c", 2)], False, False)
+@given(loader_rows, st.booleans(), st.booleans())
+def test_clean_matches_the_copying_reference(events, in_order, valid_only):
+    if valid_only:
+        events = [(caller, callee, ts) for caller, callee, ts in events if caller and callee and 0 <= ts <= 10]
+    if in_order:
+        events = sorted(events, key=lambda row: row[2])  # stable: tied rows keep their order
+    raw = table(events)
+    got, dropped = clean_trace(raw, 10)
+    want, want_dropped = loader_reference.clean_trace(raw, 10)
+    assert dropped == want_dropped
+    assert loader_reference.same_table(got, want)
+
+
+def test_clean_keeps_the_parsed_columns_when_no_row_is_dropped_or_moved():
+    raw = table([("a", "b", 1), ("b", "c", 1), ("c", "a", 4)])
+    cleaned, _ = clean_trace(raw, 10)
+    assert np.shares_memory(cleaned.caller, raw.caller) and np.shares_memory(cleaned.callee, raw.callee)
+    assert cleaned.ts.dtype == np.int64
+    for events in ([("a", "b", 5), ("b", "c", 1)], [("a", "b", 1), ("", "c", 2)], [("a", "b", 1), ("b", "c", 11)]):
+        raw = table(events)
+        cleaned, _ = clean_trace(raw, 10)
+        assert not np.shares_memory(cleaned.caller, raw.caller), events
 
 
 @given(raw_events)

@@ -279,6 +279,38 @@ def test_nan_scores_are_refused(score_fn):
     score_fn(*pairs_of([math.inf, -math.inf], [math.inf, -math.inf]))  # ties at +-inf stay legal
 
 
+#: Scored sets of a few pairs each: small-integer scores, so that ties fall
+#: within and across sets, -0.0 among them, and either label.
+scored_sets = st.lists(
+    st.lists(st.tuples(st.one_of(st.integers(0, 4).map(float), st.just(-0.0)), st.integers(0, 1)),
+             min_size=1, max_size=12),
+    min_size=1, max_size=5,
+)
+
+
+@example([[(1.0, 1), (0.0, 0)]])
+@example([[(2.0, 1), (2.0, 1)], [(2.0, 0), (-0.0, 0)], [(0.0, 1), (1.0, 0)]])  # one-class sets, cross-set ties
+@example([[(1.0, 1)], [(3.0, 1)]])  # no negative in the pool
+@given(scored_sets)
+def test_pooling_sweeps_equals_summarizing_the_concatenation(sets):
+    scores = [np.array([score for score, _ in pairs]) for pairs in sets]
+    labels = [np.array([label for _, label in pairs]) for pairs in sets]
+    sweeps = [metrics._threshold_sweep(*pair) for pair in zip(scores, labels)]
+    confusions = [confusion(*pair) for pair in zip(scores, labels)]
+    all_scores, all_labels = np.concatenate(scores), np.concatenate(labels)
+    if np.unique(all_labels).size < 2:
+        for pool in (lambda: summarize(all_scores, all_labels), lambda: metrics._pooled(sweeps, confusions)):
+            with pytest.raises(UndefinedMetricError, match="AUC needs both classes"):
+                pool()
+        return
+    pooled, want = metrics._pooled(sweeps, confusions), summarize(all_scores, all_labels)
+    assert pooled.auc == want.auc
+    assert pooled.confusion == want.confusion
+    assert pooled.metrics == want.metrics
+    for got, expected in zip((*pooled.pr, *pooled.roc), (*want.pr, *want.roc)):
+        assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+
+
 def test_evaluate_sweeps_each_scored_set_once(small_model, monkeypatch):
     calls = []
     real_sweep = metrics._threshold_sweep
@@ -290,8 +322,8 @@ def test_evaluate_sweeps_each_scored_set_once(small_model, monkeypatch):
     monkeypatch.setattr(metrics, "_threshold_sweep", counting_sweep)
     windows = [window_of([(0, 1), (1, 2)], 0), window_of([], 1), window_of([(3, 4)], 2)]
     evaluate_windows(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE), seed=3)
-    # two non-empty windows, then the pool of both
-    assert calls == [4, 2, 6]
+    # the two non-empty windows; the pool merges their sweeps
+    assert calls == [4, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +340,15 @@ def small_model():
     return init_params(8, 4, 2, np.random.default_rng(30))
 
 
+def evaluate_capturing(*args, **kwargs):
+    """`evaluate_windows`, and the WindowReport it passed for each window."""
+    captured = []
+    return evaluate_windows(*args, on_window=captured.append, **kwargs), captured
+
+
 def test_evaluate_pairs_are_one_to_one(small_model):
     windows = [window_of([(0, 1), (1, 2), (2, 3)], 0)]
-    report = evaluate_windows(small_model, windows,
-                              SamplingStrategy(SamplingKind.ADVANCED), seed=5)
-    w = report.windows[0]
+    _, (w,) = evaluate_capturing(small_model, windows, SamplingStrategy(SamplingKind.ADVANCED), seed=5)
     assert len(w.src) == len(w.dst) == len(w.scores) == len(w.labels) == 6
     assert w.labels.sum() == 3
     assert set(w.labels.tolist()) == {0, 1}
@@ -327,8 +363,9 @@ def test_evaluate_scores_equal_a_full_forward_bitwise():
     # those rows alone differently from the full one
     params = init_params(200, 64, 2, np.random.default_rng(31))
     windows = [window_of([(0, 1)], 0), window_of([(3, 4), (4, 5), (5, 3)], 1), window_of([(9, 120)], 2)]
-    report = evaluate_windows(params, windows, SamplingStrategy(SamplingKind.ADVANCED), seed=7)
-    for window, w in zip(windows, report.windows):
+    _, captured = evaluate_capturing(params, windows, SamplingStrategy(SamplingKind.ADVANCED), seed=7)
+    assert len(captured) == len(windows)
+    for window, w in zip(windows, captured):
         emb, _ = model_forward(params, build_graph(window, 200))
         assert np.array_equal(w.scores, link_probability(emb, w.src, w.dst))
 
@@ -336,11 +373,24 @@ def test_evaluate_scores_equal_a_full_forward_bitwise():
 def test_evaluate_is_deterministic(small_model):
     windows = [window_of([(0, 1), (1, 2)], 0), window_of([(3, 4), (5, 6)], 1)]
     strategy = SamplingStrategy(SamplingKind.ADVANCED)
-    a = evaluate_windows(small_model, windows, strategy, seed=9)
-    b = evaluate_windows(small_model, windows, strategy, seed=9)
+    a, a_windows = evaluate_capturing(small_model, windows, strategy, seed=9)
+    b, b_windows = evaluate_capturing(small_model, windows, strategy, seed=9)
     assert a.pooled.auc == b.pooled.auc
     assert a.pooled.confusion == b.pooled.confusion
-    assert [w.scores.tolist() for w in a.windows] == [w.scores.tolist() for w in b.windows]
+    assert [w.scores.tolist() for w in a_windows] == [w.scores.tolist() for w in b_windows]
+
+
+def test_evaluate_reports_what_it_passes_on_and_pools_every_pair(small_model):
+    windows = [window_of([(0, 1), (1, 2)], 0), window_of([], 1), window_of([(3, 4), (5, 6), (6, 7)], 2)]
+    report, captured = evaluate_capturing(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE), seed=4)
+    assert [w.window_index for w in captured] == [w.window_index for w in report.windows] == [0, 2]
+    for full, kept in zip(captured, report.windows):
+        assert (kept.auc, kept.confusion, kept.metrics) == (full.auc, full.confusion, full.metrics)
+        assert not hasattr(kept, "scores") and not hasattr(kept, "pr")
+    want = summarize(np.concatenate([w.scores for w in captured]), np.concatenate([w.labels for w in captured]))
+    assert (report.pooled.auc, report.pooled.confusion) == (want.auc, want.confusion)
+    for got, expected in zip((*report.pooled.pr, *report.pooled.roc), (*want.pr, *want.roc)):
+        assert np.array_equal(got, expected)
 
 
 def test_evaluate_skips_empty_and_errors_when_all_empty(small_model):

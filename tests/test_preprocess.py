@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import loader_reference
 from tracelink.errors import ConfigError, DataError, MappingError
 from tracelink.ingest import EventTable, clean_trace
 from tracelink.preprocess import (
@@ -97,6 +99,18 @@ def test_a_name_holding_a_line_break_is_refused_before_anything_is_written(tmp_p
     assert not path.exists()
 
 
+@pytest.mark.parametrize("line, id_text", [(1, "+0"), (2, " 1"), (3, "\u0662"), (1, "00"), (1, "-0"), (2, "1 ")])
+def test_load_mapping_refuses_an_id_that_save_mapping_would_not_write(tmp_path, line, id_text):
+    # int() reads each of these as the line's own id, and the names alone
+    # give the canonical digest, so a checkpoint's hash check would pass it.
+    lines = ["0\ta", "1\tb", "2\tc"]
+    lines[line - 1] = f"{id_text}\t{'abc'[line - 1]}"
+    path = tmp_path / "mapping.tsv"
+    path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"bad mapping line {line}: {lines[line - 1]!r}")):
+        load_mapping(path)
+
+
 def test_load_mapping_rejects_gaps(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("0\ta\n2\tb\n")
@@ -143,6 +157,29 @@ def test_apply_mapping_lenient_drops_exactly_the_rows_naming_an_unknown_service(
                     mapped.ts.tolist())) == kept
     assert mapped.src.tolist() == [ids[u] for u, _, _ in kept]
     assert mapped.dst.tolist() == [ids[v] for _, v, _ in kept]
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcxy"), st.sampled_from("abcxy"), st.integers(0, 9)), max_size=20),
+       st.lists(st.sampled_from("abcx"), unique=True), st.booleans())
+def test_apply_mapping_matches_the_copying_reference(rows, known, strict):
+    events, mapping = ev(*rows), NodeMapping(tuple(known))
+    try:
+        want = loader_reference.apply_mapping(events, mapping, strict)
+    except MappingError as exc:
+        with pytest.raises(MappingError) as got:
+            apply_mapping(events, mapping, strict)
+        assert str(got.value) == str(exc)
+        return
+    assert loader_reference.same_table(apply_mapping(events, mapping, strict), want)
+
+
+def test_apply_mapping_keeps_the_columns_when_no_row_is_dropped():
+    events = ev(("a", "b", 0), ("b", "c", 1))
+    for strict in (True, False):
+        mapped = apply_mapping(events, NodeMapping(("c", "b", "a")), strict)
+        assert all(getattr(mapped, name) is getattr(events, name) for name in ("names", "caller", "callee", "ts"))
+    mapped = apply_mapping(events, NodeMapping(("b", "a")), strict=False)
+    assert not np.shares_memory(mapped.caller, events.caller)
 
 
 def test_apply_mapping_lenient_drops_unknown_rows():
