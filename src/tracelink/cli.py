@@ -324,17 +324,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     strategy = _strategy(cfg.sampling.eval_kind)
     out = Path(cfg.out_dir)
-    # Each window's files are written as soon as it is scored, so an earlier
-    # run's go first, with its metrics.json: a run that fails part way leaves
-    # no metrics.json naming windows it did not write.
+    # Each window's scored pairs are written as soon as it is scored, so an
+    # earlier run's go first, with its metrics.json: a run that fails part way
+    # leaves no metrics.json naming windows it did not write.  The per-window
+    # curve files that older runs wrote go too, so that none can disagree
+    # with the scored pairs beside it.
     _remove_numbered(out, "pr_window_", "roc_window_", "scored_window_")
     (out / "metrics.json").unlink(missing_ok=True)
 
-    def write_window(r: metrics_mod.WindowReport) -> None:
-        tag = f"window_{r.window_index:04d}"
-        _write_csv(out / f"pr_{tag}.csv", "threshold,precision,recall", *r.pr)
-        _write_csv(out / f"roc_{tag}.csv", "threshold,fpr,tpr", *r.roc)
-        _write_csv(out / f"scored_{tag}.csv", "src,dst,score,label", r.src, r.dst, r.scores, r.labels)
+    def write_window(window_index: int, *pairs: np.ndarray) -> None:
+        _write_csv(out / f"scored_window_{window_index:04d}.csv", "src,dst,score,label", *pairs)
 
     with _stage("evaluate"):
         report = metrics_mod.evaluate_windows(params, test_w, strategy, seed=cfg.seed, on_window=write_window)

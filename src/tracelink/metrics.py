@@ -7,7 +7,9 @@ Curves are swept over the distinct observed scores, predicting positive at
 `score >= threshold`.  One sort of a scored set gives that sweep, and AUC
 and both curves read from it; `summarize` gives every metric of one set.
 The sweep of a pool of scored sets is their sweeps merged, so a pool is
-summarized without its scores.
+summarized without its scores.  A test window keeps its AUC and threshold
+metrics only: its curves are `pr_points` and `roc_points` of its scored
+pairs.
 AUC counts every sweep point; the ROC curve keeps only the points where it
 turns (plus its two ends), since the rest lie on straight segments between
 those.  The PR curve keeps every point: precision does not interpolate
@@ -222,7 +224,8 @@ def roc_area(curve: Curve) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ScoredSet:
-    """Every metric of one set of scored pairs: a test window or the pool."""
+    """Every metric of one set of scored pairs, such as the pool of every
+    test window's."""
 
     auc: float
     confusion: Confusion
@@ -234,15 +237,9 @@ class ScoredSet:
 def summarize(scores, labels, tau: float = TAU) -> ScoredSet:
     """AUC, the confusion at `tau`, its threshold metrics, and the PR and
     ROC curves of one scored set, all from a single threshold sweep."""
-    return _summarize(scores, labels, tau)[0]
-
-
-def _summarize(scores, labels, tau: float) -> tuple[ScoredSet, tuple]:
-    """`summarize`, and the threshold sweep it read."""
     scores, labels = _as_arrays(scores, labels)
     n_pairs = _auc_pairs(np.count_nonzero(labels == 1), np.count_nonzero(labels == 0))
-    sweep = _threshold_sweep(scores, labels)
-    return _scored(sweep, n_pairs, confusion(scores, labels, tau)), sweep
+    return _scored(_threshold_sweep(scores, labels), n_pairs, confusion(scores, labels, tau))
 
 
 def _scored(sweep: tuple, n_pairs: int, conf: Confusion) -> ScoredSet:
@@ -260,23 +257,10 @@ def _pooled(sweeps: Sequence[tuple], confusions: Sequence[Confusion]) -> ScoredS
     return _scored(sweep, _auc_pairs(n_pos, n_neg), conf)
 
 
-@dataclass(frozen=True, eq=False)
-class WindowReport(ScoredSet):
-    """One test window's `ScoredSet` plus every scored pair as parallel
-    arrays: its edge instances (label 1) followed by the sampled negatives
-    (label 0)."""
-
-    window_index: int
-    src: np.ndarray
-    dst: np.ndarray
-    scores: np.ndarray
-    labels: np.ndarray
-
-
 @dataclass(frozen=True)
 class WindowMetrics:
-    """The metrics of one test window's `WindowReport`, without its curves
-    and scored pairs."""
+    """One test window's AUC, confusion and threshold metrics: its
+    `summarize` without the curves."""
 
     window_index: int
     auc: float
@@ -302,19 +286,20 @@ def evaluate_windows(
     sampling: SamplingStrategy,
     tau: float = TAU,
     seed: int = 0,
-    on_window: Callable[[WindowReport], None] | None = None,
+    on_window: Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> EvalReport:
     """Score every non-empty test window.
 
     Per window: draw as many sampled non-edges as the window has edge
     instances, run the model on the window's own graph for the endpoints of
-    both, score the instances as positives and the non-edges as negatives,
-    then `summarize` them.  The window's `WindowReport`, with its curves and
-    scored pairs, goes to `on_window` right away; the report returned keeps
-    its `WindowMetrics` only.  The pool of all windows' pairs is summarized
-    from the windows' threshold sweeps and confusions (`_pooled`), and the
-    window metrics are also averaged (macro).  Non-finite scores raise
-    EvalError.
+    both, and score the instances as positives (label 1) and the non-edges
+    as negatives (label 0).  `on_window(window_index, src, dst, scores,
+    labels)` gets those scored pairs, as parallel arrays, right away.  The
+    report keeps the window's AUC, confusion at `tau` and threshold metrics
+    (`WindowMetrics`); its curves are not swept.  The pool of all windows'
+    pairs is summarized from the windows' threshold sweeps and confusions
+    (`_pooled`), and the window metrics are also averaged (macro).
+    Non-finite scores raise EvalError.
     """
     reports: list[WindowMetrics] = []
     sweeps: list[tuple] = []
@@ -331,11 +316,12 @@ def evaluate_windows(
         if not np.isfinite(scores).all():
             raise EvalError(f"window {window.index} has non-finite scores; the model has diverged")
         labels = np.repeat([1, 0], [g.n_edges, len(neg)])
-        scored, sweep = _summarize(scores, labels, tau)
+        sweep = _threshold_sweep(scores, labels)
+        conf = confusion(scores, labels, tau)
+        window_auc = _sweep_auc(sweep, _auc_pairs(g.n_edges, len(neg)))
         if on_window is not None:
-            on_window(WindowReport(**vars(scored), window_index=window.index,
-                                   src=src, dst=dst, scores=scores, labels=labels))
-        reports.append(WindowMetrics(window.index, scored.auc, scored.confusion, scored.metrics))
+            on_window(window.index, src, dst, scores, labels)
+        reports.append(WindowMetrics(window.index, window_auc, conf, scalar_metrics(conf)))
         sweeps.append(sweep)
     if not reports:
         raise EvalError("every test window is empty; nothing to evaluate")

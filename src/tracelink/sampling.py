@@ -37,28 +37,24 @@ class SamplingKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SamplingStrategy:
-    """Chosen sampling regime; `alpha` accompanies the advanced kind only."""
+    """Chosen sampling regime."""
 
     kind: SamplingKind
-    alpha: float | None = None
 
-    def __post_init__(self):
-        if self.kind is SamplingKind.ADVANCED:
-            if self.alpha is None:
-                object.__setattr__(self, "alpha", DEFAULT_ALPHA)
-            if not np.isfinite(self.alpha) or self.alpha < 0:
-                raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        elif self.alpha is not None:
-            raise ConfigError(f"alpha only applies to advanced sampling, not {self.kind.value}")
+    @property
+    def alpha(self) -> float | None:
+        """The degree exponent of the advanced kind, `DEFAULT_ALPHA`; None
+        for the others."""
+        return DEFAULT_ALPHA if self.kind is SamplingKind.ADVANCED else None
 
 
-def analyze_sampling(n_pos: int, n_nodes: int, *, alpha: float = DEFAULT_ALPHA) -> SamplingStrategy:
+def analyze_sampling(n_pos: int, n_nodes: int) -> SamplingStrategy:
     """Pick a sampling regime from the positive/implicit-negative ratio.
 
     The implicit negative count is n_nodes*(n_nodes-1) - n_pos (every ordered
     non-self pair that is not a positive).  Ratios >= BALANCED_THRESHOLD need
     no sampling; ratios >= MODERATE_THRESHOLD get uniform sampling; rarer
-    positives than that get the degree-weighted sampler with `alpha`.
+    positives than that get the degree-weighted sampler.
     """
     if n_nodes < 2:
         raise ConfigError(f"need at least 2 nodes to sample pairs, got {n_nodes}")
@@ -69,7 +65,7 @@ def analyze_sampling(n_pos: int, n_nodes: int, *, alpha: float = DEFAULT_ALPHA) 
         return SamplingStrategy(SamplingKind.NONE)
     if n_pos / implicit_neg >= MODERATE_THRESHOLD:
         return SamplingStrategy(SamplingKind.SIMPLE)
-    return SamplingStrategy(SamplingKind.ADVANCED, alpha)
+    return SamplingStrategy(SamplingKind.ADVANCED)
 
 
 def degree_source_distribution(degrees: np.ndarray, alpha: float) -> np.ndarray:
@@ -158,4 +154,4 @@ def draw_negatives(strategy: SamplingStrategy, graph: WindowedGraph, rng: np.ran
         return np.empty((0, 2), dtype=np.int64)
     if strategy.kind is SamplingKind.SIMPLE:
         return simple_negative_sample(graph, rng)
-    return advanced_negative_sample(graph, strategy.alpha, rng)
+    return advanced_negative_sample(graph, DEFAULT_ALPHA, rng)

@@ -18,7 +18,7 @@ from tracelink import cli, gat, metrics
 from tracelink.cli import _csv_blocks, _run_config, build_parser, main
 from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
-from tracelink.metrics import auc, pr_points, roc_points
+from tracelink.metrics import auc, pr_points, roc_points, summarize
 from tracelink.sampling import DEFAULT_ALPHA
 
 TINY = [
@@ -260,12 +260,13 @@ def test_evaluate_artefacts_agree_exactly(workdir, tmp_path):
     doc = json.loads((out / "metrics.json").read_text())
     pooled_scores, pooled_labels = [], []
     for tag in sorted(doc["windows"]):
+        # the scored file is the window's whole record: its metrics are read back from it
         header, (_, _, scores, labels) = _read_csv(out / f"scored_window_{tag}.csv", int, int, float, int)
         assert header == "src,dst,score,label"
-        assert doc["windows"][tag]["auc"] == auc(scores, labels)
-        for name, curve in (("pr", pr_points(scores, labels)), ("roc", roc_points(scores, labels))):
-            _, columns = _read_csv(out / f"{name}_window_{tag}.csv", float, float, float)
-            assert columns == [column.tolist() for column in curve], (name, tag)
+        scored = summarize(scores, labels, doc["tau"])
+        want = {"auc": scored.auc, **vars(scored.confusion),
+                **{key: getattr(scored.metrics, key) for key in ("accuracy", "precision", "recall", "f1")}}
+        assert {key: doc["windows"][tag][key] for key in want} == want, tag
         pooled_scores += scores
         pooled_labels += labels
     assert doc["pooled"]["auc"] == auc(pooled_scores, pooled_labels)
@@ -295,8 +296,7 @@ def test_evaluate_and_report(workdir, tmp_path, capsys):
     assert pooled["tp"] + pooled["fn"] == sum(
         doc["windows"][w]["tp"] + doc["windows"][w]["fn"] for w in doc["windows"]
     )
-    for name in ("pr_pooled.csv", "roc_pooled.csv", "attention_test.csv",
-                 "scored_window_0007.csv", "pr_window_0009.csv", "roc_window_0008.csv"):
+    for name in ("pr_pooled.csv", "roc_pooled.csv", "attention_test.csv", "scored_window_0007.csv"):
         assert (out / name).exists(), name
     scored = (out / "scored_window_0007.csv").read_text().splitlines()
     assert scored[0] == "src,dst,score,label"
@@ -331,6 +331,9 @@ def test_evaluating_into_a_used_directory_leaves_only_this_runs_window_files(wor
     bystanders = ("notes.txt", "roc_window_final.csv", "scored_window_0007.csv.bak", "pr_window_0007.tsv")
     for name in bystanders:
         (out / name).write_text("kept\n")
+    # per-window curves as older versions wrote them, for windows this run scores and one it does not
+    for name in ("pr_window_0003.csv", "roc_window_0003.csv", "pr_window_0008.csv", "roc_window_0009.csv"):
+        (out / name).write_text("threshold,fpr,tpr\ninf,0.0,0.0\n")
     for t_train in ("700", "800"):  # windows 7-9, then 8-9 only
         assert main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"), "--trace", str(workdir / "trace.csv"),
                      "--out", str(out), *SPAN, "--t-train", t_train, "--seed", "5"]) == 0
@@ -338,7 +341,7 @@ def test_evaluating_into_a_used_directory_leaves_only_this_runs_window_files(wor
     assert sorted(tags) == ["0008", "0009"]
     per_window = {path.name for pattern in ("pr_window_*.csv", "roc_window_*.csv", "scored_window_*.csv")
                   for path in out.glob(pattern)} - set(bystanders)
-    assert per_window == {f"{kind}_window_{tag}.csv" for kind in ("pr", "roc", "scored") for tag in tags}
+    assert per_window == {f"scored_window_{tag}.csv" for tag in tags}
     for name in bystanders:
         assert (out / name).read_text() == "kept\n", name
 

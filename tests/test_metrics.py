@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -340,10 +341,21 @@ def small_model():
     return init_params(8, 4, 2, np.random.default_rng(30))
 
 
+class Passed(NamedTuple):
+    """The arguments `evaluate_windows` passed `on_window` for one window."""
+
+    window_index: int
+    src: np.ndarray
+    dst: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray
+
+
 def evaluate_capturing(*args, **kwargs):
-    """`evaluate_windows`, and the WindowReport it passed for each window."""
+    """`evaluate_windows`, and what it passed `on_window` for each window."""
     captured = []
-    return evaluate_windows(*args, on_window=captured.append, **kwargs), captured
+    report = evaluate_windows(*args, on_window=lambda *passed: captured.append(Passed(*passed)), **kwargs)
+    return report, captured
 
 
 def test_evaluate_pairs_are_one_to_one(small_model):
@@ -384,8 +396,9 @@ def test_evaluate_reports_what_it_passes_on_and_pools_every_pair(small_model):
     windows = [window_of([(0, 1), (1, 2)], 0), window_of([], 1), window_of([(3, 4), (5, 6), (6, 7)], 2)]
     report, captured = evaluate_capturing(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE), seed=4)
     assert [w.window_index for w in captured] == [w.window_index for w in report.windows] == [0, 2]
-    for full, kept in zip(captured, report.windows):
-        assert (kept.auc, kept.confusion, kept.metrics) == (full.auc, full.confusion, full.metrics)
+    for passed, kept in zip(captured, report.windows):
+        want = summarize(passed.scores, passed.labels)
+        assert (kept.auc, kept.confusion, kept.metrics) == (want.auc, want.confusion, want.metrics)
         assert not hasattr(kept, "scores") and not hasattr(kept, "pr")
     want = summarize(np.concatenate([w.scores for w in captured]), np.concatenate([w.labels for w in captured]))
     assert (report.pooled.auc, report.pooled.confusion) == (want.auc, want.confusion)
