@@ -344,17 +344,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "sampling": {"kind": strategy.kind.value, "alpha": strategy.alpha},
             "pooled": _metrics_block(report.pooled),
             "macro": report.macro,
-            "windows": {
-                f"{r.window_index:04d}": _metrics_block(r)
-                for r in report.windows
-            },
+            "windows": {f"{index:04d}": _metrics_block(scored) for index, scored in report.windows.items()},
             "n_test_windows": len(report.windows),
             **dropped,
             "skipped_unknown_events": skipped_unknown,
         }
         _write_text(out / "metrics.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        _write_csv(out / "pr_pooled.csv", "threshold,precision,recall", *report.pooled.pr)
-        _write_csv(out / "roc_pooled.csv", "threshold,fpr,tpr", *report.pooled.roc)
+        _write_csv(out / "pr_pooled.csv", "threshold,precision,recall", *report.pr)
+        _write_csv(out / "roc_pooled.csv", "threshold,fpr,tpr", *report.roc)
         matrix = metrics_mod.export_attention(report.last_attention)
         _write_csv(out / "attention_test.csv", "", *matrix.T)
 

@@ -4,12 +4,13 @@ behind the standard plots (PR and ROC curves, attention heatmaps).
 AUC uses the rank (Mann-Whitney) estimator with ties counted 1/2, which is
 exactly the probability that a random positive outscores a random negative.
 Curves are swept over the distinct observed scores, predicting positive at
-`score >= threshold`.  One sort of a scored set gives that sweep, and AUC
-and both curves read from it; `summarize` gives every metric of one set.
-The sweep of a pool of scored sets is their sweeps merged, so a pool is
-summarized without its scores.  A test window keeps its AUC and threshold
-metrics only: its curves are `pr_points` and `roc_points` of its scored
-pairs.
+`score >= threshold`.  One sort of a scored set gives that sweep, and it is
+the only place the set's pairs are counted: AUC, both curves and the
+confusion at τ (the counts at the sweep's last point above τ) read from it.
+`summarize` gives a set's AUC, confusion and threshold metrics.  The sweep
+of a pool of scored sets is their sweeps merged, so a pool is summarized,
+and its curves drawn, without its scores.  A test window's curves are
+`pr_points` and `roc_points` of its scored pairs.
 AUC counts every sweep point; the ROC curve keeps only the points where it
 turns (plus its two ends), since the rest lie on straight segments between
 those.  The PR curve keeps every point: precision does not interpolate
@@ -18,7 +19,7 @@ linearly between two of its points.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,34 +66,15 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
-def _auc_pairs(n_pos: int, n_neg: int) -> int:
-    """n_pos * n_neg, the positive-negative comparisons AUC averages over."""
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError(
-            f"AUC needs both classes, got {n_pos} positives and {n_neg} negatives"
-        )
-    return n_pos * n_neg
-
-
 def auc(scores, labels) -> float:
     """Rank-based AUC over parallel score and label (1=linked) arrays; ties
     between classes count half a win."""
-    scores, labels = _as_arrays(scores, labels)
-    n_pairs = _auc_pairs(np.count_nonzero(labels == 1), np.count_nonzero(labels == 0))
-    return _sweep_auc(_threshold_sweep(scores, labels), n_pairs)
+    return _sweep_auc(_threshold_sweep(scores, labels))
 
 
 def confusion(scores, labels, tau: float = TAU) -> Confusion:
     """Counts under the strict rule: predicted positive iff score > tau."""
-    scores, labels = _as_arrays(scores, labels)
-    predicted = scores > tau
-    actual = labels == 1
-    return Confusion(
-        tp=int((predicted & actual).sum()),
-        fp=int((predicted & ~actual).sum()),
-        fn=int((~predicted & actual).sum()),
-        tn=int((~predicted & ~actual).sum()),
-    )
+    return _sweep_confusion(_threshold_sweep(scores, labels), tau)
 
 
 def scalar_metrics(conf: Confusion) -> ScalarMetrics:
@@ -120,13 +102,11 @@ def scalar_metrics(conf: Confusion) -> ScalarMetrics:
 def _threshold_sweep(scores, labels) -> tuple:
     """(thresholds, tp, fp, n_pos, n_neg): cumulative tp/fp at each distinct
     score threshold, descending.  Predictions are inclusive (score >=
-    threshold); every label but 1 counts as negative.  A NaN score has no
-    place in the order and raises; +-inf ties like any other score."""
+    threshold); every label but 1 counts as negative.  Zero pairs give an
+    empty sweep.  +-inf ties like any other score; a NaN score has no place
+    in the order, and every reader refuses a sweep that holds one
+    (`_ranked`)."""
     scores, labels = _as_arrays(scores, labels)
-    if len(scores) == 0:
-        raise UndefinedMetricError("cannot sweep thresholds over zero pairs")
-    if np.isnan(scores).any():
-        raise UndefinedMetricError("cannot rank a NaN score")
     positive = labels == 1
     return _sweep(scores, positive, ~positive)
 
@@ -140,10 +120,11 @@ def _sweep(values: np.ndarray, tp_steps: np.ndarray, fp_steps: np.ndarray) -> tu
     sorted_values = values[order]
     # Last index of each tie group = counts with every pair >= that score.
     # (`!=`, not a difference: inf - inf is nan, which would split a tie.)
-    last_idx = np.append(np.flatnonzero(sorted_values[1:] != sorted_values[:-1]), len(values) - 1)
+    last_idx = np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1], values.size > 0))
     tp = np.cumsum(tp_steps[order], dtype=np.int64)
     fp = np.cumsum(fp_steps[order], dtype=np.int64)
-    return sorted_values[last_idx], tp[last_idx], fp[last_idx], int(tp[-1]), int(fp[-1])
+    # The totals are the last cumulative counts (none, 0, for zero pairs).
+    return sorted_values[last_idx], tp[last_idx], fp[last_idx], int(tp[-1:].sum()), int(fp[-1:].sum())
 
 
 def _merged_sweep(sweeps: Sequence[tuple]) -> tuple:
@@ -160,17 +141,47 @@ def _merged_sweep(sweeps: Sequence[tuple]) -> tuple:
     return _sweep(thresholds, tp_steps, fp_steps)
 
 
-def _sweep_auc(sweep: tuple, n_pairs: int) -> float:
-    """Mann-Whitney U over `n_pairs`: each positive beats the other pairs
-    scored strictly lower and ties with half of those scored the same.  2U is
-    an exact integer, so this is the mid-rank estimator bit for bit."""
-    _, tp, fp, _, n_neg = sweep
+def _ranked(sweep: tuple) -> tuple:
+    """`sweep`, if its scores can be ranked: at least one pair, none NaN.
+    NaN sorts after every number, so a sweep holds one iff its last
+    threshold is NaN."""
+    thresholds = sweep[0]
+    if thresholds.size == 0:
+        raise UndefinedMetricError("cannot sweep thresholds over zero pairs")
+    if np.isnan(thresholds[-1]):
+        raise UndefinedMetricError("cannot rank a NaN score")
+    return sweep
+
+
+def _sweep_auc(sweep: tuple) -> float:
+    """Mann-Whitney U over the sweep's n_pos * n_neg positive-negative
+    pairs: each positive beats the negatives scored strictly lower and ties
+    with half of those scored the same.  2U is an exact integer, so this is
+    the mid-rank estimator bit for bit."""
+    _, tp, fp, n_pos, n_neg = sweep
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError(
+            f"AUC needs both classes, got {n_pos} positives and {n_neg} negatives"
+        )
+    _ranked(sweep)
     two_u = np.diff(tp, prepend=0) * (2 * (n_neg - fp) + np.diff(fp, prepend=0))
-    return int(two_u.sum()) / (2 * n_pairs)
+    return int(two_u.sum()) / (2 * n_pos * n_neg)
+
+
+def _sweep_confusion(sweep: tuple, tau: float) -> Confusion:
+    """The confusion at `tau`: the pairs scored above it are those counted
+    at the last of the k sweep points whose thresholds exceed it (the
+    thresholds are distinct and descending), and none when k = 0."""
+    thresholds, tp, fp, n_pos, n_neg = sweep
+    if thresholds.size:
+        _ranked(sweep)
+    k = int(np.count_nonzero(thresholds > tau))
+    tp_k, fp_k = (int(counts[k - 1]) if k else 0 for counts in (tp, fp))
+    return Confusion(tp=tp_k, fp=fp_k, fn=n_pos - tp_k, tn=n_neg - fp_k)
 
 
 def _sweep_pr(sweep: tuple) -> Curve:
-    thresholds, tp, fp, n_pos, _ = sweep
+    thresholds, tp, fp, n_pos, _ = _ranked(sweep)
     if n_pos == 0:
         raise UndefinedMetricError("PR curve needs at least one positive pair")
     end = int(np.argmax(tp == n_pos)) + 1
@@ -185,7 +196,7 @@ def _sweep_roc(sweep: tuple) -> Curve:
     the segment between them, so it is dropped; the test is exact, on the
     integer counts, before any division.  Each step is nonzero and points up
     or right, so parallel steps never turn back."""
-    thresholds, tp, fp, n_pos, n_neg = sweep
+    thresholds, tp, fp, n_pos, n_neg = _ranked(sweep)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"ROC needs both classes, got {n_pos} positives and {n_neg} negatives"
@@ -222,60 +233,39 @@ def roc_area(curve: Curve) -> float:
 # ---------------------------------------------------------------------------
 # windowed evaluation
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScoredSet:
-    """Every metric of one set of scored pairs, such as the pool of every
-    test window's."""
+    """AUC, the confusion at τ and its threshold metrics of one set of
+    scored pairs: a test window's, or the pool of every window's."""
 
     auc: float
     confusion: Confusion
     metrics: ScalarMetrics
-    pr: Curve
-    roc: Curve
 
 
 def summarize(scores, labels, tau: float = TAU) -> ScoredSet:
-    """AUC, the confusion at `tau`, its threshold metrics, and the PR and
-    ROC curves of one scored set, all from a single threshold sweep."""
-    scores, labels = _as_arrays(scores, labels)
-    n_pairs = _auc_pairs(np.count_nonzero(labels == 1), np.count_nonzero(labels == 0))
-    return _scored(_threshold_sweep(scores, labels), n_pairs, confusion(scores, labels, tau))
+    """AUC, the confusion at `tau` and its threshold metrics of one scored
+    set, all from a single threshold sweep."""
+    return _scored(_threshold_sweep(scores, labels), tau)
 
 
-def _scored(sweep: tuple, n_pairs: int, conf: Confusion) -> ScoredSet:
-    return ScoredSet(_sweep_auc(sweep, n_pairs), conf, scalar_metrics(conf), _sweep_pr(sweep), _sweep_roc(sweep))
-
-
-def _pooled(sweeps: Sequence[tuple], confusions: Sequence[Confusion]) -> ScoredSet:
-    """The `summarize` of the concatenated scored sets whose threshold
-    sweeps and confusions are given, from those alone: the sweeps merged
-    (`_merged_sweep`) and the confusions summed.  Bit for bit the same, for
-    labels of 0 and 1."""
-    sweep = _merged_sweep(sweeps)
-    _, _, _, n_pos, n_neg = sweep
-    conf = Confusion(*(sum(counts) for counts in zip(*(astuple(c) for c in confusions))))
-    return _scored(sweep, _auc_pairs(n_pos, n_neg), conf)
-
-
-@dataclass(frozen=True)
-class WindowMetrics:
-    """One test window's AUC, confusion and threshold metrics: its
-    `summarize` without the curves."""
-
-    window_index: int
-    auc: float
-    confusion: Confusion
-    metrics: ScalarMetrics
+def _scored(sweep: tuple, tau: float) -> ScoredSet:
+    area = _sweep_auc(sweep)  # first: a missing class is named before a NaN score
+    conf = _sweep_confusion(sweep, tau)
+    return ScoredSet(area, conf, scalar_metrics(conf))
 
 
 @dataclass
 class EvalReport:
-    """Per-window metrics plus pooled (all scored pairs together) and
-    macro-averaged (mean of per-window values) aggregates, and the attention
-    record of the last scored window."""
+    """Each scored window's metrics by window index, the pool's (all scored
+    pairs together) with its PR and ROC curves, macro averages (means of
+    the window values), and the attention record of the last scored
+    window."""
 
-    windows: list[WindowMetrics]
+    windows: dict[int, ScoredSet]
     pooled: ScoredSet
+    pr: Curve
+    roc: Curve
     macro: dict[str, float]
     last_attention: AttentionRecord
 
@@ -295,13 +285,13 @@ def evaluate_windows(
     both, and score the instances as positives (label 1) and the non-edges
     as negatives (label 0).  `on_window(window_index, src, dst, scores,
     labels)` gets those scored pairs, as parallel arrays, right away.  The
-    report keeps the window's AUC, confusion at `tau` and threshold metrics
-    (`WindowMetrics`); its curves are not swept.  The pool of all windows'
-    pairs is summarized from the windows' threshold sweeps and confusions
-    (`_pooled`), and the window metrics are also averaged (macro).
-    Non-finite scores raise EvalError.
+    report keeps the window's `ScoredSet`, read off its threshold sweep; its
+    curves are not drawn.  The pool of all windows' pairs is summarized, and
+    its curves drawn, from the windows' sweeps merged (`_merged_sweep`), and
+    the window metrics are also averaged (macro).  Non-finite scores raise
+    EvalError.
     """
-    reports: list[WindowMetrics] = []
+    scored: dict[int, ScoredSet] = {}
     sweeps: list[tuple] = []
     for window in test_windows:
         if not window.n_events:
@@ -317,20 +307,21 @@ def evaluate_windows(
             raise EvalError(f"window {window.index} has non-finite scores; the model has diverged")
         labels = np.repeat([1, 0], [g.n_edges, len(neg)])
         sweep = _threshold_sweep(scores, labels)
-        conf = confusion(scores, labels, tau)
-        window_auc = _sweep_auc(sweep, _auc_pairs(g.n_edges, len(neg)))
+        scored[window.index] = _scored(sweep, tau)
         if on_window is not None:
             on_window(window.index, src, dst, scores, labels)
-        reports.append(WindowMetrics(window.index, window_auc, conf, scalar_metrics(conf)))
         sweeps.append(sweep)
-    if not reports:
+    if not scored:
         raise EvalError("every test window is empty; nothing to evaluate")
-    macro = {"auc": float(np.mean([r.auc for r in reports]))}
+    macro = {"auc": float(np.mean([s.auc for s in scored.values()]))}
     for key in ("accuracy", "precision", "recall", "f1"):
-        macro[key] = float(np.mean([getattr(r.metrics, key) for r in reports]))
+        macro[key] = float(np.mean([getattr(s.metrics, key) for s in scored.values()]))
+    pool = _merged_sweep(sweeps)
     return EvalReport(
-        windows=reports,
-        pooled=_pooled(sweeps, [r.confusion for r in reports]),
+        windows=scored,
+        pooled=_scored(pool, tau),
+        pr=_sweep_pr(pool),
+        roc=_sweep_roc(pool),
         macro=macro,
         last_attention=last_attention,
     )

@@ -225,34 +225,3 @@ def generate_trace(cfg: SynthConfig) -> EventTable:
     names = np.array([_service_name(i) for i in range(cfg.n_services)], dtype=object)
     return EventTable(names, np.array(callers, dtype=np.int64), np.array(callees, dtype=np.int64),
                       np.concatenate(stamps).astype(np.int64))
-
-
-def gateway_services(cfg: SynthConfig) -> set[str]:
-    """Names of the entry-point services (the only tree roots)."""
-    cfg.validate()
-    n_interior = cfg.n_services - _n_gateways(cfg.n_services)
-    return {_service_name(i) for i in range(n_interior, cfg.n_services)}
-
-
-def hub_services(cfg: SynthConfig) -> set[str]:
-    """Names of the aggregator services the call funnels drain into."""
-    cfg.validate()
-    n_interior = cfg.n_services - _n_gateways(cfg.n_services)
-    return {_service_name(i) for i in range(min(_n_hubs(cfg.n_services), n_interior))}
-
-
-def backbone_pairs(cfg: SynthConfig) -> set[tuple[str, str]]:
-    """The recurring caller->callee pairs behind a config (for inspection).
-
-    Covers the core trees only; tail services appear too rarely to count
-    as part of the persistent structure.
-    """
-    cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    structure = _build_structure(cfg, rng)
-    return {
-        (_service_name(s), _service_name(d))
-        for tree in structure.trees
-        for (s, d) in tree
-    }
-

@@ -1,11 +1,14 @@
 """End-to-end command-line flows: generate -> train -> evaluate -> report."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -672,3 +675,83 @@ def test_bad_flag_value_exits_1(row, tmp_path, monkeypatch, capsys):
     assert main([command, *BASE[command], words[0], bad]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# typed errors under mutated inputs
+
+#: Tokens a mutation may insert: a carriage return, NUL, a UTF-8 byte order
+#: mark, text that parses as a non-finite or overflowing float, and quotes.
+FUZZ_TOKENS = (b"\r", b"\0", b"\xef\xbb\xbf", b"nan", b"1e308", b'"', b"'")
+
+#: One edit at a position taken modulo the file's length: a byte flip, a
+#: deletion of up to 16 bytes, a truncation, or an inserted token.
+fuzz_edits = st.one_of(
+    st.tuples(st.just("flip"), st.integers(min_value=0), st.integers(1, 255)),
+    st.tuples(st.just("delete"), st.integers(min_value=0), st.integers(1, 16)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0), st.just(0)),
+    st.tuples(st.just("insert"), st.integers(min_value=0), st.sampled_from(FUZZ_TOKENS)),
+)
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    for kind, at, arg in edits:
+        at %= len(data) + 1
+        if kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ arg]) + data[at + 1:]
+        elif kind == "delete":
+            data = data[:at] + data[at + arg:]
+        elif kind == "truncate":
+            data = data[:at]
+        elif kind == "insert":
+            data = data[:at] + arg + data[at:]
+    return data
+
+
+def _fuzz_argv(command: str, files: dict, out: Path) -> list[str]:
+    """`command` on the files of a fuzz run.  The sizing flags come last, so
+    they override whatever a mutated config sets: no mutation can lengthen
+    a run (evaluate takes its model's size from the checkpoint)."""
+    argv = [command, "--config", str(files["run_config.txt"]), "--trace", str(files["trace"]), "--out", str(out)]
+    if command == "evaluate":
+        return argv + ["--checkpoint", str(files["checkpoint"]), "--mapping", str(files["mapping.tsv"]), *SPAN]
+    return argv + [*SPAN, "--hidden", "8", "--epochs", "2"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The trace, config, checkpoint and mapping of a tiny trained run (40
+    services, hidden 8, 2 epochs), which train and evaluate again as they are."""
+    root = tmp_path_factory.mktemp("fuzz")
+    trace, run = root / "trace.csv", root / "run"
+    assert main(["generate", "--out", str(trace), "--seed", "3", "--set", "synth.n_services", "40",
+                 "--set", "synth.duration", "1000", "--set", "synth.events_per_window_mean", "30"]) == 0
+    assert main(["train", "--trace", str(trace), "--out", str(run), *SPAN,
+                 "--hidden", "8", "--epochs", "2", "--seed", "3"]) == 0
+    files = {"trace": trace, "run_config.txt": run / "run_config.txt",
+             "checkpoint": run / "checkpoint.bin", "mapping.tsv": run / "mapping.tsv"}
+    for command in ("train", "evaluate"):
+        assert main(_fuzz_argv(command, files, root / command)) == 0
+    return files
+
+
+@example(case=("checkpoint", "evaluate"), edits=[("truncate", 40, 0)])
+@example(case=("trace", "train"), edits=[("insert", 0, b"\xef\xbb\xbf"), ("insert", 60, b"\r")])
+@example(case=("mapping.tsv", "evaluate"), edits=[("insert", 5, b"nan")])
+@example(case=("run_config.txt", "train"), edits=[("insert", 0, b'"')])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    case=st.sampled_from([("trace", "train"), ("trace", "evaluate"), ("run_config.txt", "train"),
+                          ("run_config.txt", "evaluate"), ("checkpoint", "evaluate"), ("mapping.tsv", "evaluate")]),
+    edits=st.lists(fuzz_edits, min_size=1, max_size=4),
+)
+def test_mutated_inputs_end_in_a_typed_error_or_a_run(fuzz_files, case, edits):
+    target, command = case
+    with tempfile.TemporaryDirectory(dir=fuzz_files["trace"].parent) as scratch:
+        files = {**fuzz_files, target: Path(scratch) / fuzz_files[target].name}
+        files[target].write_bytes(_mutated(fuzz_files[target].read_bytes(), edits))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(_fuzz_argv(command, files, Path(scratch) / "out"))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

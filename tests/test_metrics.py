@@ -85,6 +85,11 @@ def test_auc_equals_brute_force_exactly():
     assert auc(*pairs) == brute_force_auc(*pairs) == 0.5
 
 
+def test_auc_counts_every_label_but_1_as_a_negative():
+    scores, labels = [0.9, 0.1, 0.5], [1, 0, 2]
+    assert auc(scores, labels) == summarize(scores, labels).auc == roc_area(roc_points(scores, labels)) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # confusion and scalar metrics
 
@@ -103,6 +108,29 @@ def test_confusion_threshold_is_strict():
     conf = confusion(*pairs_of([0.5], [0.5]), tau=0.5)
     assert (conf.tp, conf.fn) == (0, 1)
     assert (conf.fp, conf.tn) == (0, 1)
+
+
+#: Scores with ties at +-inf and at zero of either sign.
+SCORE_GRID = (-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf)
+
+
+@example([(0.5, 1), (0.5, 2)], 0.5)  # ties at tau; a label-2 pair is the only negative
+@example([(-0.0, 1), (0.0, 0)], -0.0)
+@example([], 0.5)
+@given(
+    st.lists(st.tuples(st.sampled_from(SCORE_GRID), st.integers(0, 2)), max_size=20),
+    st.one_of(st.sampled_from(SCORE_GRID), st.floats(-2.0, 2.0)),  # on the grid and between its points
+)
+def test_confusion_equals_a_direct_count(pairs, tau):
+    scores = np.array([score for score, _ in pairs], dtype=np.float64)
+    labels = np.array([label for _, label in pairs], dtype=np.int64)
+    pos = [score for score, label in pairs if label == 1]
+    neg = [score for score, label in pairs if label != 1]
+    want = Confusion(tp=sum(s > tau for s in pos), fp=sum(s > tau for s in neg),
+                     fn=sum(s <= tau for s in pos), tn=sum(s <= tau for s in neg))
+    assert confusion(scores, labels, tau) == want
+    if pos and neg:
+        assert summarize(scores, labels, tau).confusion == want
 
 
 def test_scalar_metrics_perfect():
@@ -262,7 +290,8 @@ def test_summarize_equals_the_public_functions_exactly():
         assert scored.auc == auc(*pairs)
         assert scored.confusion == confusion(*pairs, tau=0.5)
         assert scored.metrics == scalar_metrics(scored.confusion)
-        for got, want in ((scored.pr, pr_points(*pairs)), (scored.roc, roc_points(*pairs))):
+        sweep = metrics._threshold_sweep(*pairs)
+        for got, want in ((metrics._sweep_pr(sweep), pr_points(*pairs)), (metrics._sweep_roc(sweep), roc_points(*pairs))):
             assert [column.tolist() for column in got] == [column.tolist() for column in want]
 
 
@@ -272,12 +301,29 @@ def test_summarize_needs_both_classes_like_auc():
             summarize(*pairs)
 
 
-@pytest.mark.parametrize("score_fn", [auc, pr_points, roc_points, summarize], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("score_fn", [auc, confusion, pr_points, roc_points, summarize], ids=lambda f: f.__name__)
 def test_nan_scores_are_refused(score_fn):
     for pairs in (pairs_of([math.nan], [0.5]), pairs_of([0.5], [0.2, math.nan])):
         with pytest.raises(UndefinedMetricError, match="NaN"):
             score_fn(*pairs)
     score_fn(*pairs_of([math.inf, -math.inf], [math.inf, -math.inf]))  # ties at +-inf stay legal
+
+
+def test_each_reader_names_the_first_thing_it_lacks():
+    zero, nan_one_class = (np.array([]), np.array([])), pairs_of([math.nan], [])
+    for score_fn, for_zero, for_nan in [
+        (auc, "AUC needs both classes", "AUC needs both classes"),
+        (summarize, "AUC needs both classes", "AUC needs both classes"),
+        (pr_points, "cannot sweep thresholds over zero pairs", "cannot rank a NaN score"),
+        (roc_points, "cannot sweep thresholds over zero pairs", "cannot rank a NaN score"),
+    ]:
+        with pytest.raises(UndefinedMetricError, match=for_zero):
+            score_fn(*zero)
+        with pytest.raises(UndefinedMetricError, match=for_nan):
+            score_fn(*nan_one_class)
+    assert confusion(*zero) == Confusion(0, 0, 0, 0)
+    with pytest.raises(UndefinedMetricError, match="cannot rank a NaN score"):
+        confusion(*nan_one_class)
 
 
 #: Scored sets of a few pairs each: small-integer scores, so that ties fall
@@ -296,19 +342,19 @@ scored_sets = st.lists(
 def test_pooling_sweeps_equals_summarizing_the_concatenation(sets):
     scores = [np.array([score for score, _ in pairs]) for pairs in sets]
     labels = [np.array([label for _, label in pairs]) for pairs in sets]
-    sweeps = [metrics._threshold_sweep(*pair) for pair in zip(scores, labels)]
-    confusions = [confusion(*pair) for pair in zip(scores, labels)]
+    merged = metrics._merged_sweep([metrics._threshold_sweep(*pair) for pair in zip(scores, labels)])
     all_scores, all_labels = np.concatenate(scores), np.concatenate(labels)
     if np.unique(all_labels).size < 2:
-        for pool in (lambda: summarize(all_scores, all_labels), lambda: metrics._pooled(sweeps, confusions)):
+        for pool in (lambda: summarize(all_scores, all_labels), lambda: metrics._scored(merged, metrics.TAU)):
             with pytest.raises(UndefinedMetricError, match="AUC needs both classes"):
                 pool()
         return
-    pooled, want = metrics._pooled(sweeps, confusions), summarize(all_scores, all_labels)
+    pooled, want = metrics._scored(merged, metrics.TAU), summarize(all_scores, all_labels)
     assert pooled.auc == want.auc
     assert pooled.confusion == want.confusion
     assert pooled.metrics == want.metrics
-    for got, expected in zip((*pooled.pr, *pooled.roc), (*want.pr, *want.roc)):
+    got_curves = (*metrics._sweep_pr(merged), *metrics._sweep_roc(merged))
+    for got, expected in zip(got_curves, (*pr_points(all_scores, all_labels), *roc_points(all_scores, all_labels))):
         assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
 
 
@@ -395,21 +441,22 @@ def test_evaluate_is_deterministic(small_model):
 def test_evaluate_reports_what_it_passes_on_and_pools_every_pair(small_model):
     windows = [window_of([(0, 1), (1, 2)], 0), window_of([], 1), window_of([(3, 4), (5, 6), (6, 7)], 2)]
     report, captured = evaluate_capturing(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE), seed=4)
-    assert [w.window_index for w in captured] == [w.window_index for w in report.windows] == [0, 2]
-    for passed, kept in zip(captured, report.windows):
+    assert [w.window_index for w in captured] == list(report.windows) == [0, 2]
+    for passed, kept in zip(captured, report.windows.values()):
         want = summarize(passed.scores, passed.labels)
         assert (kept.auc, kept.confusion, kept.metrics) == (want.auc, want.confusion, want.metrics)
         assert not hasattr(kept, "scores") and not hasattr(kept, "pr")
-    want = summarize(np.concatenate([w.scores for w in captured]), np.concatenate([w.labels for w in captured]))
+    all_pairs = np.concatenate([w.scores for w in captured]), np.concatenate([w.labels for w in captured])
+    want = summarize(*all_pairs)
     assert (report.pooled.auc, report.pooled.confusion) == (want.auc, want.confusion)
-    for got, expected in zip((*report.pooled.pr, *report.pooled.roc), (*want.pr, *want.roc)):
+    for got, expected in zip((*report.pr, *report.roc), (*pr_points(*all_pairs), *roc_points(*all_pairs))):
         assert np.array_equal(got, expected)
 
 
 def test_evaluate_skips_empty_and_errors_when_all_empty(small_model):
     windows = [window_of([], 0), window_of([(0, 1)], 1)]
     report = evaluate_windows(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE))
-    assert [w.window_index for w in report.windows] == [1]
+    assert list(report.windows) == [1]
     with pytest.raises(EvalError):
         evaluate_windows(small_model, [window_of([], 0)], SamplingStrategy(SamplingKind.SIMPLE))
 
@@ -428,10 +475,10 @@ def test_evaluate_macro_is_mean_of_windows(small_model):
     windows = [window_of([(0, 1), (1, 2)], 0), window_of([(3, 4), (5, 6), (6, 7)], 1)]
     report = evaluate_windows(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE), seed=4)
     assert report.macro["auc"] == pytest.approx(
-        np.mean([w.auc for w in report.windows])
+        np.mean([w.auc for w in report.windows.values()])
     )
     assert report.macro["f1"] == pytest.approx(
-        np.mean([w.metrics.f1 for w in report.windows])
+        np.mean([w.metrics.f1 for w in report.windows.values()])
     )
 
 

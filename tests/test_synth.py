@@ -12,13 +12,36 @@ from tracelink.ingest import clean_trace, parse_trace_file, write_trace
 from tracelink.synth import (
     WINDOW_HINT,
     SynthConfig,
-    backbone_pairs,
-    gateway_services,
+    _build_structure,
+    _n_gateways,
+    _n_hubs,
+    _service_name,
     generate_trace,
-    hub_services,
 )
 
 SMALL = SynthConfig(n_services=40, duration=2_000, events_per_window_mean=30.0, seed=7)
+
+
+def gateway_services(cfg: SynthConfig) -> set[str]:
+    """Names of the entry-point services (the only tree roots)."""
+    cfg.validate()
+    n_interior = cfg.n_services - _n_gateways(cfg.n_services)
+    return {_service_name(i) for i in range(n_interior, cfg.n_services)}
+
+
+def hub_services(cfg: SynthConfig) -> set[str]:
+    """Names of the aggregator services the call funnels drain into."""
+    cfg.validate()
+    n_interior = cfg.n_services - _n_gateways(cfg.n_services)
+    return {_service_name(i) for i in range(min(_n_hubs(cfg.n_services), n_interior))}
+
+
+def backbone_pairs(cfg: SynthConfig) -> set[tuple[str, str]]:
+    """The recurring caller->callee pairs of a config's core trees, drawn as
+    `generate_trace` draws them (tail services appear too rarely to count)."""
+    cfg.validate()
+    structure = _build_structure(cfg, np.random.default_rng(cfg.seed))
+    return {(_service_name(s), _service_name(d)) for tree in structure.trees for (s, d) in tree}
 
 
 Event = namedtuple("Event", "caller callee timestamp")
