@@ -91,13 +91,15 @@ def fused(out: Array, parents: Sequence[Tensor], backward: Callable[[Array], Seq
 # non-differentiable helpers
 
 def sigmoid(x: Array) -> Array:
-    """1 / (1 + e^-x) on an ndarray, never exponentiating a positive number."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) on an ndarray, never exponentiating a positive number.
+
+    With e = exp(-|x|), an element is 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere (NaN included): bit for bit the two branches
+    1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)), since negation is exact,
+    computed over the whole array with no boolean gathers or scatters.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def segment_max(values: Array, index, n_segments: int) -> Array:

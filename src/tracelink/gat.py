@@ -316,8 +316,8 @@ def _layer2_input(outs: Sequence[Tensor], w2: Tensor, used: np.ndarray | None) -
 
 
 def _forward(
-    leaves: list[Tensor], graph: WindowedGraph, scored: np.ndarray | None = None
-) -> tuple[Tensor, AttentionRecord]:
+    leaves: list[Tensor], graph: WindowedGraph, scored: np.ndarray | None = None, keep_record: bool = True
+) -> tuple[Tensor, AttentionRecord | None]:
     """Identity features -> layer 1 (concat heads) -> ELU -> layer 2, over
     the parameters wrapped as tensors in `_param_arrays` order.
 
@@ -325,7 +325,8 @@ def _forward(
     which join active nodes, or as an idle node's own output row.  So with
     `scored` node ids given, layer 2's input is computed on the active and
     scored nodes alone (`_layer2_input`): their output rows are exact and
-    every other row is zero.  With None, every row is computed.
+    every other row is zero.  With None, every row is computed.  The
+    layer-1 attention record is built only with `keep_record` (else None).
     """
     n = graph.n_nodes
     rows = _message_rows(graph)
@@ -342,7 +343,7 @@ def _forward(
         mask[head_rows[0]] = mask[scored] = True
         used = None if mask.all() else np.flatnonzero(mask)
     h2, _ = _attention_head(_layer2_input(outs, w2, used), a2, head_rows)
-    return h2, _attention_record(rows, head_rows[0], alphas, n)
+    return h2, _attention_record(rows, head_rows[0], alphas, n) if keep_record else None
 
 
 def _check_graph(params: GatParams, graph: WindowedGraph) -> None:
@@ -515,12 +516,15 @@ def compute_gradients(
     pos_edges: np.ndarray,
     neg_edges: np.ndarray,
     pos_counts: np.ndarray | None = None,
-) -> tuple[GatParams, float, AttentionRecord]:
+    *,
+    keep_record: bool = True,
+) -> tuple[GatParams, float, AttentionRecord | None]:
     """Exact loss gradients for one training step.
 
     Positive row r stands for pos_counts[r] identical pairs (default 1).
     Returns (grads, loss, record) where grads mirrors the GatParams array
-    structure and record is the forward pass's layer-1 attention.
+    structure and record is the forward pass's layer-1 attention, built
+    only with `keep_record` (else None).
     Parameters that cannot influence any scored pair get exact zeros.
     Before the forward pass, a pair id outside [0, n) raises ModelError, and
     pos_counts other than one finite, non-negative count per positive row
@@ -539,7 +543,7 @@ def compute_gradients(
     if counts.sum() + len(neg_edges) == 0:
         raise LossError("cannot take a step with no negative pairs and no positive count above zero")
     leaves = [Tensor(a, requires_grad=True) for a in _param_arrays(params)]
-    emb, record = _forward(leaves, graph, scored)
+    emb, record = _forward(leaves, graph, scored, keep_record)
     loss = _link_loss(emb, pos_edges, counts, neg_edges)
     loss.backward()
     return _from_arrays([t.grad for t in leaves]), float(loss.data), record
@@ -607,7 +611,8 @@ def train(
     (independently seeded per epoch and window), and minimizes binary
     cross-entropy.  Gradients never carry over between steps.  At each
     snapshot epoch the attention record of the epoch's final forward pass is
-    kept.  A non-finite loss raises TrainingError naming epoch and window.
+    kept, and that step is the only one that builds a record.  A non-finite
+    loss raises TrainingError naming epoch and window.
     """
     if epochs < 1:
         raise TrainingError(f"epochs must be positive, got {epochs}")
@@ -626,15 +631,17 @@ def train(
     history: list[float] = []
     snapshots: dict[int, AttentionRecord] = {}
     for epoch in range(epochs):
-        for window_index, g, pos, counts in prepared:
+        snapshot = epoch in snapshots_at
+        for step, (window_index, g, pos, counts) in enumerate(prepared, 1):
             rng = derive_rng(seed, "train-sampling", epoch, window_index)
             neg = draw_negatives(sampling, g, rng)
-            grads, loss, record = compute_gradients(params, g, pos, neg, counts)
+            keep_record = snapshot and step == len(prepared)
+            grads, loss, record = compute_gradients(params, g, pos, neg, counts, keep_record=keep_record)
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}, window {window_index}")
             optimizer_step(params, grads, state, lr)
             history.append(loss)
-        if epoch in snapshots_at:
+        if snapshot:
             snapshots[epoch] = record
     return TrainArtifacts(np.array(history), np.array([index for index, *_ in prepared]), snapshots)
 

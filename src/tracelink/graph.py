@@ -3,13 +3,16 @@
 Each time window becomes a graph over the full node id space: parallel
 arrays of edge sources and destinations, one row per call.  Repeated calls
 stay repeated (multigraph), and are also coalesced once into distinct pairs
-with call counts, which answer whether a pair is a call.  Node features are
+with call counts.  Whether a pair is a call is read from a boolean table
+over the window's active nodes, built per query batch and never stored on
+the graph (`WindowedGraph.call_lookup`).  Node features are
 the identity matrix by convention, kept implicit: with X = I the first-layer
 transform XW is just W, so no n_nodes x n_nodes array is ever materialized.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -44,14 +47,33 @@ class WindowedGraph:
     def n_edges(self) -> int:
         return int(self.edge_src.shape[0])
 
+    def call_lookup(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """A function telling whether each (src, dst) is a call of this
+        window; ids must lie in [0, n_nodes).
+
+        Every call joins two active nodes, those that send or receive one.
+        So the answer is one read of a boolean table over the m active nodes
+        plus one spare rank, to which every other id maps and whose row and
+        column are all False: (m + 1)^2 bytes and n ranks, ~27 KB and 16 KB
+        for the busiest window of a 2,000-service fleet (162 active nodes,
+        seed 0).  The table lives as long as the function, so a caller that
+        asks many times (a sampler's rejection rounds, both directions of a
+        pair) builds it once.
+        """
+        active = np.zeros(self.n_nodes, dtype=bool)
+        active[self.pair_src] = active[self.pair_dst] = True
+        nodes = np.flatnonzero(active)
+        width = len(nodes) + 1
+        rank = np.full(self.n_nodes, len(nodes))
+        rank[nodes] = np.arange(len(nodes))
+        table = np.zeros(width * width, dtype=bool)
+        table[rank[self.pair_src] * width + rank[self.pair_dst]] = True
+        return lambda src, dst: table[rank[src] * width + rank[dst]]
+
     def is_call(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Whether each (src, dst) is a call of this window; ids must lie in
-        [0, n_nodes), where codes are unique."""
-        codes = src * self.n_nodes + dst
-        if not self.pair_codes.size:
-            return np.zeros(codes.shape, dtype=bool)
-        idx = np.minimum(np.searchsorted(self.pair_codes, codes), self.pair_codes.size - 1)
-        return self.pair_codes[idx] == codes
+        """Whether each (src, dst) is a call of this window (`call_lookup`,
+        for one question)."""
+        return self.call_lookup()(src, dst)
 
 
 def build_graph(window: TimeWindow, n_nodes: int) -> WindowedGraph:

@@ -62,10 +62,6 @@ class ScalarMetrics:
 Curve = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64)
-
-
 def auc(scores, labels) -> float:
     """Rank-based AUC over parallel score and label (1=linked) arrays; ties
     between classes count half a win."""
@@ -105,8 +101,13 @@ def _threshold_sweep(scores, labels) -> tuple:
     threshold); every label but 1 counts as negative.  Zero pairs give an
     empty sweep.  +-inf ties like any other score; a NaN score has no place
     in the order, and every reader refuses a sweep that holds one
-    (`_ranked`)."""
-    scores, labels = _as_arrays(scores, labels)
+    (`_ranked`).  Scores and labels that are not parallel (of different
+    lengths) raise UndefinedMetricError."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    if scores.shape != labels.shape:
+        raise UndefinedMetricError(
+            f"scores and labels must pair up, got {scores.size} scores and {labels.size} labels"
+        )
     positive = labels == 1
     return _sweep(scores, positive, ~positive)
 

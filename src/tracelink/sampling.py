@@ -9,6 +9,11 @@ Three regimes, picked by how imbalanced the implicit negative class is:
              self-loops.  Biasing sources toward active nodes yields harder,
              more realistic negatives, while the small default alpha keeps
              low-degree nodes in play.
+
+Both samplers build the window's call table once per draw
+(`WindowedGraph.call_lookup`) and ask it about every candidate, in both
+directions and in every rejection round: a candidate costs two reads of a
+small boolean table, not a binary search over the window's pairs.
 """
 from __future__ import annotations
 
@@ -97,13 +102,14 @@ def simple_negative_sample(graph: WindowedGraph, rng: np.random.Generator) -> np
         raise SamplingError(
             f"asked for {k} negatives but only {room} ordered non-edges exist"
         )
+    is_call = graph.call_lookup()
     out = np.empty((k, 2), dtype=np.int64)
     filled = 0
     while filled < k:
         need = k - filled
         src = rng.integers(0, n_nodes, size=need)
         dst = rng.integers(0, n_nodes, size=need)
-        ok = (src != dst) & ~graph.is_call(src, dst)
+        ok = (src != dst) & ~is_call(src, dst)
         n_ok = int(ok.sum())
         out[filled : filled + n_ok, 0] = src[ok]
         out[filled : filled + n_ok, 1] = dst[ok]
@@ -127,6 +133,7 @@ def advanced_negative_sample(graph: WindowedGraph, alpha: float, rng: np.random.
     cum = np.cumsum(degree_source_distribution(degree_counts(graph), alpha))
     cum[-1] = 1.0
 
+    is_call = graph.call_lookup()
     out = np.empty((k, 2), dtype=np.int64)
     filled = 0
     for _ in range(RETRY_FACTOR * n):
@@ -135,7 +142,7 @@ def advanced_negative_sample(graph: WindowedGraph, alpha: float, rng: np.random.
             break
         src = np.searchsorted(cum, rng.random(need), side="right")
         dst = rng.integers(0, n, size=need)
-        ok = (src != dst) & ~graph.is_call(src, dst) & ~graph.is_call(dst, src)
+        ok = (src != dst) & ~is_call(src, dst) & ~is_call(dst, src)
         n_ok = int(ok.sum())
         out[filled : filled + n_ok, 0] = src[ok]
         out[filled : filled + n_ok, 1] = dst[ok]

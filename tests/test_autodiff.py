@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tracelink import autodiff as ad
 from tracelink.autodiff import Tensor
@@ -111,6 +112,33 @@ def test_sigmoid_extreme_inputs_stay_finite():
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(0.0, abs=1e-300)
     assert out[1] == pytest.approx(1.0)
+
+
+def masked_sigmoid(x):
+    """The two-branch form `ad.sigmoid` replaced: each branch computed on
+    its own elements, gathered and scattered through a boolean mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308,
+               709.0, -709.0, 709.78, -709.78, 710.0, -710.0, 745.2, -745.2, 36.7, -36.7, np.nan]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=200))
+@example(EDGE_FLOATS)
+@example(EDGE_FLOATS[::-1] * 9)
+def test_sigmoid_equals_the_masked_two_branch_form_bitwise(values):
+    x = np.array(values, dtype=np.float64)
+    got, want = ad.sigmoid(x), masked_sigmoid(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.array_equal(np.isnan(got), np.isnan(x))  # NaN in, NaN out, and only there
+    finite = ~np.isnan(x)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
 
 
 def test_softplus_matches_closed_form():

@@ -1014,6 +1014,21 @@ def test_train_snapshot_is_the_epochs_last_step():
         assert record.edge_src.tolist() == [2, 3, 0, 1, 2, 3]
 
 
+def test_train_builds_an_attention_record_once_per_snapshot_epoch(monkeypatch):
+    build, built = gat._attention_record, []
+    monkeypatch.setattr(gat, "_attention_record", lambda *args: built.append(args) or build(*args))
+    params = init_params(4, 2, 2, np.random.default_rng(19))
+    windows = [window_of([(0, 1)], index=0), window_of([(2, 3), (3, 2)], index=1),
+               window_of([(1, 2)], index=2)]
+    artifacts = train(params, windows, SamplingStrategy(SamplingKind.SIMPLE),
+                      epochs=3, seed=0, snapshot_epochs=(0, 2))
+    assert set(artifacts.attention_snapshots) == {0, 2}
+    assert len(built) == 2
+    for record in artifacts.attention_snapshots.values():
+        # window 2's edge, then one self-loop per node
+        assert record.edge_src.tolist() == [1, 0, 1, 2, 3]
+
+
 def test_train_skips_empty_windows():
     params = init_params(3, 2, 2, np.random.default_rng(20))
     windows = [window_of([], index=0), window_of([(0, 1), (1, 2)], index=1)]

@@ -99,3 +99,15 @@ def test_is_call_matches_a_set_of_pairs(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 30))
     assert_is_call_matches_set(rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist(), n)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_is_call_answers_for_the_ids_of_idle_nodes(seed):
+    # Calls among a few nodes of a larger fleet: every other id sends and
+    # receives nothing, so the call table has no rank of its own for it.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    active = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
+    calls = rng.choice(active, size=(int(rng.integers(1, 12)), 2)).tolist()
+    assert len({node for call in calls for node in call}) < n  # some ids are idle
+    assert_is_call_matches_set(calls, n)

@@ -309,6 +309,14 @@ def test_nan_scores_are_refused(score_fn):
     score_fn(*pairs_of([math.inf, -math.inf], [math.inf, -math.inf]))  # ties at +-inf stay legal
 
 
+@pytest.mark.parametrize("score_fn", [auc, confusion, pr_points, roc_points, summarize], ids=lambda f: f.__name__)
+def test_scores_and_labels_of_different_lengths_are_refused(score_fn):
+    for scores, labels in [([0.9, 0.1], [1]), ([0.9, 0.2], [1]), ([0.9], [1, 0]),
+                           ([0.9, 0.2], [1, 0, 1]), ([0.9, 0.2, 0.4], [1, 0]), ([], [1]), ([0.3], [])]:
+        with pytest.raises(UndefinedMetricError, match=f"got {len(scores)} scores and {len(labels)} labels"):
+            score_fn(scores, labels)
+
+
 def test_each_reader_names_the_first_thing_it_lacks():
     zero, nan_one_class = (np.array([]), np.array([])), pairs_of([math.nan], [])
     for score_fn, for_zero, for_nan in [

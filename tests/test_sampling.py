@@ -1,11 +1,14 @@
 """Negative-edge samplers and the regime chooser."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tracelink.errors import ConfigError, SamplingError
-from tracelink.graph import build_graph, degree_counts
+from tracelink.graph import WindowedGraph, build_graph, degree_counts
 from tracelink.preprocess import TimeWindow
 from tracelink.sampling import (
     DEFAULT_ALPHA,
@@ -17,6 +20,8 @@ from tracelink.sampling import (
     draw_negatives,
     simple_negative_sample,
 )
+
+import graph_reference
 
 
 def graph_of(pairs, n_nodes):
@@ -277,3 +282,45 @@ def test_repeated_draws_from_one_window_depend_only_on_their_generator(seed):
     first = [advanced_negative_sample(g, alpha, np.random.default_rng([seed, draw])) for draw in range(3)]
     for draw in reversed(range(3)):  # training draws from each window once an epoch
         assert np.array_equal(advanced_negative_sample(g, alpha, np.random.default_rng([seed, draw])), first[draw])
+
+
+# ---------------------------------------------------------------------------
+# the call table against the pair-code search it replaced
+
+def draw_or_error(sample, graph, rng):
+    try:
+        return sample(graph, rng)
+    except SamplingError as exc:
+        return type(exc)
+
+
+@st.composite
+def fleets(draw):
+    """(n, calls): a fleet of n nodes whose calls, self-calls and repeats
+    included, join a drawn subset of it; that subset may be small or empty."""
+    n = draw(st.integers(2, 60))
+    active = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    node = st.sampled_from(active)
+    return n, draw(st.lists(st.tuples(node, node), max_size=40))
+
+
+@given(fleets(), st.sampled_from([0.0, DEFAULT_ALPHA]), st.integers(0, 2**32 - 1))
+@example((5, [(2, 2), (0, 1), (0, 1), (1, 0), (3, 3)]), DEFAULT_ALPHA, 0)  # self-calls and repeats
+@example((5, [(2, 2), (0, 1), (0, 1), (1, 0), (3, 3)]), 0.0, 1)
+@example((6, []), DEFAULT_ALPHA, 2)  # no calls at all
+@example((6, []), 0.0, 3)
+@example((60, [(41, 7), (7, 41), (7, 7), (41, 7)]), DEFAULT_ALPHA, 4)  # few active nodes
+@example((60, [(41, 7), (7, 41), (7, 7), (41, 7)]), 0.0, 5)
+@example((2, [(0, 1), (1, 0)]), 0.0, 6)  # no room: both samplers refuse
+def test_samplers_draw_the_same_through_the_call_table_and_the_pair_codes(fleet, alpha, seed):
+    n, calls = fleet
+    g = graph_of(calls, n)
+    samplers = [simple_negative_sample, lambda graph, rng: advanced_negative_sample(graph, alpha, rng)]
+    table = [draw_or_error(sample, g, np.random.default_rng(seed)) for sample in samplers]
+    with mock.patch.object(WindowedGraph, "call_lookup", graph_reference.call_lookup):
+        codes = [draw_or_error(sample, g, np.random.default_rng(seed)) for sample in samplers]
+    for got, want in zip(table, codes):
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
+        else:
+            assert got is want
