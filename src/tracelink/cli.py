@@ -22,7 +22,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .errors import (
     DataError,
     TracelinkError,
 )
-from .ingest import clean_trace, parse_trace_file, write_trace
+from .ingest import clean_trace, parse_trace_file, write_csv, write_trace
 from .preprocess import (
     NodeMapping,
     apply_mapping,
@@ -112,62 +111,6 @@ def _strategy(kind: str, mean_pos: int = 0, n_nodes: int = 0) -> SamplingStrateg
     if kind == "auto":
         return analyze_sampling(mean_pos, n_nodes)
     return SamplingStrategy(SamplingKind(kind))
-
-
-def _bits(values: np.ndarray) -> np.ndarray:
-    """Numeric `values` as unsigned integers of the same width.  Equal keys
-    mean equal bits, so -0.0 and 0.0, and NaNs with different payloads,
-    stay apart."""
-    return values.view(f"u{values.itemsize}")
-
-
-def _reprs(values: np.ndarray) -> list[str]:
-    """The repr of each entry of numeric `values`, made once per distinct
-    bit pattern (`_bits`)."""
-    # With return_inverse numpy sorts; its hash path would import numpy.ma (~13 ms).
-    keys, inverse = np.unique(_bits(values), return_inverse=True)
-    texts = np.array(list(map(repr, keys.view(values.dtype).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
-#: Lines `_csv_blocks` joins into one text at a time.
-_CSV_BLOCK_ROWS = 1 << 13
-
-
-def _csv_blocks(header: str, *columns) -> Iterator[str]:
-    """CSV text in blocks of `_CSV_BLOCK_ROWS` lines: the `header` line
-    (none if empty), then one line per entry of the numeric array-like
-    `columns`, each value as its repr.  Columns of different lengths raise
-    ValueError before any text is made.  A block's values get one `repr` per
-    distinct value of their column (`_reprs`), and its texts are joined with
-    the separators in one pass."""
-    cells = [np.asarray(column) for column in columns]
-    rows = len(cells[0]) if cells else 0
-    if any(len(column) != rows for column in cells):
-        raise ValueError(f"CSV columns of different lengths: {[len(column) for column in cells]}")
-    width = 2 * len(cells)
-
-    def blocks() -> Iterator[str]:
-        if header:
-            yield header + "\n"
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            stop = min(rows, start + _CSV_BLOCK_ROWS)
-            parts = [","] * (width * (stop - start))
-            for j, column in enumerate(cells):
-                parts[2 * j::width] = _reprs(column[start:stop])
-            parts[width - 1::width] = ["\n"] * (stop - start)
-            yield "".join(parts)
-
-    return blocks()
-
-
-def _write_csv(path: Path, header: str, *columns) -> None:
-    """Write the text of `_csv_blocks` to `path` block by block, so that
-    neither the whole text nor its encoding is ever held at once."""
-    blocks = _csv_blocks(header, *columns)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +203,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         gat.save_checkpoint(params, out / "checkpoint.bin", mapping_sha256=digest)
         losses, windows = artifacts.loss_history, artifacts.windows
         epoch, j = np.divmod(np.arange(losses.size), windows.size)
-        _write_csv(out / "loss_history.csv", "epoch,window,loss", epoch, windows[j], losses)
+        write_csv(out / "loss_history.csv", "epoch,window,loss", epoch, windows[j], losses)
         for epoch, record in sorted(artifacts.attention_snapshots.items()):
             matrix = metrics_mod.export_attention(record)
-            _write_csv(out / f"attention_epoch_{epoch:04d}.csv", "", *matrix.T)
+            write_csv(out / f"attention_epoch_{epoch:04d}.csv", "", *matrix.T)
         _write_text(out / "run_config.txt", dump_config(cfg))
         meta = {
             "n_nodes": n_nodes,
@@ -333,7 +276,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     (out / "metrics.json").unlink(missing_ok=True)
 
     def write_window(window_index: int, *pairs: np.ndarray) -> None:
-        _write_csv(out / f"scored_window_{window_index:04d}.csv", "src,dst,score,label", *pairs)
+        write_csv(out / f"scored_window_{window_index:04d}.csv", "src,dst,score,label", *pairs)
 
     with _stage("evaluate"):
         report = metrics_mod.evaluate_windows(params, test_w, strategy, seed=cfg.seed, on_window=write_window)
@@ -350,10 +293,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "skipped_unknown_events": skipped_unknown,
         }
         _write_text(out / "metrics.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        _write_csv(out / "pr_pooled.csv", "threshold,precision,recall", *report.pr)
-        _write_csv(out / "roc_pooled.csv", "threshold,fpr,tpr", *report.roc)
+        write_csv(out / "pr_pooled.csv", "threshold,precision,recall", *report.pr)
+        write_csv(out / "roc_pooled.csv", "threshold,fpr,tpr", *report.roc)
         matrix = metrics_mod.export_attention(report.last_attention)
-        _write_csv(out / "attention_test.csv", "", *matrix.T)
+        write_csv(out / "attention_test.csv", "", *matrix.T)
 
     pooled = report.pooled.metrics
     print(

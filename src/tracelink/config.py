@@ -144,12 +144,17 @@ def apply_key(cfg: RunConfig, key: str, value: str) -> None:
 
 
 def load_config_file(cfg: RunConfig, path: str | Path) -> None:
-    """Apply `key=value` lines from `path` onto `cfg` in place."""
+    """Apply `key=value` lines from `path` onto `cfg` in place.  One byte
+    order mark (U+FEFF) leading the text is dropped, as the trace reader
+    drops it.  A path that is missing or names a directory is a
+    ConfigError; a pipe, such as `--config <(...)`, is read like a file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if path.is_dir():
+        raise ConfigError(f"config file {path} is a directory")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -191,7 +191,7 @@ def _message_rows(graph: WindowedGraph) -> tuple[np.ndarray, np.ndarray, np.ndar
     per-call arithmetic is kept exactly.  The rule counts all n loops, not
     the active nodes' loops a head runs; the latter would merge 38 of the 70
     seed-0 `--services 2000` training windows and change their bits."""
-    if 2 * len(graph.pair_codes) + graph.n_nodes <= graph.n_edges:
+    if 2 * len(graph.pair_src) + graph.n_nodes <= graph.n_edges:
         return graph.pair_src, graph.pair_dst, graph.pair_count
     return graph.edge_src, graph.edge_dst, np.ones(graph.n_edges)
 
@@ -409,21 +409,19 @@ def attention_coefficients(
 # ---------------------------------------------------------------------------
 # link scoring and loss
 
-def link_probability(embeddings: np.ndarray, src, dst):
-    """sigmoid(h_src . h_dst); src/dst may be ints or index arrays.
+def link_probability(embeddings: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """sigmoid(h_src . h_dst) for each pair of the index arrays `src` and `dst`.
 
     The endpoint rows are gathered and multiplied for LINK_BLOCK_ROWS pairs
     at a time, so the scratch does not grow with the pairs scored; each
     pair's dot product is its own row's sum, whatever the block.
     """
-    scalar = np.ndim(src) == 0 and np.ndim(dst) == 0
-    src, dst = np.broadcast_arrays(np.atleast_1d(src), np.atleast_1d(dst))
+    src, dst = np.broadcast_arrays(src, dst)
     scores = np.empty(src.shape, dtype=np.float64)
     for lo in range(0, len(src), LINK_BLOCK_ROWS):
         hi = lo + LINK_BLOCK_ROWS
         scores[lo:hi] = np.sum(embeddings[src[lo:hi]] * embeddings[dst[lo:hi]], axis=-1)
-    out = ad.sigmoid(scores)
-    return float(out[0]) if scalar else out
+    return ad.sigmoid(scores)
 
 
 def bce_loss(pos_probs: np.ndarray, neg_probs: np.ndarray) -> float:

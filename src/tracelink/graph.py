@@ -24,24 +24,23 @@ from .preprocess import TimeWindow
 class WindowedGraph:
     """Directed multigraph for one window, over ids 0..n_nodes-1.
 
-    `edge_*` hold one row per call.  `pair_codes` are the distinct codes
-    src * n_nodes + dst, sorted, `pair_src`/`pair_dst`/`pair_count` (float)
-    their pairs and call counts.
+    `edge_*` hold one row per call.  `pair_src`/`pair_dst`/`pair_count`
+    (float) hold the distinct pairs, sorted by the code src * n_nodes + dst,
+    and their call counts.
     """
 
     n_nodes: int
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    pair_codes: np.ndarray = field(init=False, repr=False)
     pair_count: np.ndarray = field(init=False, repr=False)
     pair_src: np.ndarray = field(init=False, repr=False)
     pair_dst: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_nodes
-        self.pair_codes, counts = np.unique(self.edge_src * n + self.edge_dst, return_counts=True)
+        codes, counts = np.unique(self.edge_src * n + self.edge_dst, return_counts=True)
         self.pair_count = counts.astype(np.float64)
-        self.pair_src, self.pair_dst = np.divmod(self.pair_codes, n)
+        self.pair_src, self.pair_dst = np.divmod(codes, n)
 
     @property
     def n_edges(self) -> int:
@@ -69,11 +68,6 @@ class WindowedGraph:
         table = np.zeros(width * width, dtype=bool)
         table[rank[self.pair_src] * width + rank[self.pair_dst]] = True
         return lambda src, dst: table[rank[src] * width + rank[dst]]
-
-    def is_call(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Whether each (src, dst) is a call of this window (`call_lookup`,
-        for one question)."""
-        return self.call_lookup()(src, dst)
 
 
 def build_graph(window: TimeWindow, n_nodes: int) -> WindowedGraph:

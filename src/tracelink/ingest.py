@@ -5,7 +5,8 @@ configurable (delimiter, optional header row, column names); logically every
 event must provide a caller service, a callee service, and a millisecond
 timestamp; blank lines and COMMENT lines carry none.  Parsing is forgiving
 (malformed lines are counted and skipped), cleaning is strict (only events
-satisfying the invariants survive).
+satisfying the invariants survive).  Every CSV file the pipeline writes,
+the trace included, goes through one block writer, `write_csv`.
 """
 from __future__ import annotations
 
@@ -449,8 +450,64 @@ def clean_trace(events: EventTable, t_max: int) -> tuple[EventTable, dict[str, i
     return EventTable(events.names, caller, callee, ts.astype(np.int64)), dropped
 
 
-#: Rows `write_trace` joins into one text at a time.
-_WRITE_ROWS = 1 << 14
+#: Lines `_csv_blocks` joins into one text at a time.
+_CSV_BLOCK_ROWS = 1 << 13
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """Numeric `values` as unsigned integers of the same width.  Equal keys
+    mean equal bits, so -0.0 and 0.0, and NaNs with different payloads,
+    stay apart."""
+    return values.view(f"u{values.itemsize}")
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """The repr of each entry of numeric `values`, made once per distinct
+    bit pattern (`_bits`)."""
+    # With return_inverse numpy sorts; its hash path would import numpy.ma (~13 ms).
+    keys, inverse = np.unique(_bits(values), return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _csv_blocks(header: str, *columns) -> Iterator[str]:
+    """CSV text in blocks of `_CSV_BLOCK_ROWS` lines: the `header` text and a
+    line break (none if empty), then one line per entry of the array-like
+    `columns`.  A numeric column's values print as their reprs, one `repr`
+    per distinct value of the block's column (`_reprs`); the texts of any
+    other column print as given, so a text that needs csv's quotes must hold
+    them.
+    Columns of different lengths raise ValueError before any text is made.
+    A block's texts are joined with the separators in one pass."""
+    cells = [np.asarray(column) for column in columns]
+    rows = len(cells[0]) if cells else 0
+    if any(len(column) != rows for column in cells):
+        raise ValueError(f"CSV columns of different lengths: {[len(column) for column in cells]}")
+    width = 2 * len(cells)
+
+    def blocks() -> Iterator[str]:
+        if header:
+            yield header + "\n"
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            stop = min(rows, start + _CSV_BLOCK_ROWS)
+            parts = [","] * (width * (stop - start))
+            for j, column in enumerate(cells):
+                block = column[start:stop]
+                parts[2 * j::width] = _reprs(block) if block.dtype.kind in "biuf" else block.tolist()
+            parts[width - 1::width] = ["\n"] * (stop - start)
+            yield "".join(parts)
+
+    return blocks()
+
+
+def write_csv(path: Path, header: str, *columns) -> None:
+    """Write the text of `_csv_blocks` to `path` as UTF-8, block by block,
+    so that neither the whole text nor its encoding is ever held at once.
+    Line breaks are written as given (`newline=""`)."""
+    blocks = _csv_blocks(header, *columns)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(blocks)
 
 
 def write_trace(events: EventTable, path: str | Path, header_comment: str | None = None) -> None:
@@ -458,7 +515,7 @@ def write_trace(events: EventTable, path: str | Path, header_comment: str | None
 
     The text is what csv's writer gives: a name that holds the delimiter or
     a `"` is quoted, with each `"` doubled.  Each name's field text is made
-    once, and rows are joined in blocks of `_WRITE_ROWS`.
+    once, and the rows go through `write_csv`.
     A name the reader would not give back, one with whitespace at an edge
     (stripped) or a line break (lines split there), is a DataError raised
     before the file is opened.  Each name of the vocabulary is checked once;
@@ -478,17 +535,7 @@ def write_trace(events: EventTable, path: str | Path, header_comment: str | None
             raise DataError(f"row {row}: service name {names[code]!r} would not read back from a trace file")
     fields = np.array(['"' + name.replace('"', '""') + '"' if "," in name or '"' in name else name
                        for name in names], dtype=object)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        if header_comment:
-            handle.write(f"{COMMENT} {header_comment}\n")
-        handle.write("timestamp,um,dm\n")
-        for start in range(0, len(events), _WRITE_ROWS):
-            stop = min(len(events), start + _WRITE_ROWS)
-            parts = [","] * (6 * (stop - start))
-            parts[0::6] = map(str, events.ts[start:stop].tolist())
-            parts[2::6] = fields[events.caller[start:stop]].tolist()
-            parts[4::6] = fields[events.callee[start:stop]].tolist()
-            parts[5::6] = ["\n"] * (stop - start)
-            handle.write("".join(parts))
+    header = "timestamp,um,dm"
+    if header_comment:
+        header = f"{COMMENT} {header_comment}\n{header}"
+    write_csv(Path(path), header, events.ts, fields[events.caller], fields[events.callee])

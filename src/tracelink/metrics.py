@@ -275,7 +275,6 @@ def evaluate_windows(
     params: GatParams,
     test_windows: Sequence[TimeWindow],
     sampling: SamplingStrategy,
-    tau: float = TAU,
     seed: int = 0,
     on_window: Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> EvalReport:
@@ -308,7 +307,7 @@ def evaluate_windows(
             raise EvalError(f"window {window.index} has non-finite scores; the model has diverged")
         labels = np.repeat([1, 0], [g.n_edges, len(neg)])
         sweep = _threshold_sweep(scores, labels)
-        scored[window.index] = _scored(sweep, tau)
+        scored[window.index] = _scored(sweep, TAU)
         if on_window is not None:
             on_window(window.index, src, dst, scores, labels)
         sweeps.append(sweep)
@@ -320,7 +319,7 @@ def evaluate_windows(
     pool = _merged_sweep(sweeps)
     return EvalReport(
         windows=scored,
-        pooled=_scored(pool, tau),
+        pooled=_scored(pool, TAU),
         pr=_sweep_pr(pool),
         roc=_sweep_roc(pool),
         macro=macro,

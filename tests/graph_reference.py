@@ -17,7 +17,7 @@ from tracelink.graph import WindowedGraph
 def call_lookup(graph: WindowedGraph):
     """A function telling whether each (src, dst) is a call of `graph`; ids
     must lie in [0, n_nodes), where codes are unique."""
-    pair_codes = graph.pair_codes
+    pair_codes = graph.pair_src * graph.n_nodes + graph.pair_dst
 
     def is_call(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         codes = src * graph.n_nodes + dst

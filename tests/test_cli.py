@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import csv_reference
 import tracelink
-from tracelink import cli, gat, metrics
-from tracelink.cli import _csv_blocks, _run_config, build_parser, main
+from tracelink import cli, gat, ingest, metrics
+from tracelink.cli import _run_config, build_parser, main
 from tracelink.config import dump_config
 from tracelink.gat import load_checkpoint, save_checkpoint
 from tracelink.metrics import auc, pr_points, roc_points, summarize
@@ -194,12 +194,24 @@ def float_columns(draw, rows):
     return column
 
 
+#: Service names, some holding csv's delimiter or quote.
+service_names = st.text(st.sampled_from('ab,"\xe9 '), max_size=4)
+
+
+def text_column(values) -> np.ndarray:
+    """`values` as an object column of csv fields, quoted as `write_trace` quotes names."""
+    return np.array([csv_reference.csv_field(value) for value in values], dtype=object)
+
+
 @st.composite
 def columns(draw):
     rows = draw(st.integers(0, 12))
     drawn = []
-    for kind in draw(st.lists(st.sampled_from(["float64", "float32", "int64", "bool"]), max_size=4)):
-        if kind == "int64":
+    for kind in draw(st.lists(st.sampled_from(["float64", "float32", "int64", "bool", "text"]), max_size=4)):
+        if kind == "text":
+            pool = draw(st.lists(service_names, min_size=1, max_size=6))
+            drawn.append(text_column([draw(st.sampled_from(pool)) for _ in range(rows)]))
+        elif kind == "int64":
             pool = draw(st.lists(ints, min_size=1, max_size=6))
             drawn.append(np.array([draw(st.sampled_from(pool)) for _ in range(rows)], dtype=np.int64))
         elif kind == "bool":
@@ -219,18 +231,20 @@ def columns(draw):
          "threshold,fpr,tpr")  # the ROC's inf anchor
 @example([np.array([0.0, -0.0, -0.0, 0.0])], "x")  # equal values with other bits
 @example([np.array([], dtype=np.float64)], "threshold")  # an empty column
+@example([np.array([7, 7, -1]), text_column(['a,b', 'q"x', '']), text_column(['"', 'a', 'a,b']),
+          np.array([0.5, -0.0, 0.5])], "# seed=0\ntimestamp,um,dm,x")  # names beside numbers, as a trace
 @given(columns(), st.sampled_from(["", "threshold,fpr,tpr", "x"]))
 def test_csv_matches_the_row_by_row_writer(drawn, header):
     expected = csv_reference.csv_text(header, *drawn)
-    assert "".join(_csv_blocks(header, *drawn)) == expected
-    as_tuples = (tuple(column.tolist()) for column in drawn)  # as the loss history
-    assert "".join(_csv_blocks(header, *as_tuples)) == expected
+    assert "".join(ingest._csv_blocks(header, *drawn)) == expected
+    as_tuples = (tuple(column.tolist()) for column in drawn)  # texts become a str array
+    assert "".join(ingest._csv_blocks(header, *as_tuples)) == expected
 
 
 def test_csv_rejects_columns_of_different_lengths():
     for lengths in ((3, 2), (2, 3)):
         with pytest.raises(ValueError):
-            _csv_blocks("a,b", *map(np.zeros, lengths))
+            ingest._csv_blocks("a,b", *map(np.zeros, lengths))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -239,19 +253,39 @@ def test_csv_rejects_columns_of_different_lengths():
 @example([np.array([0.5, 0.5, 0.25]), np.array([1, 2, 3])], "", 2)  # a part-filled last block
 @given(columns(), st.sampled_from(["", "threshold,fpr,tpr"]), st.sampled_from([1, 2, 5]))
 def test_csv_written_in_blocks_matches_the_row_by_row_writer(tmp_path, monkeypatch, drawn, header, block_rows):
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(ingest, "_CSV_BLOCK_ROWS", block_rows)
     expected = csv_reference.csv_text(header, *drawn).encode("utf-8")
     path = tmp_path / "out.csv"
     for given_columns in (drawn, [tuple(column.tolist()) for column in drawn]):
-        cli._write_csv(path, header, *given_columns)
+        ingest.write_csv(path, header, *given_columns)
         assert path.read_bytes() == expected
 
 
 def test_csv_writer_checks_column_lengths_before_writing(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError):
-        cli._write_csv(path, "a,b", np.zeros(3), np.zeros(2))
+        ingest.write_csv(path, "a,b", np.zeros(3), np.zeros(2))
     assert not path.exists()
+
+
+def test_every_csv_file_goes_through_the_one_writer(tmp_path, monkeypatch):
+    written = []
+
+    def counted(path, header, *columns, _write=ingest.write_csv):
+        written.append(path)
+        _write(path, header, *columns)
+
+    for module in (ingest, cli):
+        monkeypatch.setattr(module, "write_csv", counted)
+    trace, run, out = tmp_path / "trace.csv", tmp_path / "run", tmp_path / "eval"
+    assert main(["generate", "--out", str(trace), *TINY, "--seed", "5"]) == 0
+    assert main(["train", "--trace", str(trace), "--out", str(run), *SPAN, "--hidden", "4", "--epochs", "2",
+                 "--snapshot-epochs", "0,1"]) == 0
+    assert main(["evaluate", "--trace", str(trace), "--checkpoint", str(run / "checkpoint.bin"), "--out", str(out),
+                 *SPAN]) == 0
+    assert len(written) == len(set(written))  # each file written once
+    assert sorted(written) == sorted(tmp_path.rglob("*.csv"))
+    assert {path.parent for path in written} == {tmp_path, run, out}
 
 
 def test_evaluate_artefacts_agree_exactly(workdir, tmp_path):

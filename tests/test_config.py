@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import contextlib
+import os
+import threading
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -87,6 +89,38 @@ def test_load_config_file_rejects_bad_lines(tmp_path):
         load_config_file(RunConfig(), path)
     with pytest.raises(ConfigError, match="not found"):
         load_config_file(RunConfig(), tmp_path / "missing.cfg")
+
+
+def test_config_path_naming_a_directory_exits_1(tmp_path, capsys):
+    (tmp_path / "somedir").mkdir()
+    with pytest.raises(ConfigError, match="is a directory"):
+        load_config_file(RunConfig(), tmp_path / "somedir")
+    assert main(["train", "--config", str(tmp_path / "somedir"), "--trace", str(tmp_path / "desk.csv")]) == 1
+    assert "is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_config_read_from_a_pipe(tmp_path):
+    # as `--config <(...)` gives it: not a regular file, but readable once
+    fifo = tmp_path / "config.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("seed=3\n",), daemon=True)
+    writer.start()
+    cfg = RunConfig()
+    load_config_file(cfg, fifo)
+    writer.join()
+    assert cfg.seed == 3
+
+
+def test_config_file_led_by_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfseed=3\nwindow_size=200\n")
+    cfg = RunConfig()
+    load_config_file(cfg, path)
+    assert (cfg.seed, cfg.window_size) == (3, 200)
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfseed=3\n")  # only one mark is dropped
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config_file(RunConfig(), path)
 
 
 def test_dump_round_trips(tmp_path):

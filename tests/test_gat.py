@@ -208,10 +208,10 @@ def test_rows_merge_only_when_that_halves_them():
 def per_pair(graph, instance_values):
     """Sum per-instance rows (edge instances, then self-loops) onto the
     merged layout: the graph's distinct pairs, then self-loops."""
+    pair_codes = graph.pair_src * graph.n_nodes + graph.pair_dst
     codes = graph.edge_src * graph.n_nodes + graph.edge_dst
-    rows = np.concatenate([np.searchsorted(graph.pair_codes, codes),
-                           len(graph.pair_codes) + np.arange(graph.n_nodes)])
-    out = np.zeros((len(graph.pair_codes) + graph.n_nodes,) + instance_values.shape[1:])
+    rows = np.concatenate([np.searchsorted(pair_codes, codes), len(pair_codes) + np.arange(graph.n_nodes)])
+    out = np.zeros((len(pair_codes) + graph.n_nodes,) + instance_values.shape[1:])
     np.add.at(out, rows, instance_values)
     return out
 
@@ -351,14 +351,13 @@ def test_forward_permutation_equivariance():
 
 def test_link_probability_half_for_zero_or_orthogonal():
     emb = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-    assert link_probability(emb, 0, 1) == 0.5
-    assert link_probability(emb, 1, 2) == 0.5
+    assert link_probability(emb, np.array([0, 1]), np.array([1, 2])).tolist() == [0.5, 0.5]
 
 
 def test_link_probability_sigma_ln3():
     h = math.sqrt(math.log(3) / 2)
     emb = np.array([[h, h], [h, h]])
-    assert abs(link_probability(emb, 0, 1) - 0.75) < 1e-12
+    assert abs(link_probability(emb, np.array([0]), np.array([1]))[0] - 0.75) < 1e-12
 
 
 def test_link_probability_vectorized_matches_scalar():
@@ -368,18 +367,18 @@ def test_link_probability_vectorized_matches_scalar():
     dst = np.array([1, 3, 4])
     vec = link_probability(emb, src, dst)
     assert vec.shape == (3,)
-    for i in range(3):
-        assert vec[i] == link_probability(emb, int(src[i]), int(dst[i]))
+    for i in range(3):  # each pair scored on its own
+        assert vec[i] == link_probability(emb, src[i:i + 1], dst[i:i + 1])[0]
 
 
 def test_link_probability_stable_at_extremes():
     # moderate magnitudes stay strictly inside (0, 1)
     emb = np.array([[30.0], [1.0], [-1.0]])
-    assert 0.0 < link_probability(emb, 0, 2) < 0.5 < link_probability(emb, 0, 1) < 1.0
+    low, high = link_probability(emb, np.array([0, 0]), np.array([2, 1]))
+    assert 0.0 < low < 0.5 < high < 1.0
     # huge magnitudes saturate cleanly instead of overflowing
     big = np.array([[1e3], [1e3], [-1e3]])
-    assert link_probability(big, 0, 1) == 1.0
-    assert link_probability(big, 0, 2) == 0.0
+    assert link_probability(big, np.array([0, 0]), np.array([1, 2])).tolist() == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +652,7 @@ def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
     g, params, with_pos, neg = training_case(seed)
     src, dst, counts = rows = _message_rows(g)
     if seed == "merged-self-calls":
-        assert len(src) == len(g.pair_codes) < g.n_edges
+        assert len(src) == len(g.pair_src) < g.n_edges
     # the heads' rows: the message rows, then one count-1.0 self-loop row per
     # active node, in ascending node order
     nodes, head_src, head_dst, head_counts = _head_rows(rows, g.n_nodes)
@@ -679,7 +678,7 @@ def test_fused_gradients_equal_composed_tape_ops_bitwise(seed):
 @pytest.mark.parametrize("seed", range(6, 46))
 def test_merged_gradients_match_per_instance_reference(seed):
     g, params, with_pos, neg = random_training_case(seed)
-    assert len(_message_rows(g)[0]) == len(g.pair_codes) < g.n_edges  # rows merged
+    assert len(_message_rows(g)[0]) == len(g.pair_src) < g.n_edges  # rows merged
     _, pos, counts = model_case(g, with_pos)
     if len(pos) and seed % 5 == 1:
         neg = neg[:0]  # an empty negative set; never empty on both sides

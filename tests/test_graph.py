@@ -41,13 +41,13 @@ def test_build_graph_rejects_out_of_range_ids():
 
 def test_build_graph_coalesces_duplicates():
     g = build_graph(make_window([(2, 0, 1), (0, 1, 5), (0, 1, 9), (2, 2, 9)]), n_nodes=3)
-    assert g.pair_codes.tolist() == [1, 6, 8]  # src * 3 + dst, sorted
+    assert (g.pair_src * 3 + g.pair_dst).tolist() == [1, 6, 8]  # sorted by code
     assert g.pair_src.tolist() == [0, 2, 2]
     assert g.pair_dst.tolist() == [1, 0, 2]
     assert g.pair_count.tolist() == [2.0, 1.0, 1.0]
     assert g.n_edges == 4  # instances stay as they were
     empty = build_graph(make_window([]), n_nodes=3)
-    assert empty.pair_codes.size == empty.pair_count.size == 0
+    assert empty.pair_src.size == empty.pair_count.size == 0
 
 
 def test_degree_counts_sum_to_twice_edges():
@@ -75,15 +75,16 @@ def test_graph_is_plain_dataclass():
 
 
 # ---------------------------------------------------------------------------
-# is_call against a set of (src, dst) tuples
+# call_lookup against a set of (src, dst) tuples
 
 def assert_is_call_matches_set(calls, n):
     g = build_graph(make_window([(s, d, 0) for s, d in calls]), n_nodes=n)
     existing = set(map(tuple, calls))
     src, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)  # every ordered pair, self-loops too
     pairs = list(zip(src.tolist(), dst.tolist()))
-    assert g.is_call(src, dst).tolist() == [(s, d) in existing for s, d in pairs]
-    assert g.is_call(dst, src).tolist() == [(d, s) in existing for s, d in pairs]  # the reverses
+    is_call = g.call_lookup()
+    assert is_call(src, dst).tolist() == [(s, d) in existing for s, d in pairs]
+    assert is_call(dst, src).tolist() == [(d, s) in existing for s, d in pairs]  # the reverses
 
 
 def test_is_call_on_an_empty_graph():

@@ -570,7 +570,7 @@ def written_tables(draw):
 @example(table([("a", "b", 1), ("a", "b", 2), ('q"x', "b", 3)]), 2)  # a quoted name in a later block only
 @given(written_tables(), st.sampled_from([1, 2, 5, 1 << 14]))
 def test_write_trace_matches_csv_writer(tmp_path, monkeypatch, events, block_rows):
-    monkeypatch.setattr(ingest, "_WRITE_ROWS", block_rows)
+    monkeypatch.setattr(ingest, "_CSV_BLOCK_ROWS", block_rows)
     expected = io.StringIO()
     expected.write("# seed=0\n")
     writer = csv.writer(expected, lineterminator="\n")

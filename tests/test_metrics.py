@@ -469,16 +469,6 @@ def test_evaluate_skips_empty_and_errors_when_all_empty(small_model):
         evaluate_windows(small_model, [window_of([], 0)], SamplingStrategy(SamplingKind.SIMPLE))
 
 
-def test_evaluate_tau_changes_confusion_not_auc(small_model):
-    windows = [window_of([(0, 1), (1, 2), (2, 3), (4, 5)], 0)]
-    strategy = SamplingStrategy(SamplingKind.SIMPLE)
-    low = evaluate_windows(small_model, windows, strategy, tau=0.1, seed=2)
-    high = evaluate_windows(small_model, windows, strategy, tau=0.9, seed=2)
-    assert low.pooled.auc == high.pooled.auc
-    # with every score in (0.1, 0.9) the two thresholds flip all predictions
-    assert low.pooled.confusion != high.pooled.confusion
-
-
 def test_evaluate_macro_is_mean_of_windows(small_model):
     windows = [window_of([(0, 1), (1, 2)], 0), window_of([(3, 4), (5, 6), (6, 7)], 1)]
     report = evaluate_windows(small_model, windows, SamplingStrategy(SamplingKind.SIMPLE), seed=4)
